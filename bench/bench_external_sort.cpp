@@ -6,8 +6,9 @@
  * in-memory adapter on the same records and engine options: the
  * streamed run sorts through two spill files and the bounded buffer
  * pool, the in-memory run through the zero-copy Merge Path passes.
- * The gap is the spill I/O plus whatever prefetch/write-back overlap
- * fails to hide (the stall telemetry on the counters shows which).
+ * The gap is the spill I/O that the kernel's readahead and
+ * write-behind fail to hide (the stall telemetry on the counters
+ * shows the seconds spent inside phase-2 reads and writes).
  *
  * BM_StreamBatchSize sweeps the batch size b at a fixed pool budget —
  * larger b means fewer, bigger I/O calls but a smaller effective
@@ -132,7 +133,8 @@ BM_StreamBatchSize(benchmark::State &state)
 
 /** One streamed sort over memory-backed run stores at @p threads.
  *  Fan-in 8 with a 16 MiB pool: 256 buffers hold up to 14 lanes of
- *  2*8 + 2 buffers, so the budget never caps the thread axis. */
+ *  laneBuffers(8) = 18 buffers, so the budget never caps the thread
+ *  axis.  Each lane merges and does its run I/O on one pool thread. */
 sorter::StreamStats
 streamOnMemoryStores(const std::vector<Record> &input, unsigned threads,
                      std::vector<Record> &out)

@@ -7,7 +7,7 @@
  * version of the same plan in memory (the "SSD" shrunk by a scale
  * factor so the example runs in seconds) and validates the output.
  * Finally runs the same dataset through the out-of-core streaming
- * path — spill files, bounded buffer pool, prefetch overlap — and
+ * path — spill files, bounded buffer pool, batched run I/O — and
  * checks it reproduces the in-memory result byte for byte.
  *
  * Build & run:  ./build/examples/terabyte_ssd [scale_records]

@@ -3,8 +3,8 @@
  * Annotated synchronization layer: the one place raw std primitives
  * are allowed, wrapped as Clang thread-safety *capabilities*.
  *
- * Every mutex-holding type in the tree (ThreadPool, BackgroundWorker,
- * TaskGate, BufferPool, LaneLeases, ...) declares its lock as a
+ * Every mutex-holding type in the tree (ThreadPool, BufferPool,
+ * BoundedQueue, ErrorTrap, ...) declares its lock as a
  * bonsai::Mutex, its guarded members with BONSAI_GUARDED_BY, and its
  * locking methods with BONSAI_ACQUIRE / BONSAI_RELEASE /
  * BONSAI_REQUIRES / BONSAI_EXCLUDES.  Under Clang's -Wthread-safety
@@ -24,10 +24,10 @@
  * public entry points are annotated BONSAI_EXCLUDES(their mutex) and
  * no critical section acquires a second lock, so no cross-object
  * lock-order cycle can exist by construction.  Blocking *resource*
- * acquisition still has an order (thread pool -> lane lease -> buffer
- * pool -> task gate); the analyzer enforces intra-object edges
- * declared with BONSAI_ACQUIRED_BEFORE, and the hierarchy itself is
- * documented there.
+ * acquisition still has an order (thread pool -> buffer pool); the
+ * analyzer enforces intra-object edges declared with
+ * BONSAI_ACQUIRED_BEFORE, and the hierarchy itself is documented
+ * there.
  *
  * Style gate: scripts/check_style.py confines std::mutex,
  * std::condition_variable, std::lock_guard, std::unique_lock and
@@ -144,9 +144,10 @@ class BONSAI_CAPABILITY("mutex") Mutex
 
 /**
  * RAII lock over a Mutex, relockable like std::unique_lock: lock()
- * and unlock() let a critical section open around a long operation
- * (the BackgroundWorker task loop) while the analyzer still checks
- * that every path re-establishes the expected lock state.
+ * and unlock() let a critical section end before its scope does
+ * (BufferPool::acquire drops its lock before allocating a fresh
+ * buffer) while the analyzer still checks that every path
+ * re-establishes the expected lock state.
  */
 class BONSAI_SCOPED_CAPABILITY ScopedLock
 {
@@ -228,47 +229,24 @@ class CondVar
  * concurrent tasks trap the first failure here and the submitting
  * thread rethrows it after the join.
  *
- * The latch distinguishes *primary* failures (the task that broke)
- * from *secondary* ones observed while unwinding — a quiesce wait in
- * a destructor, a cleanup release that itself failed.  First error
- * wins: exactly one exception comes out of rethrowIfSet; everything
- * suppressed behind it is counted for telemetry instead of being
- * silently dropped.
+ * First error wins: exactly one exception comes out of rethrowIfSet;
+ * every later failure is counted for telemetry (secondaryCount())
+ * instead of being silently dropped.
  */
 class ErrorTrap
 {
   public:
-    /** Record @p err if no earlier task already failed. */
+    /** Record @p err if no earlier task already failed; count it as
+     *  secondary otherwise. */
     void
     store(std::exception_ptr err) BONSAI_EXCLUDES(mutex_)
     {
         ScopedLock lock(mutex_);
-        if (error_ && primary_) {
+        if (error_) {
             ++secondary_; // an earlier failure won; count this one
             return;
         }
-        if (error_)
-            ++secondary_; // demote the held cleanup error
         error_ = err;
-        primary_ = true;
-    }
-
-    /**
-     * Record an error observed during cleanup/unwind.  Never displaces
-     * a primary failure: if nothing failed yet the error is held (a
-     * cleanup failure on an otherwise clean path still fails the
-     * operation), otherwise it is only counted.
-     */
-    void
-    storeSecondary(std::exception_ptr err) BONSAI_EXCLUDES(mutex_)
-    {
-        ScopedLock lock(mutex_);
-        if (error_) {
-            ++secondary_;
-            return;
-        }
-        error_ = err;
-        primary_ = false;
     }
 
     /** Rethrow the trapped error, if any (consuming it). */
@@ -280,7 +258,6 @@ class ErrorTrap
             ScopedLock lock(mutex_);
             err = error_;
             error_ = nullptr;
-            primary_ = false;
         }
         if (err)
             std::rethrow_exception(err);
@@ -297,7 +274,6 @@ class ErrorTrap
   private:
     mutable Mutex mutex_;
     std::exception_ptr error_ BONSAI_GUARDED_BY(mutex_);
-    bool primary_ BONSAI_GUARDED_BY(mutex_) = false;
     std::uint64_t secondary_ BONSAI_GUARDED_BY(mutex_) = 0;
 };
 

@@ -28,6 +28,10 @@
  *    -Wthread-safety over the common/sync.hpp annotations (every
  *    job-state member is BONSAI_GUARDED_BY the pool mutex).
  *
+ * The pool is also the only source of threads in the out-of-core
+ * merge phase: merge groups and final-pass slices run as its tasks
+ * and do their run I/O on the thread that merges.
+ *
  * Jobs must not themselves call parallelFor on the same pool (no
  * nested parallelism); the sorter flattens group x slice work into one
  * task list per stage instead.  Lock discipline: the pool mutex is a
@@ -40,8 +44,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <exception>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -203,110 +205,6 @@ class ThreadPool
     std::uint64_t generation_ BONSAI_GUARDED_BY(mutex_) = 0;
     std::atomic<std::uint64_t> next_{0}; ///< shared task index space
     bool stop_ BONSAI_GUARDED_BY(mutex_) = false;
-};
-
-/**
- * One persistent background thread executing posted closures in FIFO
- * order — the I/O side of the streaming sorter's double buffering.
- * The out-of-core engine (sorter/external.hpp) posts spill writes and
- * run prefetches here so storage traffic overlaps merge compute on
- * the submitting thread; completion of an individual task is signaled
- * through state owned by the closure itself (see io::TaskGate).
- *
- * Tasks should not throw: an escaped exception is captured and
- * rethrown from the next drain() call (the destructor discards it),
- * but any completion signal the task was supposed to raise is lost —
- * closures that gate a waiter must catch and forward errors through
- * the gate instead.
- *
- * Shutdown contract: the destructor runs every task still queued
- * before joining (tasks are never dropped), then discards any trapped
- * error; call drain() first when errors must surface.
- */
-class BackgroundWorker
-{
-  public:
-    BackgroundWorker() : thread_([this] { loop(); }) {}
-
-    ~BackgroundWorker()
-    {
-        {
-            ScopedLock lock(mutex_);
-            stop_ = true;
-        }
-        wake_.notifyAll();
-        thread_.join();
-    }
-
-    BackgroundWorker(const BackgroundWorker &) = delete;
-    BackgroundWorker &operator=(const BackgroundWorker &) = delete;
-
-    /** Enqueue @p task; runs after everything posted before it. */
-    void
-    post(std::function<void()> task) BONSAI_EXCLUDES(mutex_)
-    {
-        {
-            ScopedLock lock(mutex_);
-            BONSAI_REQUIRE(!stop_, "post to a stopped BackgroundWorker");
-            queue_.push_back(std::move(task));
-        }
-        wake_.notifyAll();
-    }
-
-    /** Block until the queue is empty and the worker is idle, then
-     *  rethrow the first exception any task leaked (if any). */
-    void
-    drain() BONSAI_EXCLUDES(mutex_)
-    {
-        std::exception_ptr err;
-        {
-            ScopedLock lock(mutex_);
-            while (!queue_.empty() || busy_)
-                idle_.wait(mutex_);
-            err = error_;
-            error_ = nullptr;
-        }
-        if (err)
-            std::rethrow_exception(err);
-    }
-
-  private:
-    void
-    loop() BONSAI_EXCLUDES(mutex_)
-    {
-        ScopedLock lock(mutex_);
-        for (;;) {
-            while (!stop_ && queue_.empty())
-                wake_.wait(mutex_);
-            if (queue_.empty()) // stop_ and nothing left to run
-                return;
-            std::function<void()> task = std::move(queue_.front());
-            queue_.pop_front();
-            busy_ = true;
-            lock.unlock();
-            try {
-                task();
-            } catch (...) {
-                lock.lock();
-                if (!error_)
-                    error_ = std::current_exception();
-                lock.unlock();
-            }
-            lock.lock();
-            busy_ = false;
-            if (queue_.empty())
-                idle_.notifyAll();
-        }
-    }
-
-    Mutex mutex_;
-    CondVar wake_; ///< task posted / shutdown
-    CondVar idle_; ///< queue empty and worker idle
-    std::deque<std::function<void()>> queue_ BONSAI_GUARDED_BY(mutex_);
-    std::exception_ptr error_ BONSAI_GUARDED_BY(mutex_);
-    bool busy_ BONSAI_GUARDED_BY(mutex_) = false;
-    bool stop_ BONSAI_GUARDED_BY(mutex_) = false;
-    std::thread thread_; ///< last member: starts after state is ready
 };
 
 } // namespace bonsai

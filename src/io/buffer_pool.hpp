@@ -2,26 +2,19 @@
  * @file
  * Bounded buffer pool for the streaming sorter's batched I/O.
  *
- * The out-of-core merge keeps every run cursor double-buffered with
- * batch-sized buffers (b records each, mirroring the hardware data
- * loader's batched reads): while the merge consumes one batch, the
- * prefetch worker fills the other.  The pool bounds the total buffer
- * bytes — the software analogue of the paper's Equation 10 on-chip
- * budget b * ell — and the engine derives its effective merge fan-in
- * from the buffer count, so memory use never exceeds the budget no
- * matter how many runs phase 1 produced.
+ * The out-of-core merge gives every run cursor and every output
+ * writer one batch-sized buffer (b records each, mirroring the
+ * hardware data loader's batched reads).  The pool bounds the total
+ * buffer bytes — the software analogue of the paper's Equation 10
+ * on-chip budget b * ell — and the engine derives its effective merge
+ * fan-in from the buffer count, so memory use never exceeds the
+ * budget no matter how many runs phase 1 produced.
  *
  * A pool whose budget cannot hold even one batch would make the first
  * acquire() block forever; the constructor fails loudly instead (in
  * every build type).
  *
- * TaskGate is the completion handshake for one in-flight background
- * task (a prefetch or a write-back posted to a BackgroundWorker):
- * arm() before posting, open()/fail() from the task, wait() on the
- * consuming side returns the seconds it blocked — the stall telemetry
- * the stream reports.
- *
- * Both types are leaf locks in the common/sync.hpp capability scheme:
+ * The pool is a leaf lock in the common/sync.hpp capability scheme:
  * every entry point is BONSAI_EXCLUDES its own mutex and no critical
  * section acquires another lock, so the -Wthread-safety build proves
  * the locking discipline structurally (guarded members, no re-entry).
@@ -31,9 +24,7 @@
 #define BONSAI_IO_BUFFER_POOL_HPP
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
-#include <exception>
 #include <string>
 #include <vector>
 
@@ -42,72 +33,6 @@
 
 namespace bonsai::io
 {
-
-/** Completion handshake for one in-flight background task. */
-class TaskGate
-{
-  public:
-    /** Mark a task as in flight (call before posting it). */
-    void
-    arm() BONSAI_EXCLUDES(mutex_)
-    {
-        ScopedLock lock(mutex_);
-        BONSAI_REQUIRE(open_, "arming a gate with a task in flight");
-        open_ = false;
-    }
-
-    /** Task finished successfully.  Notifies while holding the lock:
-     *  the waiter may destroy this gate the moment wait() returns, so
-     *  the notifying thread must be unable to touch the gate after
-     *  the waiter can observe open_. */
-    void
-    open() BONSAI_EXCLUDES(mutex_)
-    {
-        ScopedLock lock(mutex_);
-        open_ = true;
-        cv_.notifyAll();
-    }
-
-    /** Task failed; wait() rethrows @p err. */
-    void
-    fail(std::exception_ptr err) BONSAI_EXCLUDES(mutex_)
-    {
-        ScopedLock lock(mutex_);
-        error_ = err;
-        open_ = true;
-        cv_.notifyAll();
-    }
-
-    /** Block until the in-flight task (if any) completed; returns the
-     *  seconds spent blocked and rethrows the task's error, if any.
-     *  Safe to call again at any time: an open gate returns (or
-     *  rethrows a still-unconsumed error) immediately. */
-    double
-    wait() BONSAI_EXCLUDES(mutex_)
-    {
-        const auto start = std::chrono::steady_clock::now();
-        std::exception_ptr err;
-        {
-            ScopedLock lock(mutex_);
-            while (!open_)
-                cv_.wait(mutex_);
-            err = error_;
-            error_ = nullptr;
-        }
-        if (err)
-            std::rethrow_exception(err);
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - start)
-            .count();
-    }
-
-  private:
-    Mutex mutex_;
-    CondVar cv_;
-    std::exception_ptr error_ BONSAI_GUARDED_BY(mutex_);
-    /** Nothing in flight initially. */
-    bool open_ BONSAI_GUARDED_BY(mutex_) = true;
-};
 
 /** Bounded pool of batch-sized record buffers. */
 template <typename RecordT>

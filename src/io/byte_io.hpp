@@ -3,8 +3,8 @@
  * Positioned byte-level file I/O for the streaming storage layer.
  *
  * A ByteFile wraps one file descriptor and exposes pread/pwrite-style
- * positioned transfers, so concurrent readers (the prefetch worker and
- * the merge thread) and a concurrent writer (write-back) can share one
+ * positioned transfers, so concurrent readers and writers (merge
+ * tasks reading runs and writing their output runs) can share one
  * file without seek races.  Spill files are created unlinked: the
  * space is reclaimed by the kernel the moment the store is destroyed,
  * even on a crash.
@@ -52,8 +52,8 @@ struct FaultAction {
 /**
  * Injection seam, consulted once per syscall attempt (including each
  * retry, so a policy can model an error that heals after N tries).
- * Implementations must be thread-safe: prefetch, merge and write-back
- * workers issue attempts concurrently.
+ * Implementations must be thread-safe: concurrent merge tasks and
+ * phase-1 stages issue attempts concurrently.
  */
 class FaultPolicy
 {

@@ -22,7 +22,7 @@
  *    seed-derived fraction of the requested bytes.
  *
  * All counters are relaxed atomics; the injector is shared by the
- * prefetch, merge and write-back workers of a StreamEngine lane.
+ * phase-1 stages and the concurrent merge tasks of a StreamEngine.
  */
 
 #ifndef BONSAI_IO_FAULT_INJECTION_HPP

@@ -16,8 +16,8 @@
  *    in-memory sort(std::vector&) facade stays byte- and
  *    performance-identical.
  *  - FileRunStore spills to an anonymous temp file through positioned
- *    I/O that is safe to call concurrently from the prefetch worker,
- *    the write-back worker and the merge thread.
+ *    I/O that is safe to call concurrently from several merge
+ *    tasks, each reading its runs and writing its output run.
  *
  * Byte counters tally actual store traffic (spill bytes), reported
  * through the facades' unified telemetry.

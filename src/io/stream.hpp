@@ -159,7 +159,7 @@ class RecordSink
 /**
  * Sequential view of one disjoint segment of a parent sink's declared
  * window: write() forwards to writeSegment() at an advancing offset,
- * so the double-buffered StreamWriter can drive a slice of the final
+ * so the batching StreamWriter can drive a slice of the final
  * merge without knowing about segments.
  */
 template <typename RecordT>

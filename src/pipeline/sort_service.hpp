@@ -6,11 +6,11 @@
  * Each SortJob is an independent {source, sink, run-store pair}; the
  * service runs every job as a stage of one PipelineExecutor (one
  * thread per job) against a single BufferPool whose budget is the
- * service-wide memory bound.  Fair lane leasing falls out of the
+ * service-wide memory bound.  Fair budget sharing falls out of the
  * Equation-10 shape derivation: each job plans its phase-2 shape
  * against an equal allowance of floor(buffers / jobs) pool buffers,
  * and a job's concurrent holdings never exceed its shape's
- * lanes * (2 ell + 2) <= allowance buffers — so the per-job maxima
+ * lanes * laneBuffers(ell) <= allowance buffers — so the per-job maxima
  * sum to at most the pool supply and blocking acquires cannot
  * deadlock across jobs, while every job always owns enough budget to
  * make progress.  Too many jobs for the budget (allowance < 6

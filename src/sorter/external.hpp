@@ -4,10 +4,10 @@
  * — the facade over the decomposed streaming-sort modules:
  *
  *   sorter/stream_stats.hpp   unified telemetry struct
- *   sorter/run_cursor.hpp     prefetching run cursor (2 pool buffers)
- *   sorter/stream_writer.hpp  double-buffered batch writer
+ *   sorter/run_cursor.hpp     batch-reading run cursor (1 pool buffer)
+ *   sorter/stream_writer.hpp  batch writer (1 pool buffer)
  *   sorter/tournament.hpp     the shared loser-tree merge kernel
- *   sorter/merge_plan.hpp     Equation-10 shape, lanes, lane leases
+ *   sorter/merge_plan.hpp     Equation-10 shape and lane reservation
  *   sorter/splitter.hpp       out-of-core Merge Path boundary search
  *   sorter/phase1_spill.hpp   phase 1 as a read->sort->spill pipeline
  *   sorter/phase2_merge.hpp   phase 2 merge passes and the final pass
@@ -24,19 +24,20 @@
  * round-trip cost unit).  Batch size b and the buffer budget mirror
  * Equation 10's b * ell on-chip buffer bound: fan-in AND the number
  * of concurrently merging lanes are jointly derived from the budget
- * (b * (2 ell + 2) * W buffers), so resident memory never exceeds
- * it.  The final pass is splitter-partitioned into positioned sink
- * segments — byte-identical to the serial tournament for any thread
- * count, including equal-key floods.
+ * (b * laneBuffers(ell) * W buffers), so resident memory never
+ * exceeds it.  Each lane reads and writes its runs on the thread that
+ * merges.  The final pass is splitter-partitioned into positioned
+ * sink segments — byte-identical to the serial tournament for any
+ * thread count, including equal-key floods.
  *
- * Memory-backed stores short-circuit: when both stores expose a
- * memorySpan(), a pass runs on BehavioralSorter::runStage — the Merge
- * Path sliced, thread-parallel kernel — with zero copies, which is how
- * sort(std::vector&) remains a thin, byte-identical adapter.  Both
- * paths emit the identical record sequence (the per-group loser-tree
- * augmented order), so a file-backed sort is byte-identical to the
- * in-memory sort of the same input whenever the buffer budget admits
- * the planned fan-in.
+ * sortInPlace() is the in-memory adapter: its passes run on
+ * BehavioralSorter::runStage — the Merge Path sliced, thread-parallel
+ * kernel — over memory-backed stores with zero copies.  The streamed
+ * entry points always merge through the Phase2Merger, memory stores
+ * included.  Both emit the identical record sequence (the per-group
+ * loser-tree augmented order), so a streamed sort is byte-identical
+ * to the in-memory sort of the same input whenever the buffer budget
+ * admits the planned fan-in.
  *
  * Concurrent sorts: sortStream() owns a private BufferPool;
  * sortStreamShared() runs the same sort against a caller-owned pool
@@ -178,13 +179,13 @@ class StreamEngine
      * bounded by two chunk buffers (plus one chunk of sort scratch)
      * and the batch buffer pool, independent of the dataset size.
      *
-     * Failure contract: any I/O or task failure — in a lane's
-     * background worker, a prefetch cursor, a splitter probe, the
-     * sink — unwinds to exactly one std::runtime_error thrown from
-     * here.  First error wins; errors observed while quiescing behind
-     * it are counted in StreamStats::secondaryErrors.  All pool
-     * buffers are returned before the throw (lastPoolOutstanding()
-     * lets tests assert that).
+     * Failure contract: any I/O or task failure — a phase-1 stage, a
+     * merge group's read or write-back, a splitter probe, the sink —
+     * unwinds to exactly one std::runtime_error thrown from here.
+     * First error wins; failures of concurrent tasks behind it are
+     * counted in StreamStats::secondaryErrors.  All pool buffers are
+     * returned before the throw (lastPoolOutstanding() lets tests
+     * assert that).
      */
     StreamStats
     sortStream(io::RecordSource<RecordT> &source,
@@ -211,7 +212,7 @@ class StreamEngine
      * Shared-pool variant: the same streamed sort against a
      * caller-owned @p bufs, planning its phase-2 shape against at
      * most @p allowance of the pool's buffers.  A job's concurrent
-     * holdings never exceed its shape's lanes * (2 ell + 2) <=
+     * holdings never exceed its shape's lanes * laneBuffers(ell) <=
      * allowance buffers, so several jobs whose allowances sum to the
      * pool supply cannot deadlock each other's blocking acquires —
      * the contract pipeline::SortService packs concurrent jobs with.
@@ -314,16 +315,10 @@ class StreamEngine
             bufs.budgetBytes(), opt_.phase2Ell, opt_.threads);
         stats.effectiveEll = shape.ell;
         stats.concurrentGroups = shape.lanes;
-        // One reader/writer worker pair per lane, so concurrent
-        // groups never serialize their prefetches behind one worker.
-        std::vector<std::unique_ptr<Lane>> lanes;
-        lanes.reserve(shape.lanes);
-        for (unsigned i = 0; i < shape.lanes; ++i)
-            lanes.push_back(std::make_unique<Lane>());
 
-        // Sort-wide first-error latch: every stage, cursor, writer
-        // and quiesce path records into this one trap, so the caller
-        // sees exactly one exception no matter how many lanes failed.
+        // Sort-wide first-error latch: every stage and merge task
+        // records into this one trap, so the caller sees exactly one
+        // exception no matter how many lanes failed.
         ErrorTrap trap;
         try {
             if (ckpt == nullptr || !ckpt->phase1Complete()) {
@@ -341,7 +336,7 @@ class StreamEngine
                 // journal's current store.
                 stats.phase1Chunks = ckpt->chunksDone();
             }
-            Phase2Merger<RecordT> merger(bufs, lanes, pool, trap,
+            Phase2Merger<RecordT> merger(bufs, shape.lanes, pool, trap,
                                          shape.ell);
             merger.run(front, back, sink, stats, ckpt);
         } catch (...) {

@@ -1,14 +1,12 @@
 /**
  * @file
- * Phase-2 merge planning: the Equation-10 buffer-budget shape, the
- * per-lane I/O worker pair, the lane lease allocator, and the
- * per-task stall tally the merge stages report with.
+ * Phase-2 merge planning: the Equation-10 buffer-budget shape.
  *
  * The shape derivation is the engine's resource model: a streamed
- * ell-way merge lane holds 2 buffers per input cursor plus 2 for its
- * write-back, so W lanes of fan-in ell fit a pool of b-record buffers
- * when (2 ell + 2) * W <= buffers — the paper's b * ell on-chip
- * buffer bound (Eq. 10) generalized to W concurrent merge units.
+ * ell-way merge lane reserves laneBuffers(ell) = 2 ell + 2 buffers,
+ * so W lanes of fan-in ell fit a pool of b-record buffers when
+ * (2 ell + 2) * W <= buffers — the paper's b * ell on-chip buffer
+ * bound (Eq. 10) generalized to W concurrent merge units.
  */
 
 #ifndef BONSAI_SORTER_MERGE_PLAN_HPP
@@ -17,17 +15,30 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/contract.hpp"
-#include "common/sync.hpp"
-#include "common/thread_pool.hpp"
 
 namespace bonsai::sorter
 {
 
+/**
+ * Pool buffers one phase-2 merge lane of fan-in @p ell reserves:
+ * 2 per input run plus 2 for the output.  A lane merging inline
+ * holds only ell + 1 (one per cursor, one for its writer), but the
+ * reservation stays at 2 ell + 2 on purpose.  It fixes the effective
+ * fan-in a budget admits, StagePlan groups runs at a stride that
+ * depends on that fan-in, and so the order in which equal keys leave
+ * the sort does too: a tighter reservation would admit a wider merge
+ * on the same budget and change the output bytes.
+ */
+constexpr std::uint64_t
+laneBuffers(std::uint64_t ell)
+{
+    return 2 * ell + 2;
+}
+
 /** Joint phase-2 shape admitted by the Equation-10 pool budget
- *  b * (2 ell + 2) * W. */
+ *  b * laneBuffers(ell) * W. */
 struct Phase2Shape
 {
     unsigned ell = 2;   ///< effective merge fan-in
@@ -47,7 +58,7 @@ inline Phase2Shape
 phase2Shape(std::uint64_t have, std::uint64_t budget_bytes,
             unsigned phase2_ell, unsigned threads)
 {
-    if (have < 6)
+    if (have < laneBuffers(2))
         contracts::fail(
             "precondition", "bufs.buffers() >= 6", __FILE__, __LINE__,
             "buffer pool budget (" + std::to_string(budget_bytes) +
@@ -56,73 +67,14 @@ phase2Shape(std::uint64_t have, std::uint64_t budget_bytes,
                 "least 6 (2 per input run of a 2-way merge + 2 "
                 "for write-back)");
     Phase2Shape shape;
+    // The largest ell with laneBuffers(ell) <= have.
     shape.ell = static_cast<unsigned>(
         std::min<std::uint64_t>(phase2_ell, (have - 2) / 2));
-    const std::uint64_t per_lane = 2ULL * shape.ell + 2;
     shape.lanes = static_cast<unsigned>(std::max<std::uint64_t>(
-        1, std::min<std::uint64_t>(threads, have / per_lane)));
+        1, std::min<std::uint64_t>(threads,
+                                   have / laneBuffers(shape.ell))));
     return shape;
 }
-
-/** Per-lane background I/O workers: one phase-2 merge lane owns a
- *  prefetch thread and a write-back thread for the whole sort. */
-struct Lane
-{
-    BackgroundWorker reader;
-    BackgroundWorker writer;
-};
-
-/** Stall/move tally of one merge task, accumulated race-free per
- *  worker and folded into StreamStats under the caller's control. */
-struct GroupTally
-{
-    std::uint64_t moved = 0;
-    double readStall = 0.0;
-    double writeStall = 0.0;
-};
-
-/** Free-lane allocator: group tasks lease a lane for the duration
- *  of one merge, bounding concurrent pool holdings to
- *  lanes * (2 ell + 2) buffers no matter how wide the thread pool
- *  is.  A leaf lock like every other in the tree (see
- *  common/sync.hpp): the lease mutex is never held while merging
- *  — only around the free-list push/pop. */
-class LaneLeases
-{
-  public:
-    explicit LaneLeases(unsigned lanes)
-    {
-        free_.reserve(lanes);
-        for (unsigned i = 0; i < lanes; ++i)
-            free_.push_back(lanes - 1 - i);
-    }
-
-    unsigned
-    acquire() BONSAI_EXCLUDES(mutex_)
-    {
-        ScopedLock lock(mutex_);
-        while (free_.empty())
-            ready_.wait(mutex_);
-        const unsigned lane = free_.back();
-        free_.pop_back();
-        return lane;
-    }
-
-    void
-    release(unsigned lane) BONSAI_EXCLUDES(mutex_)
-    {
-        {
-            ScopedLock lock(mutex_);
-            free_.push_back(lane);
-        }
-        ready_.notifyOne();
-    }
-
-  private:
-    Mutex mutex_;
-    CondVar ready_;
-    std::vector<unsigned> free_ BONSAI_GUARDED_BY(mutex_);
-};
 
 } // namespace bonsai::sorter
 

@@ -5,9 +5,8 @@
  * single run streams into the sink instead.
  *
  * Parallel structure (TopSort-style merge units):
- *  - non-final passes schedule independent merge groups on up to W
- *    lanes, each lane owning its own prefetch and write-back workers
- *    so I/O of concurrent groups does not serialize;
+ *  - non-final passes merge independent groups on up to W compute
+ *    tasks, each taking the next group from a shared counter;
  *  - the final pass is cut into W key-space slices along splitters
  *    (sorter/splitter.hpp), each slice merging through its own cursor
  *    set and landing in the sink as a positioned segment at its exact
@@ -16,18 +15,19 @@
  *
  * The tournament itself is the shared kernel in sorter/tournament.hpp
  * (the same tree LoserTree instantiates over spans), run here over a
- * set of prefetching RunCursors.
+ * set of RunCursors.  Every task reads and writes its runs on its own
+ * thread: the buffered store and sink I/O underneath already reads
+ * ahead and writes behind, so phase 2 starts no threads of its own.
  */
 
 #ifndef BONSAI_SORTER_PHASE2_MERGE_HPP
 #define BONSAI_SORTER_PHASE2_MERGE_HPP
 
-#include <array>
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/contract.hpp"
@@ -35,10 +35,10 @@
 #include "common/sync.hpp"
 #include "common/thread_pool.hpp"
 #include "io/buffer_pool.hpp"
+#include "io/pool_lease.hpp"
 #include "io/run_store.hpp"
 #include "io/stream.hpp"
 #include "sorter/checkpoint.hpp"
-#include "sorter/merge_plan.hpp"
 #include "sorter/run_cursor.hpp"
 #include "sorter/splitter.hpp"
 #include "sorter/stage_plan.hpp"
@@ -55,16 +55,15 @@ class Phase2Merger
   public:
     /**
      * @param bufs  The sort's bounded buffer pool.
-     * @param lanes Per-lane I/O worker pairs; size bounds both group
+     * @param lanes Merge lanes the budget admits; bounds both group
      *        concurrency and final-pass slices.
      * @param pool  Compute pool the merge tasks are scheduled on.
      * @param trap  Sort-wide first-error latch.
      * @param ell   Effective fan-in (already budget-capped).
      */
-    Phase2Merger(io::BufferPool<RecordT> &bufs,
-                 std::vector<std::unique_ptr<Lane>> &lanes,
+    Phase2Merger(io::BufferPool<RecordT> &bufs, unsigned lanes,
                  ThreadPool &pool, ErrorTrap &trap, unsigned ell)
-        : bufs_(&bufs), lanes_(&lanes), pool_(&pool), trap_(&trap),
+        : bufs_(&bufs), lanes_(lanes), pool_(&pool), trap_(&trap),
           ell_(ell)
     {
     }
@@ -117,12 +116,20 @@ class Phase2Merger
     }
 
   private:
+    /** Stall/move tally of one merge task, accumulated race-free per
+     *  task and folded into StreamStats after the join. */
+    struct GroupTally
+    {
+        std::uint64_t moved = 0;
+        double readStall = 0.0;
+        double writeStall = 0.0;
+    };
+
     /** TournamentTree's view of a set of streaming run cursors. */
     class CursorSet
     {
       public:
-        explicit CursorSet(
-            std::vector<std::unique_ptr<RunCursor<RecordT>>> &cursors)
+        explicit CursorSet(std::vector<RunCursor<RecordT>> &cursors)
             : cursors_(&cursors)
         {
         }
@@ -132,19 +139,19 @@ class Phase2Merger
         bool
         exhausted(std::size_t i) const
         {
-            return (*cursors_)[i]->exhausted();
+            return (*cursors_)[i].exhausted();
         }
 
         const RecordT &
         head(std::size_t i) const
         {
-            return (*cursors_)[i]->head();
+            return (*cursors_)[i].head();
         }
 
-        void advance(std::size_t i) { (*cursors_)[i]->advance(); }
+        void advance(std::size_t i) { (*cursors_)[i].advance(); }
 
       private:
-        std::vector<std::unique_ptr<RunCursor<RecordT>>> *cursors_;
+        std::vector<RunCursor<RecordT>> *cursors_;
     };
 
     static void
@@ -155,9 +162,9 @@ class Phase2Merger
         stats.writeStallSeconds += t.writeStall;
     }
 
-    /** One non-final pass: independent merge groups are scheduled on
-     *  the thread pool, each leasing one of the W lanes for its I/O
-     *  workers and its share of the buffer budget. */
+    /** One non-final pass: up to W tasks on the compute pool, each
+     *  merging the next unclaimed group until none is left, so at
+     *  most W groups hold pool buffers at once. */
     void
     mergePassStreamed(io::RunStore<RecordT> &src,
                       io::RunStore<RecordT> &dst, const StagePlan &plan,
@@ -169,32 +176,26 @@ class Phase2Merger
             if (!plan.groupRuns(g).empty())
                 work.push_back(g);
         const std::size_t width =
-            std::min<std::size_t>(lanes_->size(), work.size());
+            std::min<std::size_t>(lanes_, work.size());
         std::vector<GroupTally> tallies(work.size());
-        if (width <= 1) {
-            for (std::size_t i = 0; i < work.size(); ++i)
-                tallies[i] = mergeOneGroup(src, plan, out, work[i],
-                                           dst, *(*lanes_)[0]);
-        } else {
-            // parallelFor tasks must not throw (a leaked exception
-            // kills a pool worker), so trap the first error and
-            // rethrow it after the join.  The sort-wide trap keeps
-            // first-error-wins across lanes: one group's failure
-            // propagates, the rest are counted as secondary.
-            LaneLeases leases(static_cast<unsigned>(width));
-            pool_->parallelFor(work.size(), [&](std::uint64_t i) {
-                const unsigned lane = leases.acquire();
-                try {
+        std::atomic<std::size_t> next{0};
+        // parallelFor tasks must not throw (a leaked exception kills a
+        // pool worker), so trap the first error and rethrow it after
+        // the join; later failures count as secondary.
+        pool_->parallelFor(width, [&](std::uint64_t) {
+            try {
+                for (;;) {
+                    const std::size_t i = next.fetch_add(1);
+                    if (i >= work.size())
+                        break;
                     tallies[i] =
-                        mergeOneGroup(src, plan, out, work[i], dst,
-                                      *(*lanes_)[lane]);
-                } catch (...) {
-                    trap_->store(std::current_exception());
+                        mergeOneGroup(src, plan, out, work[i], dst);
                 }
-                leases.release(lane);
-            });
-            trap_->rethrowIfSet();
-        }
+            } catch (...) {
+                trap_->store(std::current_exception());
+            }
+        });
+        trap_->rethrowIfSet();
         for (const GroupTally &t : tallies)
             foldTally(t, stats);
     }
@@ -205,7 +206,7 @@ class Phase2Merger
     mergeOneGroup(const io::RunStore<RecordT> &src,
                   const StagePlan &plan,
                   const std::vector<RunSpan> &out, std::uint64_t g,
-                  io::RunStore<RecordT> &dst, Lane &lane)
+                  io::RunStore<RecordT> &dst)
     {
         const std::vector<RunSpan> members = plan.groupRuns(g);
         const std::string ctx =
@@ -213,9 +214,8 @@ class Phase2Merger
         io::RunStoreSink<RecordT> gsink(dst, out[g].offset,
                                         ctx.c_str());
         if (members.size() == 1)
-            return copyRun(src, members[0], gsink, lane.writer);
-        return mergeGroup(src, members, gsink, lane.reader,
-                          lane.writer);
+            return copyRun(src, members[0], gsink);
+        return mergeGroup(src, members, gsink);
     }
 
     /** The final pass (one group, streaming to the sink): cut the
@@ -231,9 +231,7 @@ class Phase2Merger
     {
         if (members.size() == 1) {
             stats.finalSlices = 1;
-            foldTally(copyRun(src, members[0], sink,
-                              (*lanes_)[0]->writer),
-                      stats);
+            foldTally(copyRun(src, members[0], sink), stats);
             return;
         }
         std::uint64_t total = 0;
@@ -243,15 +241,12 @@ class Phase2Merger
         // parallelism; and without positioned segment support the
         // slices cannot land concurrently.
         std::uint64_t slices = std::min<std::uint64_t>(
-            lanes_->size(), total / (2 * bufs_->batchRecords()));
+            lanes_, total / (2 * bufs_->batchRecords()));
         if (!sink.supportsSegments())
             slices = 1;
         if (slices <= 1) {
             stats.finalSlices = 1;
-            foldTally(mergeGroup(src, members, sink,
-                                 (*lanes_)[0]->reader,
-                                 (*lanes_)[0]->writer),
-                      stats);
+            foldTally(mergeGroup(src, members, sink), stats);
             return;
         }
         const std::vector<std::vector<std::uint64_t>> cuts =
@@ -279,9 +274,7 @@ class Phase2Merger
                         RunSpan{members[j].offset + cuts[t][j],
                                 cuts[t + 1][j] - cuts[t][j]});
                 io::SegmentSink<RecordT> seg(sink, base[t]);
-                tallies[t] =
-                    mergeGroup(src, sub, seg, (*lanes_)[t]->reader,
-                               (*lanes_)[t]->writer);
+                tallies[t] = mergeGroup(src, sub, seg);
             } catch (...) {
                 trap_->store(std::current_exception());
             }
@@ -292,81 +285,27 @@ class Phase2Merger
     }
 
     /** Singleton-group bypass: a 1-member group needs no tournament —
-     *  batch-copy the run to @p out, the read of batch k overlapping
-     *  the write-back of batch k-1. */
+     *  copy the run to @p out one batch at a time. */
     GroupTally
     copyRun(const io::RunStore<RecordT> &src, const RunSpan &run,
-            io::RecordSink<RecordT> &out, BackgroundWorker &writer)
+            io::RecordSink<RecordT> &out)
     {
         GroupTally tally;
-        const std::uint64_t batch = bufs_->batchRecords();
         const std::string ctx = "batch-copy of run @" +
                                 std::to_string(run.offset) + "+" +
                                 std::to_string(run.length);
-        // First acquire in the initializer, second guarded: if it
-        // throws the first buffer still returns to the pool.
-        std::array<std::vector<RecordT>, 2> buf;
-        buf[0] = bufs_->acquire();
-        try {
-            buf[1] = bufs_->acquire();
-        } catch (...) {
-            bufs_->release(std::move(buf[0]));
-            throw;
-        }
-        std::array<io::TaskGate, 2> gate;
-        std::array<std::uint64_t, 2> len = {0, 0};
-        try {
-            unsigned slot = 0;
-            std::uint64_t done = 0;
-            while (done < run.length) {
-                const std::uint64_t n =
-                    std::min<std::uint64_t>(batch, run.length - done);
-                // This buffer's previous write must have landed.
-                tally.writeStall += gate[slot].wait();
-                src.readAt(run.offset + done, buf[slot].data(), n,
+        io::PoolLease<RecordT> buf(*bufs_);
+        for (std::uint64_t done = 0; done < run.length;) {
+            const std::uint64_t n = std::min<std::uint64_t>(
+                buf.capacity(), run.length - done);
+            addSeconds(tally.readStall, [&] {
+                src.readAt(run.offset + done, buf.data(), n,
                            ctx.c_str());
-                len[slot] = n;
-                io::TaskGate *g = &gate[slot];
-                const std::vector<RecordT> *b = &buf[slot];
-                const std::uint64_t *l = &len[slot];
-                g->arm();
-                try {
-                    writer.post([&out, g, b, l] {
-                        try {
-                            out.write(b->data(), *l);
-                        } catch (...) {
-                            g->fail(std::current_exception());
-                            return;
-                        }
-                        g->open();
-                    });
-                } catch (...) {
-                    // Nothing made it in flight: reopen the gate so
-                    // the quiesce below cannot deadlock.
-                    g->open();
-                    throw;
-                }
-                done += n;
-                slot ^= 1;
-            }
-            tally.writeStall += gate[0].wait() + gate[1].wait();
-        } catch (...) {
-            // An in-flight write still references buf; quiesce the
-            // gates before the buffers return to the pool, recording
-            // (not dropping) any second failure behind the first.
-            for (io::TaskGate &g : gate) {
-                try {
-                    g.wait();
-                } catch (...) {
-                    trap_->storeSecondary(std::current_exception());
-                }
-            }
-            bufs_->release(std::move(buf[0]));
-            bufs_->release(std::move(buf[1]));
-            throw;
+            });
+            addSeconds(tally.writeStall,
+                       [&] { out.write(buf.data(), n); });
+            done += n;
         }
-        bufs_->release(std::move(buf[0]));
-        bufs_->release(std::move(buf[1]));
         tally.moved = run.length;
         return tally;
     }
@@ -376,16 +315,14 @@ class Phase2Merger
     GroupTally
     mergeGroup(const io::RunStore<RecordT> &src,
                const std::vector<RunSpan> &members,
-               io::RecordSink<RecordT> &out, BackgroundWorker &reader,
-               BackgroundWorker &writer)
+               io::RecordSink<RecordT> &out)
     {
         GroupTally tally;
-        std::vector<std::unique_ptr<RunCursor<RecordT>>> cursors;
+        std::vector<RunCursor<RecordT>> cursors;
         cursors.reserve(members.size());
         for (const RunSpan &m : members)
-            cursors.push_back(std::make_unique<RunCursor<RecordT>>(
-                src, m, *bufs_, reader, trap_));
-        StreamWriter<RecordT> drain(out, *bufs_, writer, trap_);
+            cursors.emplace_back(src, m, *bufs_);
+        StreamWriter<RecordT> drain(out, *bufs_);
         CursorSet set(cursors);
         TournamentTree<RecordT, CursorSet> merge(set);
         while (!merge.done()) {
@@ -393,14 +330,14 @@ class Phase2Merger
             ++tally.moved;
         }
         drain.finish();
-        for (const auto &c : cursors)
-            tally.readStall += c->stallSeconds();
+        for (const RunCursor<RecordT> &c : cursors)
+            tally.readStall += c.stallSeconds();
         tally.writeStall += drain.stallSeconds();
         return tally;
     }
 
     io::BufferPool<RecordT> *bufs_;
-    std::vector<std::unique_ptr<Lane>> *lanes_;
+    unsigned lanes_;
     ThreadPool *pool_;
     ErrorTrap *trap_;
     unsigned ell_;

@@ -1,14 +1,13 @@
 /**
  * @file
- * Forward-only view of one stored run: double-buffered, batch-sized
- * reads with the next batch prefetched on a background worker while
- * the merge consumes the current one.
+ * Forward-only view of one stored run: batch-sized reads into one
+ * leased pool buffer, the next batch read on the merging thread when
+ * the current one runs out.
  *
- * One cursor holds exactly two pool buffers for its lifetime; the
- * engine's Equation-10 budget (2 ell + 2 buffers per merge lane)
- * counts them.  Destruction quiesces any in-flight prefetch before
- * returning the buffers, recording (never throwing) a late device
- * error through the sort-wide ErrorTrap.
+ * The read is a plain RunStore::readAt — a buffered pread on a
+ * FileRunStore, which the kernel's readahead already overlaps with
+ * compute, or a memcpy on a MemoryRunStore.  The lease returns its
+ * buffer on every path, a throwing constructor included.
  */
 
 #ifndef BONSAI_SORTER_RUN_CURSOR_HPP
@@ -17,14 +16,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "common/run.hpp"
-#include "common/sync.hpp"
-#include "common/thread_pool.hpp"
 #include "io/buffer_pool.hpp"
+#include "io/pool_lease.hpp"
 #include "io/run_store.hpp"
+#include "sorter/stream_stats.hpp"
 
 namespace bonsai::sorter
 {
@@ -34,127 +31,51 @@ class RunCursor
 {
   public:
     RunCursor(const io::RunStore<RecordT> &store, RunSpan span,
-              io::BufferPool<RecordT> &pool, BackgroundWorker &reader,
-              ErrorTrap *trap = nullptr)
-        : store_(&store), pool_(&pool), reader_(&reader), trap_(trap),
-          batch_(pool.batchRecords()), next_(span.offset),
-          end_(span.offset + span.length)
+              io::BufferPool<RecordT> &pool)
+        : store_(&store), buf_(pool),
+          ctx_("streaming run @" + std::to_string(span.offset) + "+" +
+               std::to_string(span.length)),
+          next_(span.offset), end_(span.offset + span.length)
     {
-        ctx_ = "streaming run @" + std::to_string(span.offset) + "+" +
-               std::to_string(span.length);
-        // Acquire and fill in the body, not the initializer list: a
-        // throwing initial read after list-acquired buffers would skip
-        // the destructor and leak the pool's outstanding count.
-        cur_ = pool.acquire();
-        try {
-            pre_ = pool.acquire();
-            curLen_ = std::min<std::uint64_t>(batch_, end_ - next_);
-            if (curLen_ > 0) {
-                store_->readAt(next_, cur_.data(), curLen_,
-                               ctx_.c_str());
-                next_ += curLen_;
-            }
-            schedulePrefetch();
-        } catch (...) {
-            if (!pre_.empty())
-                pool.release(std::move(pre_));
-            pool.release(std::move(cur_));
-            throw;
-        }
-    }
-
-    RunCursor(const RunCursor &) = delete;
-    RunCursor &operator=(const RunCursor &) = delete;
-
-    ~RunCursor()
-    {
-        // An in-flight prefetch still targets pre_; let it land before
-        // the buffers return to the pool.  Nobody will consume the
-        // data a failed prefetch was reading, but a device error must
-        // not vanish either: record it as a secondary error (first
-        // error wins).
-        try {
-            gate_.wait();
-        } catch (...) {
-            if (trap_ != nullptr)
-                trap_->storeSecondary(std::current_exception());
-        }
-        pool_->release(std::move(cur_));
-        pool_->release(std::move(pre_));
+        refill();
     }
 
     /** No more records in [span.offset, span.offset + span.length). */
-    bool exhausted() const { return pos_ >= curLen_; }
+    bool exhausted() const { return pos_ >= len_; }
 
-    const RecordT &head() const { return cur_[pos_]; }
+    const RecordT &head() const { return buf_.data()[pos_]; }
 
     void
     advance()
     {
-        ++pos_;
-        if (pos_ == curLen_)
+        if (++pos_ == len_)
             refill();
     }
 
-    /** Seconds the consumer blocked waiting for prefetched batches. */
+    /** Seconds spent inside the store's readAt. */
     double stallSeconds() const { return stall_; }
 
   private:
     void
     refill()
     {
-        if (preLen_ == 0)
-            return; // run fully consumed: exhausted() is now true
-        stall_ += gate_.wait();
-        std::swap(cur_, pre_);
-        curLen_ = preLen_;
-        preLen_ = 0;
         pos_ = 0;
-        schedulePrefetch();
-    }
-
-    void
-    schedulePrefetch()
-    {
-        preLen_ = std::min<std::uint64_t>(batch_, end_ - next_);
-        if (preLen_ == 0)
-            return;
-        const std::uint64_t off = next_;
-        next_ += preLen_;
-        gate_.arm();
-        try {
-            reader_->post([this, off] {
-                try {
-                    store_->readAt(off, pre_.data(), preLen_,
-                                   ctx_.c_str());
-                } catch (...) {
-                    gate_.fail(std::current_exception());
-                    return;
-                }
-                gate_.open();
-            });
-        } catch (...) {
-            // Nothing made it in flight: reopen the gate so the
-            // destructor's quiesce wait cannot deadlock.
-            gate_.open();
-            throw;
-        }
+        len_ = std::min<std::uint64_t>(buf_.capacity(), end_ - next_);
+        if (len_ == 0)
+            return; // run fully consumed: exhausted() is now true
+        addSeconds(stall_, [&] {
+            store_->readAt(next_, buf_.data(), len_, ctx_.c_str());
+        });
+        next_ += len_;
     }
 
     const io::RunStore<RecordT> *store_;
-    io::BufferPool<RecordT> *pool_;
-    BackgroundWorker *reader_;
-    ErrorTrap *trap_;
+    io::PoolLease<RecordT> buf_;
     std::string ctx_;
-    std::uint64_t batch_;
-    std::uint64_t next_; ///< next store offset to fetch
+    std::uint64_t next_; ///< next store offset to read
     std::uint64_t end_;  ///< one past the run's last record
-    std::vector<RecordT> cur_;
-    std::vector<RecordT> pre_;
-    std::uint64_t curLen_ = 0;
-    std::uint64_t preLen_ = 0;
+    std::uint64_t len_ = 0;
     std::uint64_t pos_ = 0;
-    io::TaskGate gate_;
     double stall_ = 0.0;
 };
 

@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "common/contract.hpp"
 #include "common/thread_pool.hpp"
 #include "core/optimizer.hpp"
 #include "core/platforms.hpp"
@@ -43,6 +44,7 @@
 #include "sorter/behavioral.hpp"
 #include "sorter/external.hpp"
 #include "sorter/loser_tree.hpp"
+#include "sorter/merge_plan.hpp"
 #include "sorter/stage_sim.hpp"
 
 namespace bonsai::sorter
@@ -222,7 +224,7 @@ class SsdSorter
         core::SsdPlan plan;
         double hostSeconds = 0.0;
         /** Streaming telemetry: spill traffic, records moved per
-         *  phase, prefetch/write-back stalls. */
+         *  phase, time inside phase-2 reads and writes. */
         StreamStats stream;
     };
 
@@ -309,7 +311,12 @@ class SsdSorter
         report.stream.recordsIn = n;
         if (n <= 1) {
             RecordT rec;
-            if (n == 1 && source.read(&rec, 1) == 1) {
+            if (n == 1) {
+                if (source.read(&rec, 1) == 0)
+                    contracts::fail("precondition", "source.read() != 0",
+                                    __FILE__, __LINE__,
+                                    "record source ended at record 0 "
+                                    "but declared 1");
                 io::requireNoTerminals(&rec, 1);
                 sink.write(&rec, 1);
             }
@@ -380,11 +387,11 @@ class SsdSorter
     /** Default streaming batch b: the planner's Equation 10 batch
      *  (phase2.batchBytes, the largest b with lambda*b*ell <= C_BRAM),
      *  capped so the pool can hold one full merge lane per requested
-     *  thread — W lanes of fan-in ell need (2 ell + 2) * W buffers
-     *  (and never fewer than 8) — so asking for more threads shrinks
-     *  b instead of silently serializing phase 2.  Explicit user
-     *  batches are taken as-is and fail loudly if the pool cannot
-     *  hold one. */
+     *  thread — W lanes of fan-in ell need laneBuffers(ell) * W
+     *  buffers (and never fewer than 8) — so asking for more threads
+     *  shrinks b instead of silently serializing phase 2.  Explicit
+     *  user batches are taken as-is and fail loudly if the pool
+     *  cannot hold one. */
     template <typename RecordT>
     static std::uint64_t
     defaultBatchRecords(const core::SsdPlan &plan,
@@ -395,7 +402,7 @@ class SsdSorter
         std::uint64_t batch = std::max<std::uint64_t>(
             plan.phase2.batchBytes / record_bytes, 1);
         const std::uint64_t lane_buffers =
-            (2ULL * plan.phase2.config.ell + 2) * threads;
+            laneBuffers(plan.phase2.config.ell) * threads;
         const std::uint64_t want_buffers =
             std::max<std::uint64_t>(8, lane_buffers);
         const std::uint64_t cap = std::max<std::uint64_t>(

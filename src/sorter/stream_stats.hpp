@@ -11,6 +11,7 @@
 #ifndef BONSAI_SORTER_STREAM_STATS_HPP
 #define BONSAI_SORTER_STREAM_STATS_HPP
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 
@@ -40,11 +41,13 @@ struct StreamStats
     std::uint64_t bufferPoolPeakBytes = 0;
     double phase1Seconds = 0.0;
     double phase2Seconds = 0.0;
-    /** Stall seconds are summed across all phase-2 workers (per-
-     *  worker accounting), so with several lanes they may exceed the
-     *  phase wall clock. */
-    double readStallSeconds = 0.0;  ///< merge blocked on prefetch
-    double writeStallSeconds = 0.0; ///< blocked on write-back
+    /** Stall seconds are summed across all phase-2 merge tasks (per-
+     *  task accounting), so with several lanes they may exceed the
+     *  phase wall clock.  Phase 2 counts the time spent inside its
+     *  run-store reads and its store/sink writes; phase 1 adds its
+     *  reader's wait for spill write-back to writeStallSeconds. */
+    double readStallSeconds = 0.0;
+    double writeStallSeconds = 0.0;
     /** Spill-store I/O hardening counters (front + back stores; the
      *  output sink's own device is not visible to the engine). */
     std::uint64_t ioTransientRetries = 0; ///< EIO/EAGAIN retried
@@ -64,6 +67,19 @@ struct StreamStats
     friend bool operator==(const StreamStats &,
                            const StreamStats &) = default;
 };
+
+/** Run @p io and add the seconds it took to @p acc — the phase-2
+ *  stall accounting around one store read or sink write. */
+template <typename F>
+void
+addSeconds(double &acc, F &&io)
+{
+    const auto start = std::chrono::steady_clock::now();
+    io();
+    acc += std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - start)
+               .count();
+}
 
 } // namespace bonsai::sorter
 

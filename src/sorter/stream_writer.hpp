@@ -1,26 +1,24 @@
 /**
  * @file
- * Double-buffered batch writer: push() fills one buffer while the
- * previous one drains to the sink on a background worker.  All writes
- * to a sink funnel through one worker, so they land in push order.
+ * Batch writer: push() fills one leased pool buffer and writes it to
+ * the sink on the pushing thread when it is full.  Writes land in
+ * push order.
  *
- * Holds two pool buffers for its lifetime (the "+2" of the engine's
- * per-lane 2 ell + 2 budget).  finish() must be called on the normal
- * path for errors to surface; the destructor quiesces and records a
- * late failure through the sort-wide ErrorTrap instead of throwing.
+ * The write is a plain RecordSink::write — a buffered pwrite on a
+ * file sink or run store, which the kernel writes behind.  finish()
+ * must be called on the normal path to write the last partial batch;
+ * an unwinding writer drops it, and its lease returns the buffer.
  */
 
 #ifndef BONSAI_SORTER_STREAM_WRITER_HPP
 #define BONSAI_SORTER_STREAM_WRITER_HPP
 
 #include <cstdint>
-#include <utility>
-#include <vector>
 
-#include "common/sync.hpp"
-#include "common/thread_pool.hpp"
 #include "io/buffer_pool.hpp"
+#include "io/pool_lease.hpp"
 #include "io/stream.hpp"
+#include "sorter/stream_stats.hpp"
 
 namespace bonsai::sorter
 {
@@ -30,98 +28,41 @@ class StreamWriter
 {
   public:
     StreamWriter(io::RecordSink<RecordT> &sink,
-                 io::BufferPool<RecordT> &pool, BackgroundWorker &writer,
-                 ErrorTrap *trap = nullptr)
-        : sink_(&sink), pool_(&pool), worker_(&writer), trap_(trap),
-          batch_(pool.batchRecords())
+                 io::BufferPool<RecordT> &pool)
+        : sink_(&sink), buf_(pool)
     {
-        // Acquire in the body: if the second acquire throws, the
-        // destructor will not run, so the first buffer must be
-        // returned here to keep the pool's accounting balanced.
-        cur_ = pool.acquire();
-        try {
-            flight_ = pool.acquire();
-        } catch (...) {
-            pool.release(std::move(cur_));
-            throw;
-        }
-    }
-
-    StreamWriter(const StreamWriter &) = delete;
-    StreamWriter &operator=(const StreamWriter &) = delete;
-
-    ~StreamWriter()
-    {
-        // finish() reports errors on the normal path; a failure seen
-        // only here (unwind) is recorded instead of dropped.
-        try {
-            gate_.wait();
-        } catch (...) {
-            if (trap_ != nullptr)
-                trap_->storeSecondary(std::current_exception());
-        }
-        pool_->release(std::move(cur_));
-        pool_->release(std::move(flight_));
     }
 
     void
     push(const RecordT &rec)
     {
-        cur_[len_++] = rec;
-        if (len_ == batch_)
+        buf_.data()[len_++] = rec;
+        if (len_ == buf_.capacity())
             flushBatch();
     }
 
-    /** Drain everything to the sink; required before destruction for
-     *  errors to surface (the destructor swallows them). */
+    /** Write the last partial batch to the sink. */
     void
     finish()
     {
         if (len_ > 0)
             flushBatch();
-        stall_ += gate_.wait();
     }
 
-    /** Seconds push()/finish() blocked on in-flight write-back. */
+    /** Seconds spent inside the sink's write. */
     double stallSeconds() const { return stall_; }
 
   private:
     void
     flushBatch()
     {
-        stall_ += gate_.wait(); // previous batch must have landed
-        std::swap(cur_, flight_);
-        flightLen_ = len_;
+        addSeconds(stall_, [&] { sink_->write(buf_.data(), len_); });
         len_ = 0;
-        gate_.arm();
-        try {
-            worker_->post([this] {
-                try {
-                    sink_->write(flight_.data(), flightLen_);
-                } catch (...) {
-                    gate_.fail(std::current_exception());
-                    return;
-                }
-                gate_.open();
-            });
-        } catch (...) {
-            // Nothing made it in flight: reopen the gate so later
-            // waits (finish, destructor) cannot deadlock.
-            gate_.open();
-            throw;
-        }
     }
 
     io::RecordSink<RecordT> *sink_;
-    io::BufferPool<RecordT> *pool_;
-    BackgroundWorker *worker_;
-    ErrorTrap *trap_;
-    std::uint64_t batch_;
-    std::vector<RecordT> cur_;
-    std::vector<RecordT> flight_;
+    io::PoolLease<RecordT> buf_;
     std::uint64_t len_ = 0;
-    std::uint64_t flightLen_ = 0;
-    io::TaskGate gate_;
     double stall_ = 0.0;
 };
 

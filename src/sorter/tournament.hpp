@@ -13,7 +13,7 @@
  * sequence ordered by (key, input index, position) — the same
  * augmented total order the Merge Path partitioner cuts on.  Both the
  * in-memory `LoserTree` (span cursors) and the out-of-core streamed
- * merge (prefetching `RunCursor`s) instantiate this kernel, which is
+ * merge (batch-reading `RunCursor`s) instantiate this kernel, which is
  * why a streamed merge is byte-identical to the in-memory merge of
  * the same runs.
  *

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include "baseline/cpu_sorters.hpp"
 #include "common/checks.hpp"
@@ -13,7 +16,6 @@ namespace bonsai
 namespace
 {
 
-using SortFn = void (*)(std::vector<Record> &);
 
 void
 lsd(std::vector<Record> &data)
@@ -33,7 +35,22 @@ sample(std::vector<Record> &data)
     baseline::sampleSortCpu(data, 32, 4);
 }
 
-class CpuSorters : public ::testing::TestWithParam<SortFn>
+/** A sorter under test.  gtest prints the parameter by its name, so the
+ *  test names it lists do not carry a function's load address, which
+ *  changes from one run to the next. */
+struct NamedSorter
+{
+    const char *name;
+    void (*sort)(std::vector<Record> &);
+};
+
+void
+PrintTo(const NamedSorter &sorter, std::ostream *os)
+{
+    *os << sorter.name;
+}
+
+class CpuSorters : public ::testing::TestWithParam<NamedSorter>
 {
 };
 
@@ -46,7 +63,7 @@ TEST_P(CpuSorters, SortsAllDistributions)
         auto data = makeRecords(20'000, dist);
         const Fingerprint before =
             fingerprint(std::span<const Record>(data));
-        GetParam()(data);
+        GetParam().sort(data);
         EXPECT_TRUE(isSorted(std::span<const Record>(data)));
         EXPECT_EQ(before, fingerprint(std::span<const Record>(data)));
     }
@@ -56,7 +73,7 @@ TEST_P(CpuSorters, SortsEdgeSizes)
 {
     for (std::size_t n : {0u, 1u, 2u, 3u, 63u, 64u, 65u, 1000u}) {
         auto data = makeRecords(n, Distribution::UniformRandom);
-        GetParam()(data);
+        GetParam().sort(data);
         EXPECT_TRUE(isSorted(std::span<const Record>(data))) << n;
         EXPECT_EQ(data.size(), n);
     }
@@ -67,22 +84,20 @@ TEST_P(CpuSorters, MatchesStdSortKeys)
     auto data = makeRecords(50'000, Distribution::UniformRandom, 77);
     auto expect = data;
     std::sort(expect.begin(), expect.end());
-    GetParam()(data);
+    GetParam().sort(data);
     for (std::size_t i = 0; i < data.size(); ++i)
         EXPECT_EQ(data[i].key, expect[i].key);
 }
 
-INSTANTIATE_TEST_SUITE_P(All, CpuSorters,
-                         ::testing::Values(&baseline::stdSort, &lsd,
-                                           &paradis, &sample),
-                         [](const auto &param_info) -> std::string {
-                             switch (param_info.index) {
-                               case 0: return "stdSort";
-                               case 1: return "lsdRadix";
-                               case 2: return "parallelMsdRadix";
-                               default: return "sampleSort";
-                             }
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    All, CpuSorters,
+    ::testing::Values(NamedSorter{"stdSort", &baseline::stdSort},
+                      NamedSorter{"lsdRadix", &lsd},
+                      NamedSorter{"parallelMsdRadix", &paradis},
+                      NamedSorter{"sampleSort", &sample}),
+    [](const auto &param_info) -> std::string {
+        return param_info.param.name;
+    });
 
 TEST(LsdRadix, KeysWithHighBytesSet)
 {

@@ -37,8 +37,8 @@ TEST(SyncPrimitives, ScopedLockProvidesMutualExclusion)
 
 TEST(SyncPrimitives, ScopedLockRelocksMidScope)
 {
-    // The BackgroundWorker::loop pattern: open the critical section
-    // around outside work, then re-enter it on the same ScopedLock.
+    // Open the critical section around outside work, then re-enter
+    // it on the same ScopedLock.
     Mutex mutex;
     std::uint64_t inside = 0;
     std::atomic<std::uint64_t> outside{0};
@@ -63,26 +63,25 @@ TEST(SyncPrimitives, CondVarWakesPredicateLoopWaiters)
     Mutex mutex;
     CondVar cv;
     int token = 0; // +1 by producer, -1 by consumer; bounded by 1
-    BackgroundWorker producer;
-    producer.post([&] {
+    int consumed = 0;
+    // Two tasks on a two-thread pool: task 0 cannot finish before
+    // task 1 runs, so the two always run on different threads.
+    ThreadPool(2).parallelFor(2, [&](std::uint64_t role) {
         for (int i = 0; i < 500; ++i) {
             ScopedLock lock(mutex);
-            while (token != 0)
-                cv.wait(mutex);
-            ++token;
+            if (role == 0) { // producer
+                while (token != 0)
+                    cv.wait(mutex);
+                ++token;
+            } else { // consumer
+                while (token != 1)
+                    cv.wait(mutex);
+                --token;
+                ++consumed;
+            }
             cv.notifyAll();
         }
     });
-    int consumed = 0;
-    for (int i = 0; i < 500; ++i) {
-        ScopedLock lock(mutex);
-        while (token != 1)
-            cv.wait(mutex);
-        --token;
-        ++consumed;
-        cv.notifyAll();
-    }
-    producer.drain();
     EXPECT_EQ(consumed, 500);
     EXPECT_EQ(token, 0);
 }
@@ -135,8 +134,8 @@ TEST(SyncPrimitives, ErrorTrapUnderConcurrentStores)
 
 TEST(SyncPrimitives, ErrorTrapCountsSecondaryErrors)
 {
-    // Unwind errors behind a primary failure are counted, not kept:
-    // first error wins, the tally is telemetry.
+    // Errors behind the first failure are counted, not kept: first
+    // error wins, the tally is telemetry.
     ErrorTrap trap;
     try {
         throw std::runtime_error("primary");
@@ -145,45 +144,12 @@ TEST(SyncPrimitives, ErrorTrapCountsSecondaryErrors)
     }
     for (int i = 0; i < 3; ++i) {
         try {
-            throw std::logic_error("cleanup");
+            throw std::logic_error("later");
         } catch (...) {
-            trap.storeSecondary(std::current_exception());
+            trap.store(std::current_exception());
         }
     }
     EXPECT_EQ(trap.secondaryCount(), 3u);
-    EXPECT_THROW(trap.rethrowIfSet(), std::runtime_error);
-}
-
-TEST(SyncPrimitives, ErrorTrapHoldsLoneCleanupError)
-{
-    // A cleanup failure with no primary behind it still fails the
-    // operation — it must not vanish into a counter.
-    ErrorTrap trap;
-    try {
-        throw std::runtime_error("cleanup-only");
-    } catch (...) {
-        trap.storeSecondary(std::current_exception());
-    }
-    EXPECT_EQ(trap.secondaryCount(), 0u);
-    EXPECT_THROW(trap.rethrowIfSet(), std::runtime_error);
-}
-
-TEST(SyncPrimitives, ErrorTrapDemotesHeldCleanupErrorToSecondary)
-{
-    // Destructors can observe their error before the thrower's catch
-    // block stores the primary; the primary must still win.
-    ErrorTrap trap;
-    try {
-        throw std::logic_error("cleanup, observed first");
-    } catch (...) {
-        trap.storeSecondary(std::current_exception());
-    }
-    try {
-        throw std::runtime_error("the real failure");
-    } catch (...) {
-        trap.store(std::current_exception());
-    }
-    EXPECT_EQ(trap.secondaryCount(), 1u);
     EXPECT_THROW(trap.rethrowIfSet(), std::runtime_error);
 }
 

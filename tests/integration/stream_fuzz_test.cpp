@@ -1,0 +1,250 @@
+/** @file
+ * Seeded differential sweep over the out-of-core engine's
+ * configuration space: record count, key distribution, batch size,
+ * buffer budget, thread count, store kind, and entry point (plain
+ * sortStream, durable sortStreamDurable, or a SortService job).
+ *
+ * Records carry their input index as payload, so equal keys stay
+ * distinguishable and the emitted order of ties is part of the
+ * compared bytes.  Within one option set (count, distribution, batch,
+ * budget) every case must emit the same bytes as the reference case
+ * (one thread, memory stores, plain sortStream), be a sorted
+ * permutation of its input, keep the buffer pool's peak within the
+ * budget, and return every pool buffer.
+ */
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <span>
+#include <string>
+#include <unistd.h>
+#include <vector>
+
+#include "common/checks.hpp"
+#include "common/random.hpp"
+#include "common/record.hpp"
+#include "io/byte_io.hpp"
+#include "io/manifest.hpp"
+#include "io/run_store.hpp"
+#include "io/stream.hpp"
+#include "pipeline/sort_service.hpp"
+#include "sorter/external.hpp"
+
+namespace bonsai::sorter
+{
+namespace
+{
+
+enum class Store
+{
+    Memory,
+    File
+};
+
+enum class Path
+{
+    Plain,
+    Durable,
+    Service
+};
+
+/** The knobs that fix the output bytes of a sort. */
+struct OptionSet
+{
+    std::size_t n;
+    Distribution dist;
+    std::uint64_t batch;
+    std::uint64_t budgetBuffers;
+};
+
+/** The knobs that must not change them. */
+struct Variant
+{
+    unsigned threads;
+    Store store;
+    Path path;
+};
+
+std::string
+describe(const OptionSet &o, const Variant &v)
+{
+    return "n=" + std::to_string(o.n) + " dist=" +
+           std::to_string(static_cast<int>(o.dist)) + " batch=" +
+           std::to_string(o.batch) + " budget_buffers=" +
+           std::to_string(o.budgetBuffers) + " threads=" +
+           std::to_string(v.threads) + " store=" +
+           std::to_string(static_cast<int>(v.store)) + " path=" +
+           std::to_string(static_cast<int>(v.path));
+}
+
+std::uint64_t
+budgetBytes(const OptionSet &o)
+{
+    return o.budgetBuffers * o.batch * sizeof(Record);
+}
+
+StreamEngine<Record>::Options
+engineOptions(const OptionSet &o, unsigned threads)
+{
+    StreamEngine<Record>::Options opt;
+    opt.phase1Ell = 4;
+    opt.phase2Ell = 4;
+    opt.presortRun = 16;
+    // About 30 runs at the large count, so phase 2 needs several
+    // passes; two 1-record runs at n = 2.
+    opt.chunkRecords = std::max<std::uint64_t>(1, o.n / 30);
+    opt.batchRecords = o.batch;
+    opt.bufferBudgetBytes = budgetBytes(o);
+    opt.threads = threads;
+    return opt;
+}
+
+/** A front/back run-store pair of one kind, sized for @p n records. */
+struct StorePair
+{
+    StorePair(Store kind, std::size_t n)
+    {
+        if (kind == Store::File) {
+            front = std::make_unique<io::FileRunStore<Record>>();
+            back = std::make_unique<io::FileRunStore<Record>>();
+            return;
+        }
+        frontBacking.resize(n);
+        backBacking.resize(n);
+        front = std::make_unique<io::MemoryRunStore<Record>>(
+            std::span<Record>(frontBacking));
+        back = std::make_unique<io::MemoryRunStore<Record>>(
+            std::span<Record>(backBacking));
+    }
+
+    std::vector<Record> frontBacking;
+    std::vector<Record> backBacking;
+    std::unique_ptr<io::RunStore<Record>> front;
+    std::unique_ptr<io::RunStore<Record>> back;
+};
+
+/** Run one case; checks the per-case invariants and returns the
+ *  output for the cross-case comparison. */
+std::vector<Record>
+runCase(const OptionSet &o, const Variant &v, const std::vector<Record> &input,
+        std::uint64_t case_id)
+{
+    const std::string what = describe(o, v);
+    const StreamEngine<Record> engine(engineOptions(o, v.threads));
+    io::MemorySource<Record> source{std::span<const Record>(input)};
+    std::vector<Record> out;
+    out.reserve(input.size());
+    io::MemorySink<Record> sink(out);
+    StreamStats stats;
+    std::uint64_t budget = budgetBytes(o);
+
+    if (v.path == Path::Plain) {
+        StorePair pair(v.store, input.size());
+        stats = engine.sortStream(source, sink, *pair.front, *pair.back);
+        EXPECT_EQ(engine.lastPoolOutstanding(), 0u) << what;
+    } else if (v.path == Path::Durable) {
+        const std::string dir = ::testing::TempDir() + "bonsai_fuzz_" +
+                                std::to_string(case_id);
+        io::createDirectories(dir);
+        StreamEngine<Record>::DurableOptions durable;
+        durable.dir = dir;
+        stats = engine.sortStreamDurable(source, sink, durable);
+        io::removeJobArtifacts(dir);
+        ::rmdir(dir.c_str());
+        EXPECT_EQ(engine.lastPoolOutstanding(), 0u) << what;
+    } else {
+        // Two identical jobs over a pool twice the budget: each job's
+        // allowance is exactly the option set's budget, so its shape
+        // (and therefore its bytes) match the single-sort cases.
+        StreamEngine<Record>::Options opt = engineOptions(o, v.threads);
+        budget = 2 * budgetBytes(o);
+        opt.bufferBudgetBytes = budget;
+        io::MemorySource<Record> source2{std::span<const Record>(input)};
+        std::vector<Record> out2;
+        io::MemorySink<Record> sink2(out2);
+        StorePair p1(v.store, input.size());
+        StorePair p2(v.store, input.size());
+        pipeline::SortJob<Record> j1;
+        j1.source = &source;
+        j1.sink = &sink;
+        j1.front = p1.front.get();
+        j1.back = p1.back.get();
+        pipeline::SortJob<Record> j2;
+        j2.source = &source2;
+        j2.sink = &sink2;
+        j2.front = p2.front.get();
+        j2.back = p2.back.get();
+        const std::vector<StreamStats> all =
+            pipeline::SortService<Record>(opt).run({j1, j2});
+        stats = all[0];
+        EXPECT_EQ(out2, out) << what << " (second service job)";
+    }
+
+    EXPECT_LE(stats.bufferPoolPeakBytes, budget) << what;
+    EXPECT_EQ(out.size(), input.size()) << what;
+    EXPECT_TRUE(isSorted(std::span<const Record>(out))) << what;
+    EXPECT_EQ(fingerprint(std::span<const Record>(out)),
+              fingerprint(std::span<const Record>(input)))
+        << what;
+    return out;
+}
+
+/** Every case of @p o against the reference case. */
+void
+sweepOptionSet(const OptionSet &o, SplitMix64 &rng, std::uint64_t &case_id)
+{
+    const std::vector<Record> input = makeRecords(o.n, o.dist, 7);
+    const Variant ref{1, Store::Memory, Path::Plain};
+    const std::vector<Record> expected = runCase(o, ref, input, case_id++);
+    static constexpr unsigned kThreads[] = {1, 2, 4};
+    for (const Path path : {Path::Plain, Path::Durable, Path::Service}) {
+        Variant v;
+        v.threads = kThreads[rng.nextBounded(3)];
+        v.store = rng.nextBounded(2) ? Store::File : Store::Memory;
+        v.path = path;
+        const std::vector<Record> got = runCase(o, v, input, case_id++);
+        ASSERT_EQ(got, expected)
+            << describe(o, v) << ": differs from " << describe(o, ref);
+    }
+}
+
+constexpr Distribution kDists[] = {Distribution::UniformRandom,
+                                   Distribution::FewDistinct,
+                                   Distribution::AllEqual};
+constexpr std::uint64_t kBatches[] = {1, 7, 64};
+/** The 6-buffer minimum (ell = 2), a tight budget that caps the
+ *  fan-in at 3, and a roomy one that admits fan-in 4 on 4 lanes. */
+constexpr std::uint64_t kBudgets[] = {6, 9, 64};
+
+TEST(StreamEngineFuzz, TinyInputsAgreeAcrossPathsAndStores)
+{
+    SplitMix64 rng(0x5EED0);
+    std::uint64_t case_id = 0;
+    for (const std::size_t n : {0, 1, 2})
+        for (const Distribution dist : kDists)
+            for (const std::uint64_t batch : kBatches)
+                for (const std::uint64_t budget : kBudgets)
+                    sweepOptionSet({n, dist, batch, budget}, rng, case_id);
+}
+
+TEST(StreamEngineFuzz, MultiPassInputsAgreeAcrossPathsAndStores)
+{
+    // A Latin square over (distribution, batch) x budget: every
+    // distribution meets every batch size and every budget once, at
+    // the count that forces several merge passes.
+    SplitMix64 rng(0x5EED1);
+    std::uint64_t case_id = 1000;
+    for (std::size_t d = 0; d < 3; ++d) {
+        for (std::size_t b = 0; b < 3; ++b) {
+            const OptionSet o{30'000, kDists[d], kBatches[b],
+                              kBudgets[(d + b) % 3]};
+            sweepOptionSet(o, rng, case_id);
+        }
+    }
+}
+
+} // namespace
+} // namespace bonsai::sorter

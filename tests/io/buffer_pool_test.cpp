@@ -1,9 +1,8 @@
-/** @file Unit tests for the bounded buffer pool and task gate. */
+/** @file Unit tests for the bounded buffer pool. */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <stdexcept>
 #include <vector>
 
 #include "common/contract.hpp"
@@ -103,66 +102,6 @@ TEST(BufferPool, BudgetSmallerThanOneBatchFailsLoudly)
 TEST(BufferPool, ZeroBatchFailsLoudly)
 {
     EXPECT_THROW(BufferPool<Record>(0, 1 << 20), ContractViolation);
-}
-
-TEST(TaskGate, StartsOpenAndWaitsReturnImmediately)
-{
-    TaskGate gate;
-    EXPECT_GE(gate.wait(), 0.0);
-    EXPECT_GE(gate.wait(), 0.0); // wait is idempotent while open
-}
-
-TEST(TaskGate, WaitBlocksUntilTheTaskOpensIt)
-{
-    TaskGate gate;
-    BackgroundWorker worker;
-    int done = 0;
-    gate.arm();
-    worker.post([&] {
-        done = 1;
-        gate.open();
-    });
-    EXPECT_GE(gate.wait(), 0.0);
-    EXPECT_EQ(done, 1); // wait() is the happens-before edge
-}
-
-TEST(TaskGate, FailRethrowsTheTaskErrorAtWait)
-{
-    TaskGate gate;
-    BackgroundWorker worker;
-    gate.arm();
-    worker.post([&] {
-        try {
-            throw std::runtime_error("disk on fire");
-        } catch (...) {
-            gate.fail(std::current_exception());
-        }
-    });
-    EXPECT_THROW(gate.wait(), std::runtime_error);
-    // The error is consumed; the gate is usable again.
-    EXPECT_GE(gate.wait(), 0.0);
-}
-
-TEST(BackgroundWorker, RunsTasksInPostOrder)
-{
-    // The stream writer relies on FIFO execution for sink ordering.
-    BackgroundWorker worker;
-    std::vector<int> order;
-    for (int i = 0; i < 100; ++i)
-        worker.post([&order, i] { order.push_back(i); });
-    worker.drain();
-    ASSERT_EQ(order.size(), 100u);
-    for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-}
-
-TEST(BackgroundWorker, DrainRethrowsALeakedException)
-{
-    BackgroundWorker worker;
-    worker.post([] { throw std::runtime_error("leaked"); });
-    EXPECT_THROW(worker.drain(), std::runtime_error);
-    worker.post([] {}); // still alive after the failure
-    worker.drain();
 }
 
 } // namespace

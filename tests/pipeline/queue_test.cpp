@@ -46,22 +46,24 @@ TEST(BoundedQueue, BackpressureNeverExceedsCapacity)
     // every pop.  The bound must hold at every observation — the
     // producer blocks instead of buffering past the capacity.
     BoundedQueue<std::uint64_t> q(2);
-    BackgroundWorker producer;
-    producer.post([&q] {
-        for (std::uint64_t i = 0; i < 200; ++i)
-            q.push(i);
-        q.close();
-    });
-
-    double stall = 0.0;
     std::uint64_t next = 0;
-    while (const std::optional<std::uint64_t> item = q.pop(stall)) {
-        EXPECT_LE(q.size(), q.capacity());
-        EXPECT_EQ(*item, next);
-        ++next;
-    }
+    // Task 0 (the producer) blocks on the full queue until task 1
+    // (the consumer) pops, so the two always run on different threads.
+    ThreadPool(2).parallelFor(2, [&](std::uint64_t role) {
+        if (role == 0) {
+            for (std::uint64_t i = 0; i < 200; ++i)
+                q.push(i);
+            q.close();
+            return;
+        }
+        double stall = 0.0;
+        while (const std::optional<std::uint64_t> item = q.pop(stall)) {
+            EXPECT_LE(q.size(), q.capacity());
+            EXPECT_EQ(*item, next);
+            ++next;
+        }
+    });
     EXPECT_EQ(next, 200u);
-    producer.drain();
 }
 
 TEST(BoundedQueue, PoisonWakesABlockedProducer)
@@ -70,18 +72,20 @@ TEST(BoundedQueue, PoisonWakesABlockedProducer)
     q.push(0); // full: the next push blocks
 
     std::atomic<bool> aborted{false};
-    BackgroundWorker producer;
-    producer.post([&q, &aborted] {
+    // Task 0 blocks in push() until task 1 poisons the queue.
+    // Whether the poison lands before or mid-block, the push must
+    // surface PipelineAborted, never enqueue.
+    ThreadPool(2).parallelFor(2, [&](std::uint64_t role) {
+        if (role == 1) {
+            q.poison();
+            return;
+        }
         try {
             q.push(1);
         } catch (const PipelineAborted &) {
             aborted.store(true);
         }
     });
-    // Whether the poison lands before or mid-block, the push must
-    // surface PipelineAborted, never enqueue.
-    q.poison();
-    producer.drain();
     EXPECT_TRUE(aborted.load());
 }
 
@@ -90,8 +94,12 @@ TEST(BoundedQueue, PoisonWakesABlockedConsumer)
     BoundedQueue<int> q(1);
 
     std::atomic<bool> aborted{false};
-    BackgroundWorker consumer;
-    consumer.post([&q, &aborted] {
+    // Task 0 blocks in pop() until task 1 poisons the queue.
+    ThreadPool(2).parallelFor(2, [&](std::uint64_t role) {
+        if (role == 1) {
+            q.poison();
+            return;
+        }
         double stall = 0.0;
         try {
             q.pop(stall);
@@ -99,8 +107,6 @@ TEST(BoundedQueue, PoisonWakesABlockedConsumer)
             aborted.store(true);
         }
     });
-    q.poison();
-    consumer.drain();
     EXPECT_TRUE(aborted.load());
 }
 

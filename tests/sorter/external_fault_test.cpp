@@ -3,7 +3,7 @@
  * in any lane — phase-1 spill, phase-2 group merge, final splitter
  * pass, or the output sink — must surface as exactly one clean
  * std::runtime_error from sortStream, with every pool buffer returned
- * (no deadlocked gate, no leak), and a transient fault that heals
+ * (no deadlock, no leak), and a transient fault that heals
  * within the retry budget must not change a single output byte.
  */
 
@@ -135,9 +135,9 @@ TEST(StreamEngineFaults, SpillEnospcAtAByteOffsetUnwindsCleanly)
 
 TEST(StreamEngineFaults, HardMergeReadErrorUnwindsCleanly)
 {
-    // Phase 2: a run cursor's prefetch read dies mid-group-merge.
+    // Phase 2: a run cursor's batch read dies mid-group-merge.
     // Attempt 40 lands past phase 1 (writes only) and past the cursor
-    // constructors' initial fills, squarely in streamed prefetch.
+    // constructors' initial fills, squarely in a mid-run refill.
     const auto data = makeRecords(30'000, Distribution::FewDistinct);
     for (const unsigned threads : {1u, 4u}) {
         io::FileRunStore<Record> front;
@@ -159,8 +159,8 @@ TEST(StreamEngineFaults, HardMergeReadErrorUnwindsCleanly)
 TEST(StreamEngineFaults, CursorConstructionErrorDoesNotLeakBuffers)
 {
     // The very first read of phase 2 fails: the cursor is mid-
-    // construction holding two freshly acquired buffers, the exact
-    // spot where a throwing constructor used to leak pool accounting.
+    // construction holding a freshly leased buffer, the exact spot
+    // where a throwing constructor used to leak pool accounting.
     const auto data = makeRecords(30'000, Distribution::UniformRandom);
     for (const unsigned threads : {1u, 4u}) {
         io::FileRunStore<Record> front;
@@ -203,8 +203,8 @@ TEST(StreamEngineFaults, FinalSplitterPassFaultUnwindsCleanly)
 TEST(StreamEngineFaults, MergePassWriteBackErrorUnwindsCleanly)
 {
     // The destination store of a non-final merge pass rejects the
-    // write-back: the StreamWriter's background flush carries the
-    // error to the draining lane.
+    // write-back: the StreamWriter's batch write throws on the
+    // merging thread.
     const auto data = makeRecords(30'000, Distribution::UniformRandom);
     for (const unsigned threads : {1u, 4u}) {
         io::FileRunStore<Record> front;
@@ -317,9 +317,9 @@ TEST(StreamEngineFaults, ShortTransfersAndEintrAreInvisible)
 
 TEST(StreamEngineFaults, FailureTelemetryCountsSecondaryErrors)
 {
-    // When every read on the spill device dies, multiple lanes and
-    // cleanup paths fail behind the primary; they must be absorbed
-    // into the secondary tally, never thrown.
+    // When every read on the spill device dies, several concurrent
+    // tasks fail behind the first; they must be absorbed into the
+    // secondary tally, never thrown.
     const auto data = makeRecords(30'000, Distribution::UniformRandom);
     io::FileRunStore<Record> front;
     io::FileRunStore<Record> back;

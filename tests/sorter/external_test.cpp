@@ -20,7 +20,7 @@ namespace
 {
 
 /** Small engine: 1000-record chunks, 4-way merges, 128-record batches
- *  with a budget comfortably above 2*ell + 2 buffers. */
+ *  with a budget comfortably above laneBuffers(ell) buffers. */
 StreamEngine<Record>::Options
 smallOptions()
 {
@@ -223,6 +223,25 @@ TEST(StreamEngine, PoolPeakStaysWithinTheBudget)
     streamSort(engine, data, &stats);
     EXPECT_GT(stats.bufferPoolPeakBytes, 0u);
     EXPECT_LE(stats.bufferPoolPeakBytes, stats.bufferPoolBytes);
+}
+
+TEST(StreamEngine, SerialMultiGroupPassHoldsOneBufferPerRunPlusOne)
+{
+    // At one thread the groups of a pass merge one after another, each
+    // reading and writing on the merging thread: one buffer per input
+    // cursor plus one for the writer, not the 2 ell + 2 the shape
+    // reserves per lane.
+    auto opt = smallOptions();
+    opt.threads = 1;
+    const StreamEngine<Record> engine(opt);
+    const auto data = makeRecords(30'000, Distribution::UniformRandom);
+    StreamStats stats;
+    streamSort(engine, data, &stats);
+    ASSERT_EQ(stats.mergePasses, 3u); // 30 -> 8 -> 2 -> 1 runs
+    EXPECT_EQ(stats.effectiveEll, 4u);
+    EXPECT_EQ(stats.bufferPoolPeakBytes,
+              (stats.effectiveEll + 1) * opt.batchRecords *
+                  sizeof(Record));
 }
 
 TEST(StreamEngine, InPlaceAndStreamedReportUnifiedTelemetry)

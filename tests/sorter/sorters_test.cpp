@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "bonsai.hpp"
@@ -262,6 +263,32 @@ TEST(SsdSorter, StreamedDegenerateInputs)
     EXPECT_EQ(out[0], (Record{9, 1}));
     EXPECT_EQ(r1.stream.recordsIn, 1u);
     EXPECT_EQ(r1.stream.spillBytesWritten, 0u);
+}
+
+TEST(SsdSorter, ShortOneRecordSourceFailsLoudly)
+{
+    // A source that declares one record and delivers none must fail
+    // the way the engine fails a short source at n >= 2, not write an
+    // empty output and return normally.
+    class EmptyButDeclaresOne : public io::RecordSource<Record>
+    {
+      public:
+        std::uint64_t totalRecords() const override { return 1; }
+        std::uint64_t read(Record *, std::uint64_t) override { return 0; }
+    };
+    EmptyButDeclaresOne source;
+    std::vector<Record> out;
+    io::MemorySink<Record> sink(out);
+    try {
+        sorter::SsdSorter().sortStream(source, sink, 16);
+        FAIL() << "a 1-record source that delivers nothing succeeded";
+    } catch (const ContractViolation &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("ended at record 0 but declared 1"),
+                  std::string::npos)
+            << msg;
+    }
+    EXPECT_TRUE(out.empty());
 }
 
 } // namespace

@@ -2,7 +2,8 @@
  * @file
  * Positive control for the thread-safety fixture harness: a correct
  * producer/consumer over the common/sync.hpp capabilities, including
- * the relockable-ScopedLock pattern BackgroundWorker::loop relies on.
+ * the relockable ScopedLock (unlock(), then lock() again in the same
+ * scope).
  * This file must COMPILE CLEAN under
  * -Wthread-safety -Wthread-safety-beta -Werror; if it ever fails, the
  * harness (not the negative fixtures) is what broke.

@@ -1,8 +1,8 @@
 /**
  * @file
  * Negative fixture: releasing a mutex the caller does not hold (an
- * unlock on the wrong path — e.g. a BackgroundWorker-style loop whose
- * error branch unlocks twice).  Must FAIL to compile under
+ * unlock on the wrong path — e.g. a relocking worker loop whose error
+ * branch unlocks twice).  Must FAIL to compile under
  * -Wthread-safety -Werror with
  *     "releasing mutex 'mu_' that was not held"
  * (the harness asserts that substring).

@@ -5,8 +5,8 @@
  * -Wthread-safety -Werror with
  *     "requires holding mutex 'mu_'"
  * (the harness asserts that substring).  This is the core guarantee:
- * an unlocked access to shared job state in ThreadPool or TaskGate is
- * a compile error, not a TSan lottery ticket.
+ * an unlocked access to shared job state in ThreadPool or BufferPool
+ * is a compile error, not a TSan lottery ticket.
  */
 
 #include "common/sync.hpp"
