@@ -3,18 +3,19 @@
  * SortService: several concurrent out-of-core sorts over one shared
  * executor and one global buffer-pool budget.
  *
- * Each SortJob is an independent {source, sink, run-store pair}; the
- * service runs every job as a stage of one PipelineExecutor (one
- * thread per job) against a single BufferPool whose budget is the
- * service-wide memory bound.  Fair budget sharing falls out of the
- * Equation-10 shape derivation: each job plans its phase-2 shape
- * against an equal allowance of floor(buffers / jobs) pool buffers,
- * and a job's concurrent holdings never exceed its shape's
- * lanes * laneBuffers(ell) <= allowance buffers — so the per-job maxima
- * sum to at most the pool supply and blocking acquires cannot
- * deadlock across jobs, while every job always owns enough budget to
- * make progress.  Too many jobs for the budget (allowance < 6
- * buffers) fails loudly up front instead of deadlocking mid-sort.
+ * Each job is an independent sorter::SortRequest; the service runs
+ * every job as a stage of one PipelineExecutor (one thread per job)
+ * against a single BufferPool whose budget is the service-wide memory
+ * bound, filling in each request's pool and allowance.  Fair budget
+ * sharing falls out of the Equation-10 shape derivation: each job
+ * plans its phase-2 shape against an equal allowance of
+ * floor(buffers / jobs) pool buffers, and a job's concurrent holdings
+ * never exceed its shape's lanes * laneBuffers(ell) <= allowance
+ * buffers — so the per-job maxima sum to at most the pool supply and
+ * blocking acquires cannot deadlock across jobs, while every job
+ * always owns enough budget to make progress.  Too many jobs for the
+ * budget (allowance < 6 buffers) fails loudly up front instead of
+ * deadlocking mid-sort.
  *
  * Output equivalence: the augmented (key, run index, position) merge
  * order makes each job's output byte-identical to the same sort run
@@ -35,42 +36,17 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/contract.hpp"
 #include "common/sync.hpp"
 #include "io/buffer_pool.hpp"
-#include "io/run_store.hpp"
-#include "io/stream.hpp"
 #include "pipeline/executor.hpp"
 #include "pipeline/stage.hpp"
 #include "sorter/external.hpp"
 
 namespace bonsai::pipeline
 {
-
-/** One sort's endpoints: all referenced objects must outlive
- *  SortService::run and belong to this job alone.
- *
- *  A job with a non-empty checkpointDir runs crash-consistently: its
- *  spills live in named files under that directory (front/back are
- *  ignored and may be null) and a rerun of the service resumes the
- *  job from its last committed chunk or merge pass.  Checkpoint
- *  directories must be distinct across jobs — the job directory IS
- *  the job's identity on disk. */
-template <typename RecordT>
-struct SortJob
-{
-    io::RecordSource<RecordT> *source = nullptr;
-    io::RecordSink<RecordT> *sink = nullptr;
-    io::RunStore<RecordT> *front = nullptr;
-    io::RunStore<RecordT> *back = nullptr;
-    std::string checkpointDir; ///< "" = classic anonymous spills
-    /** Fail (instead of falling back fresh) when the checkpoint is
-     *  missing or invalid.  Only meaningful with checkpointDir. */
-    bool resume = false;
-};
 
 template <typename RecordT>
 class SortService
@@ -88,9 +64,16 @@ class SortService
      * index-aligned with @p jobs.  Throws the first job failure after
      * every job has finished (survivors are not cancelled — their
      * results are valid).
+     *
+     * Every object a request references must outlive run and belong
+     * to that job alone; the service overwrites each request's pool
+     * and allowance.  Checkpoint directories (durable.dir) must be
+     * distinct across jobs — the job directory IS the job's identity
+     * on disk, and a rerun of the service resumes each durable job
+     * from its last committed chunk or merge pass.
      */
     std::vector<sorter::StreamStats>
-    run(const std::vector<SortJob<RecordT>> &jobs) const
+    run(std::vector<sorter::SortRequest<RecordT>> jobs) const
     {
         std::vector<sorter::StreamStats> results(jobs.size());
         if (jobs.empty())
@@ -111,30 +94,15 @@ class SortService
             engines.push_back(
                 std::make_unique<sorter::StreamEngine<RecordT>>(
                     opt_));
-            const SortJob<RecordT> &job = jobs[i];
+            sorter::SortRequest<RecordT> &job = jobs[i];
+            job.pool = &bufs;
+            job.allowance = allowance;
             sorter::StreamEngine<RecordT> &engine = *engines.back();
             sorter::StreamStats &result = results[i];
             stages.push_back(std::make_unique<FnStage>(
                 "sort-job-" + std::to_string(i),
-                [&engine, &job, &result, &bufs,
-                 allowance](StageStats &) {
-                    if (!job.checkpointDir.empty()) {
-                        typename sorter::StreamEngine<
-                            RecordT>::DurableOptions durable;
-                        durable.dir = job.checkpointDir;
-                        durable.policy =
-                            job.resume
-                                ? sorter::ResumePolicy::ResumeStrict
-                                : sorter::ResumePolicy::ResumeOrFresh;
-                        result = engine.sortStreamSharedDurable(
-                            *job.source, *job.sink, bufs, allowance,
-                            /* exclusive_pool = */ false, durable);
-                        return;
-                    }
-                    result = engine.sortStreamShared(
-                        *job.source, *job.sink, *job.front,
-                        *job.back, bufs, allowance,
-                        /* exclusive_pool = */ false);
+                [&engine, &job, &result](StageStats &) {
+                    result = engine.sortStream(job);
                 }));
             vertices.push_back(stages.back().get());
         }

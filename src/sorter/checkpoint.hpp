@@ -56,9 +56,19 @@ namespace bonsai::sorter
 
 /** What to do with a job directory's previous contents. */
 enum class ResumePolicy {
-    Fresh,         ///< ignore and delete any previous attempt
     ResumeOrFresh, ///< resume when valid, else loud fresh fallback
     ResumeStrict,  ///< resume or fail with the validation reason
+};
+
+/** Crash-consistency knobs of a durable (checkpointed) sort. */
+struct DurableOptions
+{
+    std::string dir; ///< job directory for spills + manifest
+    ResumePolicy policy = ResumePolicy::ResumeOrFresh;
+    /** Installed on the job's spill files and manifest commits
+     *  (tests; nullptr = off). */
+    std::shared_ptr<io::FaultPolicy> faultPolicy;
+    io::RetryPolicy retryPolicy;
 };
 
 template <typename RecordT>
@@ -67,16 +77,14 @@ class Checkpointer
   public:
     struct Config
     {
-        std::string dir; ///< job directory (created if missing)
-        ResumePolicy policy = ResumePolicy::ResumeOrFresh;
+        /** Job directory (created if missing), resume policy, and the
+         *  fault and retry policies of both stores' files and the
+         *  manifest temp file. */
+        DurableOptions durable;
         /** The request echo a manifest must match to be resumable. */
         io::ManifestParams params;
         /** Batch size for run-checksum read-back (records). */
         std::uint64_t verifyBatchRecords = 1 << 14;
-        /** Installed on both stores' files and the manifest temp file
-         *  (tests; nullptr = off). */
-        std::shared_ptr<io::FaultPolicy> faultPolicy;
-        io::RetryPolicy retryPolicy;
     };
 
     /** Opens (or creates) the job: loads and validates any previous
@@ -84,12 +92,12 @@ class Checkpointer
      *  installed on the current store) or a clean fresh one. */
     explicit Checkpointer(Config cfg) : cfg_(std::move(cfg))
     {
-        BONSAI_REQUIRE(!cfg_.dir.empty(),
+        BONSAI_REQUIRE(!cfg_.durable.dir.empty(),
                        "a checkpointed sort needs a job directory");
         BONSAI_REQUIRE(cfg_.params.chunkRecords > 0,
                        "checkpoint params need the chunk length");
-        io::createDirectories(cfg_.dir);
-        if (cfg_.policy != ResumePolicy::Fresh && tryResume())
+        io::createDirectories(cfg_.durable.dir);
+        if (tryResume())
             return;
         startFresh();
     }
@@ -174,7 +182,7 @@ class Checkpointer
     }
 
     /** Delete the job's durable artifacts (successful completion). */
-    void removeArtifacts() { io::removeJobArtifacts(cfg_.dir); }
+    void removeArtifacts() { io::removeJobArtifacts(cfg_.durable.dir); }
 
   private:
     std::uint64_t
@@ -189,14 +197,14 @@ class Checkpointer
     {
         for (unsigned i = 0; i < 2; ++i) {
             const std::string path =
-                cfg_.dir + "/" +
+                cfg_.durable.dir + "/" +
                 (i == 0 ? io::kFrontStoreFileName
                         : io::kBackStoreFileName);
             stores_[i] =
                 std::make_unique<io::PersistentRunStore<RecordT>>(
                     path, resume);
-            stores_[i]->setFaultPolicy(cfg_.faultPolicy);
-            stores_[i]->setRetryPolicy(cfg_.retryPolicy);
+            stores_[i]->setFaultPolicy(cfg_.durable.faultPolicy);
+            stores_[i]->setRetryPolicy(cfg_.durable.retryPolicy);
         }
     }
 
@@ -206,7 +214,7 @@ class Checkpointer
     bool
     tryResume()
     {
-        const io::ManifestLoadResult r = io::loadManifest(cfg_.dir);
+        const io::ManifestLoadResult r = io::loadManifest(cfg_.durable.dir);
         std::string reason;
         if (r.status == io::ManifestStatus::Ok) {
             reason =
@@ -225,7 +233,7 @@ class Checkpointer
         } else {
             reason = r.error;
         }
-        if (cfg_.policy == ResumePolicy::ResumeStrict)
+        if (cfg_.durable.policy == ResumePolicy::ResumeStrict)
             throw std::runtime_error("bonsai checkpoint: cannot "
                                      "resume: " +
                                      reason);
@@ -286,7 +294,7 @@ class Checkpointer
         // Stale artifacts — a previous job's manifest, orphan spill
         // files from an aborted newer attempt — must not leak into a
         // fresh job.
-        io::removeJobArtifacts(cfg_.dir);
+        io::removeJobArtifacts(cfg_.durable.dir);
         openStores(/*resume=*/false);
         m_ = io::JobManifest{};
         m_.params = cfg_.params;
@@ -317,8 +325,9 @@ class Checkpointer
     void
     commit()
     {
-        io::saveManifest(cfg_.dir, m_, cfg_.faultPolicy,
-                         cfg_.retryPolicy);
+        io::saveManifest(cfg_.durable.dir, m_,
+                         cfg_.durable.faultPolicy,
+                         cfg_.durable.retryPolicy);
         ++commits_;
     }
 

@@ -33,16 +33,22 @@
  * sortInPlace() is the in-memory adapter: its passes run on
  * BehavioralSorter::runStage — the Merge Path sliced, thread-parallel
  * kernel — over memory-backed stores with zero copies.  The streamed
- * entry points always merge through the Phase2Merger, memory stores
+ * sort always merges through the Phase2Merger, memory stores
  * included.  Both emit the identical record sequence (the per-group
  * loser-tree augmented order), so a streamed sort is byte-identical
  * to the in-memory sort of the same input whenever the buffer budget
  * admits the planned fan-in.
  *
- * Concurrent sorts: sortStream() owns a private BufferPool;
- * sortStreamShared() runs the same sort against a caller-owned pool
- * under a buffer allowance, which is how pipeline::SortService packs
- * several concurrent jobs into one global budget.
+ * The streamed sort has one entry point, sortStream(const
+ * SortRequest&), and a request varies it along two axes:
+ *  - spill target: the caller's front/back run stores, or, when
+ *    durable.dir is set, named files under a checkpointed job
+ *    directory (sorter/checkpoint.hpp);
+ *  - pool: a private BufferPool sized from bufferBudgetBytes, or a
+ *    caller-owned one under a buffer allowance, which is how
+ *    pipeline::SortService packs several concurrent jobs into one
+ *    global budget.
+ * Neither axis changes the emitted bytes.
  */
 
 #ifndef BONSAI_SORTER_EXTERNAL_HPP
@@ -53,7 +59,8 @@
 #include <chrono>
 #include <cstdint>
 #include <exception>
-#include <memory>
+#include <limits>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -76,6 +83,28 @@
 namespace bonsai::sorter
 {
 
+/**
+ * One streamed sort: its endpoints, where it spills and which pool
+ * its batch buffers come from.  Every referenced object must outlive
+ * the sort.
+ */
+template <typename RecordT>
+struct SortRequest
+{
+    io::RecordSource<RecordT> *source = nullptr;
+    io::RecordSink<RecordT> *sink = nullptr;
+    /** Spill stores; unused (and may be null) when durable. */
+    io::RunStore<RecordT> *front = nullptr;
+    io::RunStore<RecordT> *back = nullptr;
+    /** Checkpointing; an empty durable.dir spills to front/back. */
+    DurableOptions durable = {};
+    /** Shared buffer pool; nullptr = a private pool sized from
+     *  StreamEngine::Options::bufferBudgetBytes. */
+    io::BufferPool<RecordT> *pool = nullptr;
+    /** Most pool buffers the phase-2 shape may plan against. */
+    std::uint64_t allowance = std::numeric_limits<std::uint64_t>::max();
+};
+
 /** The streaming two-phase sort engine. */
 template <typename RecordT>
 class StreamEngine
@@ -90,17 +119,6 @@ class StreamEngine
         std::uint64_t batchRecords = 1 << 14;   ///< b, in records
         std::uint64_t bufferBudgetBytes = 64ULL << 20;
         unsigned threads = 1;
-    };
-
-    /** Crash-consistency knobs of a durable (checkpointed) sort. */
-    struct DurableOptions
-    {
-        std::string dir; ///< job directory for spills + manifest
-        ResumePolicy policy = ResumePolicy::ResumeOrFresh;
-        /** Installed on the job's spill files and manifest commits
-         *  (tests; nullptr = off). */
-        std::shared_ptr<io::FaultPolicy> faultPolicy;
-        io::RetryPolicy retryPolicy;
     };
 
     explicit StreamEngine(Options opt) : opt_(opt)
@@ -150,6 +168,8 @@ class StreamEngine
         }
         stats.phase1Chunks = runs.size();
         stats.phase1Seconds = secondsSince(t1);
+        if (runs.size() == 1)
+            return stats; // one chunk is already the sorted output
 
         const auto t2 = std::chrono::steady_clock::now();
         std::vector<RecordT> scratch(data.size());
@@ -174,10 +194,32 @@ class StreamEngine
     }
 
     /**
-     * Fully streamed sort: @p source -> spilled runs in @p front /
-     * @p back -> merged output into @p sink.  Resident memory is
-     * bounded by two chunk buffers (plus one chunk of sort scratch)
-     * and the batch buffer pool, independent of the dataset size.
+     * Streamed sort of @p req.source into @p req.sink.  Resident
+     * memory is bounded by two chunk buffers (plus one chunk of sort
+     * scratch) and the batch buffer pool, independent of the dataset
+     * size.  An empty source finishes the sink and returns before any
+     * pool, store or job directory is touched.
+     *
+     * Pool: with req.pool set the sort draws from that caller-owned
+     * pool and plans its phase-2 shape against at most req.allowance
+     * of its buffers.  A sort's concurrent holdings never exceed its
+     * shape's lanes * laneBuffers(ell) <= allowance buffers, so sorts
+     * whose allowances sum to the pool supply cannot deadlock each
+     * other's blocking acquires.
+     *
+     * Durable: with req.durable.dir set, spills live in named files
+     * under that directory next to a versioned, checksummed job
+     * manifest committed after every phase-1 chunk and every
+     * non-final merge pass.  A re-invocation after a crash resumes
+     * from the last committed unit of work (per req.durable.policy)
+     * and produces output byte-identical to an uninterrupted run; the
+     * resume telemetry lands in StreamStats::resumedChunks /
+     * resumedPasses / manifestCommits / resumeFallback.  The caller
+     * recreates the source and sink on every attempt — the sink is
+     * truncated and fully rewritten by the (never journaled) final
+     * pass.  Artifacts stay in the job directory after success;
+     * callers that own the directory lifecycle (the file_sorter tool)
+     * delete them once the output is durable.
      *
      * Failure contract: any I/O or task failure — a phase-1 stage, a
      * merge group's read or write-back, a splitter probe, the sink —
@@ -188,130 +230,71 @@ class StreamEngine
      * assert that).
      */
     StreamStats
+    sortStream(const SortRequest<RecordT> &req) const
+    {
+        BONSAI_REQUIRE(req.source != nullptr && req.sink != nullptr,
+                       "a sort request needs a source and a sink");
+        const std::uint64_t records_in = req.source->totalRecords();
+        if (records_in == 0) {
+            // Construct no pool and no job directory: an empty sort
+            // succeeds under any budget, even one too small for a
+            // single batch buffer.
+            StreamStats stats;
+            stats.batchRecords = opt_.batchRecords;
+            req.sink->finish();
+            return stats;
+        }
+        std::optional<io::BufferPool<RecordT>> private_pool;
+        if (req.pool == nullptr)
+            private_pool.emplace(opt_.batchRecords,
+                                 opt_.bufferBudgetBytes);
+        io::BufferPool<RecordT> &bufs =
+            req.pool != nullptr ? *req.pool : *private_pool;
+        if (req.durable.dir.empty()) {
+            BONSAI_REQUIRE(req.front != nullptr && req.back != nullptr,
+                           "a sort without a checkpoint directory "
+                           "needs front and back run stores");
+            return sortStreamImpl(req, *req.front, *req.back, bufs,
+                                  nullptr);
+        }
+        Checkpointer<RecordT> ckpt({.durable = req.durable,
+                                    .params = manifestParams(records_in),
+                                    .verifyBatchRecords =
+                                        opt_.batchRecords});
+        return sortStreamImpl(req, ckpt.front(), ckpt.back(), bufs,
+                              &ckpt);
+    }
+
+    /** Plain streamed sort: spills to @p front / @p back under a
+     *  private pool. */
+    StreamStats
     sortStream(io::RecordSource<RecordT> &source,
                io::RecordSink<RecordT> &sink,
                io::RunStore<RecordT> &front,
                io::RunStore<RecordT> &back) const
     {
-        if (source.totalRecords() == 0) {
-            // Construct no pool: an empty sort succeeds under any
-            // budget, even one too small for a single batch buffer.
-            StreamStats stats;
-            stats.batchRecords = opt_.batchRecords;
-            sink.finish();
-            return stats;
-        }
-        io::BufferPool<RecordT> bufs(opt_.batchRecords,
-                                     opt_.bufferBudgetBytes);
-        return sortStreamShared(source, sink, front, back, bufs,
-                                bufs.buffers(),
-                                /* exclusive_pool = */ true);
-    }
-
-    /**
-     * Shared-pool variant: the same streamed sort against a
-     * caller-owned @p bufs, planning its phase-2 shape against at
-     * most @p allowance of the pool's buffers.  A job's concurrent
-     * holdings never exceed its shape's lanes * laneBuffers(ell) <=
-     * allowance buffers, so several jobs whose allowances sum to the
-     * pool supply cannot deadlock each other's blocking acquires —
-     * the contract pipeline::SortService packs concurrent jobs with.
-     * @p exclusive_pool gates the all-buffers-returned postcondition,
-     * which only the pool's sole user may assert.
-     */
-    StreamStats
-    sortStreamShared(io::RecordSource<RecordT> &source,
-                     io::RecordSink<RecordT> &sink,
-                     io::RunStore<RecordT> &front,
-                     io::RunStore<RecordT> &back,
-                     io::BufferPool<RecordT> &bufs,
-                     std::uint64_t allowance,
-                     bool exclusive_pool) const
-    {
-        return sortStreamImpl(source, sink, front, back, bufs,
-                              allowance, exclusive_pool, nullptr);
-    }
-
-    /**
-     * Durable (checkpointed) sort: spills live in named files under
-     * @p durable.dir next to a versioned, checksummed job manifest
-     * committed after every phase-1 chunk and every non-final merge
-     * pass.  A re-invocation after a crash resumes from the last
-     * committed unit of work (per @p durable.policy) and produces
-     * output byte-identical to an uninterrupted run; the resume
-     * telemetry lands in StreamStats::resumedChunks / resumedPasses /
-     * manifestCommits / resumeFallback.
-     *
-     * The caller recreates @p source and @p sink on every attempt —
-     * the sink is truncated and fully rewritten by the (never
-     * journaled) final pass.  Artifacts stay in the job directory
-     * after success; callers that own the directory lifecycle (the
-     * file_sorter tool) delete them once the output is durable.
-     */
-    StreamStats
-    sortStreamDurable(io::RecordSource<RecordT> &source,
-                      io::RecordSink<RecordT> &sink,
-                      const DurableOptions &durable) const
-    {
-        if (source.totalRecords() == 0) {
-            StreamStats stats;
-            stats.batchRecords = opt_.batchRecords;
-            sink.finish();
-            return stats;
-        }
-        io::BufferPool<RecordT> bufs(opt_.batchRecords,
-                                     opt_.bufferBudgetBytes);
-        return sortStreamSharedDurable(source, sink, bufs,
-                                       bufs.buffers(),
-                                       /* exclusive_pool = */ true,
-                                       durable);
-    }
-
-    /** Shared-pool variant of sortStreamDurable (the SortService
-     *  packing contract of sortStreamShared, plus a checkpoint). */
-    StreamStats
-    sortStreamSharedDurable(io::RecordSource<RecordT> &source,
-                            io::RecordSink<RecordT> &sink,
-                            io::BufferPool<RecordT> &bufs,
-                            std::uint64_t allowance,
-                            bool exclusive_pool,
-                            const DurableOptions &durable) const
-    {
-        typename Checkpointer<RecordT>::Config cfg;
-        cfg.dir = durable.dir;
-        cfg.policy = durable.policy;
-        cfg.params = manifestParams(source.totalRecords());
-        cfg.verifyBatchRecords = opt_.batchRecords;
-        cfg.faultPolicy = durable.faultPolicy;
-        cfg.retryPolicy = durable.retryPolicy;
-        Checkpointer<RecordT> ckpt(std::move(cfg));
-        return sortStreamImpl(source, sink, ckpt.front(), ckpt.back(),
-                              bufs, allowance, exclusive_pool, &ckpt);
+        return sortStream(SortRequest<RecordT>{
+            .source = &source, .sink = &sink, .front = &front,
+            .back = &back});
     }
 
   private:
-    /** The one streamed-sort body; @p ckpt == nullptr runs it
-     *  unjournaled (the classic anonymous-spill path). */
+    /** The streamed-sort body over resolved stores and pool;
+     *  @p ckpt == nullptr runs it unjournaled. */
     StreamStats
-    sortStreamImpl(io::RecordSource<RecordT> &source,
-                   io::RecordSink<RecordT> &sink,
+    sortStreamImpl(const SortRequest<RecordT> &req,
                    io::RunStore<RecordT> &front,
                    io::RunStore<RecordT> &back,
                    io::BufferPool<RecordT> &bufs,
-                   std::uint64_t allowance, bool exclusive_pool,
                    Checkpointer<RecordT> *ckpt) const
     {
         StreamStats stats;
-        stats.recordsIn = source.totalRecords();
+        stats.recordsIn = req.source->totalRecords();
         stats.batchRecords = opt_.batchRecords;
-        if (stats.recordsIn == 0) {
-            sink.finish();
-            return stats;
-        }
         ThreadPool pool(opt_.threads);
         stats.bufferPoolBytes = bufs.budgetBytes();
         const Phase2Shape shape = phase2Shape(
-            std::min<std::uint64_t>(bufs.buffers(), allowance),
+            std::min<std::uint64_t>(bufs.buffers(), req.allowance),
             bufs.budgetBytes(), opt_.phase2Ell, opt_.threads);
         stats.effectiveEll = shape.ell;
         stats.concurrentGroups = shape.lanes;
@@ -328,7 +311,7 @@ class StreamEngine
                 p1.batchRecords = opt_.batchRecords;
                 p1.threads = opt_.threads;
                 Phase1Spiller<RecordT>::run(
-                    source, front, pool, p1,
+                    *req.source, front, pool, p1,
                     chunkLength(stats.recordsIn), stats, trap, ckpt);
             } else {
                 // Every chunk is journaled: phase 1 is pure replayed
@@ -338,7 +321,7 @@ class StreamEngine
             }
             Phase2Merger<RecordT> merger(bufs, shape.lanes, pool, trap,
                                          shape.ell);
-            merger.run(front, back, sink, stats, ckpt);
+            merger.run(front, back, *req.sink, stats, ckpt);
         } catch (...) {
             trap.store(std::current_exception());
         }
@@ -366,7 +349,8 @@ class StreamEngine
         lastPoolOutstanding_.store(bufs.outstanding(),
                                    std::memory_order_relaxed);
         trap.rethrowIfSet();
-        if (exclusive_pool)
+        // Only the pool's sole user may assert every buffer is back.
+        if (req.pool == nullptr)
             BONSAI_ENSURE(bufs.outstanding() == 0,
                           "buffer pool has outstanding buffers after "
                           "a clean streamed sort");

@@ -30,6 +30,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -360,22 +361,20 @@ class SsdSorter
                                            threads_);
         eng.threads = threads_;
 
+        SortRequest<RecordT> req{.source = &source, .sink = &sink};
+        req.durable.dir = opts.checkpointDir;
+        req.durable.policy = opts.resume ? ResumePolicy::ResumeStrict
+                                         : ResumePolicy::ResumeOrFresh;
         const auto start = std::chrono::steady_clock::now();
-        if (!opts.checkpointDir.empty()) {
-            typename StreamEngine<RecordT>::DurableOptions durable;
-            durable.dir = opts.checkpointDir;
-            durable.policy = opts.resume
-                                 ? ResumePolicy::ResumeStrict
-                                 : ResumePolicy::ResumeOrFresh;
-            report.stream = StreamEngine<RecordT>(eng)
-                                .sortStreamDurable(source, sink,
-                                                   durable);
-        } else {
-            io::FileRunStore<RecordT> front(opts.spillDir);
-            io::FileRunStore<RecordT> back(opts.spillDir);
-            report.stream = StreamEngine<RecordT>(eng).sortStream(
-                source, sink, front, back);
+        // FileRunStore creates its temp file on construction: build
+        // the pair only when the sort spills to it.
+        std::optional<io::FileRunStore<RecordT>> front;
+        std::optional<io::FileRunStore<RecordT>> back;
+        if (opts.checkpointDir.empty()) {
+            req.front = &front.emplace(opts.spillDir);
+            req.back = &back.emplace(opts.spillDir);
         }
+        report.stream = StreamEngine<RecordT>(eng).sortStream(req);
         report.hostSeconds =
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - start)

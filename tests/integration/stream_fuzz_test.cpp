@@ -1,16 +1,18 @@
 /** @file
  * Seeded differential sweep over the out-of-core engine's
- * configuration space: record count, key distribution, batch size,
- * buffer budget, thread count, store kind, and entry point (plain
- * sortStream, durable sortStreamDurable, or a SortService job).
+ * configuration space: record count, key distribution, chunk size,
+ * batch size, buffer budget, phase-2 fan-in, thread count, store
+ * kind, and caller (a plain or a durable SortRequest to
+ * StreamEngine::sortStream, or a SortService job with or without a
+ * checkpoint directory).
  *
  * Records carry their input index as payload, so equal keys stay
  * distinguishable and the emitted order of ties is part of the
- * compared bytes.  Within one option set (count, distribution, batch,
- * budget) every case must emit the same bytes as the reference case
- * (one thread, memory stores, plain sortStream), be a sorted
- * permutation of its input, keep the buffer pool's peak within the
- * budget, and return every pool buffer.
+ * compared bytes.  Within one option set (count, distribution, chunk,
+ * batch, budget, fan-in) every case must emit the same bytes as the
+ * reference case (one thread, memory stores, plain sortStream), be a
+ * sorted permutation of its input, keep the buffer pool's peak within
+ * the budget, and return every pool buffer.
  */
 
 #include <gtest/gtest.h>
@@ -48,7 +50,8 @@ enum class Path
 {
     Plain,
     Durable,
-    Service
+    Service,
+    ServiceDurable
 };
 
 /** The knobs that fix the output bytes of a sort. */
@@ -58,6 +61,8 @@ struct OptionSet
     Distribution dist;
     std::uint64_t batch;
     std::uint64_t budgetBuffers;
+    std::uint64_t chunkDivisor; ///< chunk = n / chunkDivisor
+    unsigned phase2Ell;
 };
 
 /** The knobs that must not change them. */
@@ -74,7 +79,9 @@ describe(const OptionSet &o, const Variant &v)
     return "n=" + std::to_string(o.n) + " dist=" +
            std::to_string(static_cast<int>(o.dist)) + " batch=" +
            std::to_string(o.batch) + " budget_buffers=" +
-           std::to_string(o.budgetBuffers) + " threads=" +
+           std::to_string(o.budgetBuffers) + " chunk_div=" +
+           std::to_string(o.chunkDivisor) + " ell=" +
+           std::to_string(o.phase2Ell) + " threads=" +
            std::to_string(v.threads) + " store=" +
            std::to_string(static_cast<int>(v.store)) + " path=" +
            std::to_string(static_cast<int>(v.path));
@@ -91,11 +98,11 @@ engineOptions(const OptionSet &o, unsigned threads)
 {
     StreamEngine<Record>::Options opt;
     opt.phase1Ell = 4;
-    opt.phase2Ell = 4;
+    opt.phase2Ell = o.phase2Ell;
     opt.presortRun = 16;
-    // About 30 runs at the large count, so phase 2 needs several
+    // Several runs at the large count, so phase 2 needs several
     // passes; two 1-record runs at n = 2.
-    opt.chunkRecords = std::max<std::uint64_t>(1, o.n / 30);
+    opt.chunkRecords = std::max<std::uint64_t>(1, o.n / o.chunkDivisor);
     opt.batchRecords = o.batch;
     opt.bufferBudgetBytes = budgetBytes(o);
     opt.threads = threads;
@@ -126,6 +133,23 @@ struct StorePair
     std::unique_ptr<io::RunStore<Record>> back;
 };
 
+/** A fresh job directory for durable case @p case_id. */
+std::string
+makeJobDir(std::uint64_t case_id)
+{
+    const std::string dir =
+        ::testing::TempDir() + "bonsai_fuzz_" + std::to_string(case_id);
+    io::createDirectories(dir);
+    return dir;
+}
+
+void
+removeJobDir(const std::string &dir)
+{
+    io::removeJobArtifacts(dir);
+    ::rmdir(dir.c_str());
+}
+
 /** Run one case; checks the per-case invariants and returns the
  *  output for the cross-case comparison. */
 std::vector<Record>
@@ -146,19 +170,16 @@ runCase(const OptionSet &o, const Variant &v, const std::vector<Record> &input,
         stats = engine.sortStream(source, sink, *pair.front, *pair.back);
         EXPECT_EQ(engine.lastPoolOutstanding(), 0u) << what;
     } else if (v.path == Path::Durable) {
-        const std::string dir = ::testing::TempDir() + "bonsai_fuzz_" +
-                                std::to_string(case_id);
-        io::createDirectories(dir);
-        StreamEngine<Record>::DurableOptions durable;
-        durable.dir = dir;
-        stats = engine.sortStreamDurable(source, sink, durable);
-        io::removeJobArtifacts(dir);
-        ::rmdir(dir.c_str());
+        SortRequest<Record> req{.source = &source, .sink = &sink};
+        req.durable.dir = makeJobDir(case_id);
+        stats = engine.sortStream(req);
+        removeJobDir(req.durable.dir);
         EXPECT_EQ(engine.lastPoolOutstanding(), 0u) << what;
     } else {
         // Two identical jobs over a pool twice the budget: each job's
         // allowance is exactly the option set's budget, so its shape
-        // (and therefore its bytes) match the single-sort cases.
+        // (and therefore its bytes) match the single-sort cases.  On
+        // the durable service path the first job checkpoints.
         StreamEngine<Record>::Options opt = engineOptions(o, v.threads);
         budget = 2 * budgetBytes(o);
         opt.bufferBudgetBytes = budget;
@@ -167,20 +188,20 @@ runCase(const OptionSet &o, const Variant &v, const std::vector<Record> &input,
         io::MemorySink<Record> sink2(out2);
         StorePair p1(v.store, input.size());
         StorePair p2(v.store, input.size());
-        pipeline::SortJob<Record> j1;
-        j1.source = &source;
-        j1.sink = &sink;
-        j1.front = p1.front.get();
-        j1.back = p1.back.get();
-        pipeline::SortJob<Record> j2;
-        j2.source = &source2;
-        j2.sink = &sink2;
-        j2.front = p2.front.get();
-        j2.back = p2.back.get();
+        SortRequest<Record> j1{.source = &source, .sink = &sink,
+                               .front = p1.front.get(),
+                               .back = p1.back.get()};
+        if (v.path == Path::ServiceDurable)
+            j1.durable.dir = makeJobDir(case_id);
+        const SortRequest<Record> j2{.source = &source2, .sink = &sink2,
+                                     .front = p2.front.get(),
+                                     .back = p2.back.get()};
         const std::vector<StreamStats> all =
             pipeline::SortService<Record>(opt).run({j1, j2});
         stats = all[0];
         EXPECT_EQ(out2, out) << what << " (second service job)";
+        if (v.path == Path::ServiceDurable)
+            removeJobDir(j1.durable.dir);
     }
 
     EXPECT_LE(stats.bufferPoolPeakBytes, budget) << what;
@@ -200,7 +221,8 @@ sweepOptionSet(const OptionSet &o, SplitMix64 &rng, std::uint64_t &case_id)
     const Variant ref{1, Store::Memory, Path::Plain};
     const std::vector<Record> expected = runCase(o, ref, input, case_id++);
     static constexpr unsigned kThreads[] = {1, 2, 4};
-    for (const Path path : {Path::Plain, Path::Durable, Path::Service}) {
+    for (const Path path : {Path::Plain, Path::Durable, Path::Service,
+                            Path::ServiceDurable}) {
         Variant v;
         v.threads = kThreads[rng.nextBounded(3)];
         v.store = rng.nextBounded(2) ? Store::File : Store::Memory;
@@ -218,6 +240,11 @@ constexpr std::uint64_t kBatches[] = {1, 7, 64};
 /** The 6-buffer minimum (ell = 2), a tight budget that caps the
  *  fan-in at 3, and a roomy one that admits fan-in 4 on 4 lanes. */
 constexpr std::uint64_t kBudgets[] = {6, 9, 64};
+/** About 30, 7 and 15 runs at the multi-pass count. */
+constexpr std::uint64_t kChunkDivisors[] = {30, 7, 15};
+/** Requested phase-2 fan-in; the budget caps it (16 survives only
+ *  the roomy budget). */
+constexpr unsigned kElls[] = {2, 4, 16};
 
 TEST(StreamEngineFuzz, TinyInputsAgreeAcrossPathsAndStores)
 {
@@ -227,20 +254,28 @@ TEST(StreamEngineFuzz, TinyInputsAgreeAcrossPathsAndStores)
         for (const Distribution dist : kDists)
             for (const std::uint64_t batch : kBatches)
                 for (const std::uint64_t budget : kBudgets)
-                    sweepOptionSet({n, dist, batch, budget}, rng, case_id);
+                    sweepOptionSet({n, dist, batch, budget, 30, 4}, rng,
+                                   case_id);
 }
 
 TEST(StreamEngineFuzz, MultiPassInputsAgreeAcrossPathsAndStores)
 {
-    // A Latin square over (distribution, batch) x budget: every
-    // distribution meets every batch size and every budget once, at
-    // the count that forces several merge passes.
+    // Two orthogonal Latin squares over (distribution, batch): every
+    // distribution and every batch size meets every budget and every
+    // fan-in once, and every budget meets every fan-in once, at the
+    // count that forces several merge passes.  The chunk size rides
+    // on the distribution, so it too meets every batch, budget and
+    // fan-in.
     SplitMix64 rng(0x5EED1);
     std::uint64_t case_id = 1000;
     for (std::size_t d = 0; d < 3; ++d) {
         for (std::size_t b = 0; b < 3; ++b) {
-            const OptionSet o{30'000, kDists[d], kBatches[b],
-                              kBudgets[(d + b) % 3]};
+            const OptionSet o{30'000,
+                              kDists[d],
+                              kBatches[b],
+                              kBudgets[(d + b) % 3],
+                              kChunkDivisors[d],
+                              kElls[(d + 2 * b) % 3]};
             sweepOptionSet(o, rng, case_id);
         }
     }

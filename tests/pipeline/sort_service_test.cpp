@@ -58,15 +58,11 @@ struct JobFixture
         output.reserve(input.size());
     }
 
-    SortJob<Record>
+    sorter::SortRequest<Record>
     job()
     {
-        SortJob<Record> j;
-        j.source = &source;
-        j.sink = &sink;
-        j.front = &front;
-        j.back = &back;
-        return j;
+        return {.source = &source, .sink = &sink, .front = &front,
+                .back = &back};
     }
 
     std::vector<Record> input;
@@ -205,8 +201,8 @@ TEST(SortService, CheckpointedJobsRunDurablyNextToClassicOnes)
     {
         JobFixture a(flood);
         JobFixture b(random);
-        SortJob<Record> durable = b.job();
-        durable.checkpointDir = dir;
+        sorter::SortRequest<Record> durable = b.job();
+        durable.durable.dir = dir;
         const SortService<Record> service(opt);
         const std::vector<StreamStats> results =
             service.run({a.job(), durable});
@@ -219,9 +215,9 @@ TEST(SortService, CheckpointedJobsRunDurablyNextToClassicOnes)
     // Same directory again, now with resume required: all journaled
     // work is adopted, only the final pass is redone.
     JobFixture b(random);
-    SortJob<Record> durable = b.job();
-    durable.checkpointDir = dir;
-    durable.resume = true;
+    sorter::SortRequest<Record> durable = b.job();
+    durable.durable.dir = dir;
+    durable.durable.policy = sorter::ResumePolicy::ResumeStrict;
     const SortService<Record> service(opt);
     const std::vector<StreamStats> results =
         service.run({durable});

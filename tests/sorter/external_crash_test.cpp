@@ -113,14 +113,15 @@ durableSort(const std::vector<Record> &data, unsigned threads,
     std::vector<Record> out;
     out.reserve(data.size());
     io::MemorySink<Record> sink(out);
-    typename StreamEngine<Record>::DurableOptions durable;
+    DurableOptions durable;
     durable.dir = dir;
     durable.policy = policy;
     durable.faultPolicy = policy_io;
     durable.retryPolicy = fastRetries();
     const StreamStats s =
         StreamEngine<Record>(crashOptions(threads))
-            .sortStreamDurable(source, sink, durable);
+            .sortStream({.source = &source, .sink = &sink,
+                         .durable = durable});
     if (stats)
         *stats = s;
     return out;
@@ -352,13 +353,13 @@ TEST(StreamEngineCrash, ParameterDriftRefusesTheCheckpoint)
     io::MemorySink<Record> sink(out);
     auto opt = crashOptions(1);
     opt.chunkRecords = 2000;
-    typename StreamEngine<Record>::DurableOptions durable;
+    DurableOptions durable;
     durable.dir = job.str();
     durable.policy = ResumePolicy::ResumeStrict;
     std::string msg;
     try {
-        StreamEngine<Record>(opt).sortStreamDurable(source, sink,
-                                                    durable);
+        StreamEngine<Record>(opt).sortStream(
+            {.source = &source, .sink = &sink, .durable = durable});
     } catch (const std::runtime_error &e) {
         msg = e.what();
     }
@@ -404,6 +405,22 @@ TEST(StreamEngineCrash, TamperedRunDataIsCaughtByReadBack)
         << stats.resumeFallback;
 }
 
+TEST(StreamEngineCrash, EmptySourceCreatesNoJobDirectory)
+{
+    // An empty durable sort has nothing to journal: it returns before
+    // the job directory or its manifest is created.
+    JobDir parent("crash_empty_parent/");
+    const std::string dir = parent.str() + "/job";
+    StreamStats stats;
+    const auto out = durableSort({}, 1, dir,
+                                 ResumePolicy::ResumeOrFresh, &stats);
+    EXPECT_TRUE(out.empty());
+    EXPECT_EQ(stats.recordsIn, 0u);
+    EXPECT_EQ(stats.manifestCommits, 0u);
+    EXPECT_FALSE(io::fileExists(dir + "/" + io::kManifestFileName));
+    EXPECT_FALSE(io::fileExists(dir));
+}
+
 TEST(StreamEngineCrash, FreshStartDeletesOrphanSpills)
 {
     // Orphans from a newer aborted attempt — spill files and a torn
@@ -419,8 +436,8 @@ TEST(StreamEngineCrash, FreshStartDeletesOrphanSpills)
     }
 
     typename Checkpointer<Record>::Config cfg;
-    cfg.dir = job.str();
-    cfg.policy = ResumePolicy::ResumeOrFresh;
+    cfg.durable.dir = job.str();
+    cfg.durable.policy = ResumePolicy::ResumeOrFresh;
     cfg.params.recordBytes = sizeof(Record);
     cfg.params.recordsIn = 1000;
     cfg.params.chunkRecords = 100;

@@ -71,6 +71,26 @@ TEST(StreamEngine, SortInPlaceMatchesStdSort)
     EXPECT_GT(stats.recordsMoved, stats.phase1RecordsMoved);
 }
 
+TEST(StreamEngine, SortInPlaceOfOneChunkSkipsPhaseTwo)
+{
+    // A single phase-1 run is the sorted output: no merge pass, and
+    // no data-sized scratch buffer to allocate and fill.
+    auto data = makeRecords(800, Distribution::UniformRandom);
+    auto expected = data;
+    std::sort(expected.begin(), expected.end(),
+              [](const Record &a, const Record &b) {
+                  return a.key < b.key ||
+                      (a.key == b.key && a.value < b.value);
+              });
+
+    const StreamEngine<Record> engine(smallOptions());
+    const StreamStats stats = engine.sortInPlace(data);
+    EXPECT_EQ(data, expected);
+    EXPECT_EQ(stats.phase1Chunks, 1u);
+    EXPECT_EQ(stats.mergePasses, 0u);
+    EXPECT_EQ(stats.phase2Seconds, 0.0);
+}
+
 TEST(StreamEngine, StreamedOutputIsByteIdenticalToInPlace)
 {
     // FewDistinct floods the merge with equal keys; values carry the
@@ -275,6 +295,22 @@ TEST(StreamEngine, EmptySourceProducesEmptyOutput)
     EXPECT_EQ(stats.recordsIn, 0u);
     EXPECT_EQ(stats.mergePasses, 0u);
     EXPECT_EQ(stats.spillBytesWritten, 0u);
+}
+
+TEST(StreamEngine, EmptySourceSucceedsUnderABudgetBelowOneBatch)
+{
+    // The empty check runs before any pool is built, so a budget that
+    // could not hold a single batch buffer is never consulted.
+    auto opt = smallOptions();
+    opt.batchRecords = 4096;
+    opt.bufferBudgetBytes = 1024; // less than one batch buffer
+    const StreamEngine<Record> engine(opt);
+    StreamStats stats;
+    const auto out = streamSort(engine, {}, &stats);
+    EXPECT_TRUE(out.empty());
+    EXPECT_EQ(stats.recordsIn, 0u);
+    EXPECT_EQ(stats.batchRecords, 4096u);
+    EXPECT_EQ(engine.lastPoolOutstanding(), 0u);
 }
 
 TEST(StreamEngine, SingleRunStreamsStraightToTheSink)
