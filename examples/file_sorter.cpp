@@ -29,13 +29,17 @@
  * pass.  The job directory is cleaned once the output is durable.
  * `checkpoint-status` prints a one-line summary of a job directory's
  * manifest (used by the crash-recovery CI job to stage its kills).
+ *
+ * Every command reads and writes record files through io::FileSource
+ * and io::FileSink, so an input that is not a whole number of records,
+ * a failed read or an unwritable output (a full device) ends the
+ * command with exit status 1 and one "file_sorter:" line on stderr.
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <fstream>
 #include <string>
 #include <unordered_map>
 
@@ -50,31 +54,23 @@ namespace
 
 using namespace bonsai;
 
+/** Read a whole record file; a torn tail or a failed read throws. */
 std::vector<GensortRecord>
 readRecords(const char *path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        std::fprintf(stderr, "cannot open %s\n", path);
-        std::exit(1);
-    }
-    std::vector<GensortRecord> recs;
-    GensortRecord rec;
-    while (in.read(reinterpret_cast<char *>(rec.bytes.data()),
-                   GensortRecord::kBytes)) {
-        recs.push_back(rec);
-    }
+    io::FileSource<GensortRecord> source(io::ByteFile::openRead(path));
+    std::vector<GensortRecord> recs(source.totalRecords());
+    source.read(recs.data(), recs.size());
     return recs;
 }
 
+/** Write @p recs durably to @p path; a failed write throws. */
 void
 writeRecords(const char *path, const std::vector<GensortRecord> &recs)
 {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    for (const GensortRecord &rec : recs) {
-        out.write(reinterpret_cast<const char *>(rec.bytes.data()),
-                  GensortRecord::kBytes);
-    }
+    io::FileSink<GensortRecord> sink(io::ByteFile::create(path));
+    sink.write(recs.data(), recs.size());
+    sink.finish();
 }
 
 int
@@ -237,28 +233,15 @@ cmdCheckpointStatus(const char *dir)
 int
 cmdValidate(const char *path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        std::fprintf(stderr, "cannot open %s\n", path);
-        return 1;
-    }
     // Stream the file through a bounded batch buffer: validation
     // memory stays one batch regardless of file size, matching what
     // extsort promises for the sort itself.
-    constexpr std::size_t kBatchRecords = 1 << 14;
-    std::vector<GensortRecord> batch(kBatchRecords);
+    io::FileSource<GensortRecord> source(io::ByteFile::openRead(path));
+    std::vector<GensortRecord> batch(1 << 14);
     ValsortAccumulator acc;
-    for (;;) {
-        in.read(reinterpret_cast<char *>(batch.data()),
-                static_cast<std::streamsize>(batch.size() *
-                                             GensortRecord::kBytes));
-        const std::uint64_t got =
-            static_cast<std::uint64_t>(in.gcount()) /
-            GensortRecord::kBytes;
+    while (const std::uint64_t got =
+               source.read(batch.data(), batch.size()))
         acc.feed(batch.data(), got);
-        if (got < batch.size())
-            break;
-    }
     const ValsortSummary &summary = acc.summary();
     std::printf("records    : %llu\n",
                 static_cast<unsigned long long>(summary.records));

@@ -4,7 +4,7 @@
  * are allowed, wrapped as Clang thread-safety *capabilities*.
  *
  * Every mutex-holding type in the tree (ThreadPool, BufferPool,
- * BoundedQueue, ErrorTrap, ...) declares its lock as a
+ * ErrorTrap, ...) declares its lock as a
  * bonsai::Mutex, its guarded members with BONSAI_GUARDED_BY, and its
  * locking methods with BONSAI_ACQUIRE / BONSAI_RELEASE /
  * BONSAI_REQUIRES / BONSAI_EXCLUDES.  Under Clang's -Wthread-safety

@@ -1,15 +1,15 @@
 /**
  * @file
- * RAII lease of one io::BufferPool buffer — the adapter that lets
- * pool-backed batch buffers travel through pipeline stage queues.
+ * RAII lease of one io::BufferPool buffer — what RunCursor and
+ * StreamWriter hold their batch buffer through.
  *
- * A raw acquire()d std::vector owes the pool a release(); holding it
- * inside a queue would leak the pool's outstanding count if the
- * pipeline unwinds with items still enqueued (BoundedQueue::poison
- * destroys pending items).  PoolLease makes the release part of the
- * item's destructor, so a poisoned queue, a dropped stage local, or a
- * normal recycle all return the buffer — BufferPool.outstanding()
- * reaches zero on every unwind path by construction.
+ * A raw acquire()d std::vector owes the pool a release(); a task that
+ * throws between the acquire and the release would leak the pool's
+ * outstanding count.  PoolLease makes the release part of the
+ * holder's destructor, so an exception unwinding a merge task, a
+ * half-constructed cursor, or a normal end of use all return the
+ * buffer — BufferPool.outstanding() reaches zero on every unwind path
+ * by construction.
  *
  * Movable, not copyable: exactly one owner at a time, like the buffer
  * itself.

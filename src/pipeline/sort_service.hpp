@@ -1,12 +1,12 @@
 /**
  * @file
- * SortService: several concurrent out-of-core sorts over one shared
- * executor and one global buffer-pool budget.
+ * SortService: several concurrent out-of-core sorts over one global
+ * buffer-pool budget.
  *
  * Each job is an independent sorter::SortRequest; the service runs
- * every job as a stage of one PipelineExecutor (one thread per job)
- * against a single BufferPool whose budget is the service-wide memory
- * bound, filling in each request's pool and allowance.  Fair budget
+ * every job as one task of a ThreadPool::parallelFor (one thread per
+ * job) against a single BufferPool whose budget is the service-wide
+ * memory bound, filling in each request's pool and allowance.  Fair budget
  * sharing falls out of the Equation-10 shape derivation: each job
  * plans its phase-2 shape against an equal allowance of
  * floor(buffers / jobs) pool buffers, and a job's concurrent holdings
@@ -23,26 +23,26 @@
  * structure, never the emitted sequence.
  *
  * Error contract: first error wins across jobs.  A failing job does
- * not poison the others (they share no queues, only the pool, whose
- * unwind discipline returns every buffer) — surviving jobs complete,
- * then the first failure is rethrown; later failures are counted as
- * that trap's secondary errors.  After all jobs finish, the shared
- * pool must have zero outstanding buffers.
+ * not cancel the others (each task traps its own failure, and the
+ * jobs share only the pool, whose unwind discipline returns every
+ * buffer) — surviving jobs complete, then the first failure is
+ * rethrown; later failures are counted as that trap's secondary
+ * errors.  After all jobs finish, the shared pool must have zero
+ * outstanding buffers.
  */
 
 #ifndef BONSAI_PIPELINE_SORT_SERVICE_HPP
 #define BONSAI_PIPELINE_SORT_SERVICE_HPP
 
 #include <cstdint>
+#include <exception>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/contract.hpp"
 #include "common/sync.hpp"
+#include "common/thread_pool.hpp"
 #include "io/buffer_pool.hpp"
-#include "pipeline/executor.hpp"
-#include "pipeline/stage.hpp"
 #include "sorter/external.hpp"
 
 namespace bonsai::pipeline
@@ -88,29 +88,25 @@ class SortService
         // per-sort state, and a shared instance would interleave them.
         std::vector<std::unique_ptr<sorter::StreamEngine<RecordT>>>
             engines;
-        std::vector<std::unique_ptr<FnStage>> stages;
-        std::vector<Stage *> vertices;
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
+        for (sorter::SortRequest<RecordT> &job : jobs) {
             engines.push_back(
                 std::make_unique<sorter::StreamEngine<RecordT>>(
                     opt_));
-            sorter::SortRequest<RecordT> &job = jobs[i];
             job.pool = &bufs;
             job.allowance = allowance;
-            sorter::StreamEngine<RecordT> &engine = *engines.back();
-            sorter::StreamStats &result = results[i];
-            stages.push_back(std::make_unique<FnStage>(
-                "sort-job-" + std::to_string(i),
-                [&engine, &job, &result](StageStats &) {
-                    result = engine.sortStream(job);
-                }));
-            vertices.push_back(stages.back().get());
         }
 
+        // One thread per job.  A failed job is trapped, not
+        // propagated, so it does not cancel its siblings.
         ErrorTrap trap;
-        // The abort hook is a no-op: jobs share no queues, and a
-        // failed job must not cancel its siblings.
-        PipelineExecutor::run(vertices, trap, [] {});
+        ThreadPool workers(static_cast<unsigned>(jobs.size()));
+        workers.parallelFor(jobs.size(), [&](std::uint64_t i) {
+            try {
+                results[i] = engines[i]->sortStream(jobs[i]);
+            } catch (...) {
+                trap.store(std::current_exception());
+            }
+        });
         trap.rethrowIfSet();
         BONSAI_ENSURE(bufs.outstanding() == 0,
                       "shared buffer pool has outstanding buffers "

@@ -30,7 +30,7 @@
  * with the same one-line reason (ResumeStrict, the --resume contract).
  *
  * Concurrency: single-writer by construction — commitChunk() is
- * called only by the phase-1 spiller stage, commitPass() only by the
+ * called only by phase 1's spill task, commitPass() only by the
  * phase-2 coordinator, and the two phases never overlap.  No mutex,
  * same contract as run metadata in io/run_store.hpp.
  */

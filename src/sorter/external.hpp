@@ -9,15 +9,15 @@
  *   sorter/tournament.hpp     the shared loser-tree merge kernel
  *   sorter/merge_plan.hpp     Equation-10 shape and lane reservation
  *   sorter/splitter.hpp       out-of-core Merge Path boundary search
- *   sorter/phase1_spill.hpp   phase 1 as a read->sort->spill pipeline
+ *   sorter/phase1_spill.hpp   phase 1 as a two-buffer read/sort/spill
+ *                             lockstep
  *   sorter/phase2_merge.hpp   phase 2 merge passes and the final pass
  *
- * Phase 1 streams fixed-size chunks from a RecordSource through a
- * three-stage dataflow pipeline (pipeline/executor.hpp) — load, sort
- * in place with the BehavioralSorter, spill to a RunStore — with a
- * two-buffer recycle ring, so the spill write-back of chunk k
- * overlaps the load+sort of chunk k+1 (the paper's double-buffered
- * data loader, writ large).
+ * Phase 1 streams fixed-size chunks from a RecordSource — load, sort
+ * in place with the BehavioralSorter, spill to a RunStore — over two
+ * chunk buffers in lockstep: while chunk k sorts in one buffer, a
+ * two-thread I/O pool spills chunk k-1 from the other and reads chunk
+ * k+1 into it (the paper's double-buffered data loader, writ large).
  *
  * Phase 2 runs ell-way merge passes that ping-pong runs between two
  * stores; every pass is one full storage round trip (the paper's SSD
@@ -221,7 +221,7 @@ class StreamEngine
      * callers that own the directory lifecycle (the file_sorter tool)
      * delete them once the output is durable.
      *
-     * Failure contract: any I/O or task failure — a phase-1 stage, a
+     * Failure contract: any I/O or task failure — a phase-1 step, a
      * merge group's read or write-back, a splitter probe, the sink —
      * unwinds to exactly one std::runtime_error thrown from here.
      * First error wins; failures of concurrent tasks behind it are
@@ -299,20 +299,18 @@ class StreamEngine
         stats.effectiveEll = shape.ell;
         stats.concurrentGroups = shape.lanes;
 
-        // Sort-wide first-error latch: every stage and merge task
-        // records into this one trap, so the caller sees exactly one
-        // exception no matter how many lanes failed.
+        // Sort-wide first-error latch: every phase-1 step and merge
+        // task records into this one trap, so the caller sees exactly
+        // one exception no matter how many lanes failed.
         ErrorTrap trap;
         try {
             if (ckpt == nullptr || !ckpt->phase1Complete()) {
-                typename Phase1Spiller<RecordT>::Params p1;
-                p1.phase1Ell = opt_.phase1Ell;
-                p1.presortRun = opt_.presortRun;
-                p1.batchRecords = opt_.batchRecords;
-                p1.threads = opt_.threads;
+                const BehavioralSorter<RecordT> phase1(
+                    opt_.phase1Ell, opt_.presortRun, opt_.threads);
                 Phase1Spiller<RecordT>::run(
-                    *req.source, front, pool, p1,
-                    chunkLength(stats.recordsIn), stats, trap, ckpt);
+                    *req.source, front, pool, phase1,
+                    opt_.batchRecords, chunkLength(stats.recordsIn),
+                    stats, trap, ckpt);
             } else {
                 // Every chunk is journaled: phase 1 is pure replayed
                 // history, with its runs already installed on the

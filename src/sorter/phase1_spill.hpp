@@ -1,30 +1,29 @@
 /**
  * @file
- * Phase 1 of the out-of-core sort as a three-stage dataflow pipeline:
+ * Phase 1 of the out-of-core sort: read fixed-size chunks from the
+ * RecordSource, sort each in place with the BehavioralSorter on the
+ * engine's compute pool, and spill the sorted runs to a RunStore.
  *
- *   chunk reader  ->  chunk sorter  ->  spiller
- *        ^                                  |
- *        +------- free chunk-buffer ring ---+
+ * I/O overlaps compute with two chunk buffers in lockstep (the
+ * paper's double-buffered data loader, writ large).  Chunk 0 is read
+ * into buffer A; then every step k runs two tasks on a two-thread I/O
+ * pool:
  *
- * The reader streams fixed-size chunks from the RecordSource into a
- * recycled chunk buffer, the sorter sorts each chunk *in place* with
- * the BehavioralSorter on the engine's compute pool, and the spiller
- * writes the sorted run to the RunStore and returns the buffer to the
- * ring.  The ring is seeded with two chunk buffers (one when the
- * whole input is a single chunk), so resident memory keeps the
- * engine's historical bound — two chunk buffers plus sort scratch —
- * while the spill write-back of chunk k overlaps the load and sort of
- * chunk k+1 (the paper's double-buffered data loader, writ large).
+ *   task 0:  sort chunk k in A (on the compute pool)
+ *   task 1:  spill chunk k-1 from B, journal it, read chunk k+1 into B
  *
- * All edges are pipeline::BoundedQueues run under one
- * PipelineExecutor: the first failing stage (a short-read contract, a
- * terminal record in the input, a spill-device error) poisons the
- * queues and becomes the sort's primary error; the other stages
- * unwind on PipelineAborted without polluting the secondary-error
- * tally.  FIFO edges with a single producer and consumer per queue
- * keep chunks in input order, so runs land at the same offsets, in
- * the same order, with the same "phase-1 spill of chunk N" error
- * contexts as the pre-pipeline engine.
+ * and A and B swap.  The last chunk is spilled after the loop.  So the
+ * spill write-back and the next load overlap the current sort, while
+ * resident memory stays at two chunk buffers plus sort scratch (one
+ * buffer when a single chunk covers the remaining input).
+ *
+ * Error contract: each task traps its first failure (a short-read
+ * contract, a terminal record in the input, a spill-device error) in
+ * the sort-wide ErrorTrap and the step rethrows it after the join —
+ * the idiom Phase2Merger uses.  Chunks are spilled in input order, so
+ * runs land at the same offsets, in the same order, with the same
+ * "phase-1 spill of chunk N" error contexts, and chunk k-1 is
+ * journaled before chunk k's spill starts.
  */
 
 #ifndef BONSAI_SORTER_PHASE1_SPILL_HPP
@@ -33,6 +32,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <span>
 #include <string>
 #include <utility>
@@ -44,9 +44,6 @@
 #include "common/thread_pool.hpp"
 #include "io/run_store.hpp"
 #include "io/stream.hpp"
-#include "pipeline/executor.hpp"
-#include "pipeline/queue.hpp"
-#include "pipeline/stage.hpp"
 #include "sorter/behavioral.hpp"
 #include "sorter/checkpoint.hpp"
 #include "sorter/stream_stats.hpp"
@@ -58,32 +55,25 @@ template <typename RecordT>
 class Phase1Spiller
 {
   public:
-    /** Phase-1 knobs, mirrored from StreamEngine::Options. */
-    struct Params
-    {
-        unsigned phase1Ell = 16;
-        std::uint64_t presortRun = 16;
-        std::uint64_t batchRecords = 1 << 14;
-        unsigned threads = 1;
-    };
-
     /**
-     * Stream chunks of @p chunk records from @p source, sort each in
-     * place on @p compute, and spill the sorted runs to @p store.
-     * Fills the phase-1 fields of @p stats; the primary error of a
-     * failing run lands in @p trap and is rethrown from here once the
-     * pipeline has quiesced.
+     * Stream chunks of @p chunk records from @p source in reads of at
+     * most @p batch records, sort each in place with @p sorter on
+     * @p compute, and spill the sorted runs to @p store.  Fills the
+     * phase-1 fields of @p stats; the primary error of a failing step
+     * lands in @p trap and is rethrown from here once both of the
+     * step's tasks have finished.
      *
      * With a @p ckpt the phase resumes: chunks the journal already
      * records are skipped in the source (never re-read, never
      * re-sorted), their runs are adopted, and every newly spilled
-     * chunk is committed to the journal before the next one starts.
+     * chunk is committed to the journal before the next one spills.
      */
     static void
     run(io::RecordSource<RecordT> &source,
         io::RunStore<RecordT> &store, ThreadPool &compute,
-        const Params &par, std::uint64_t chunk, StreamStats &stats,
-        ErrorTrap &trap, Checkpointer<RecordT> *ckpt = nullptr)
+        const BehavioralSorter<RecordT> &sorter, std::uint64_t batch,
+        std::uint64_t chunk, StreamStats &stats, ErrorTrap &trap,
+        Checkpointer<RecordT> *ckpt = nullptr)
     {
         const auto t1 = std::chrono::steady_clock::now();
         const std::uint64_t total = source.totalRecords();
@@ -105,50 +95,93 @@ class Phase1Spiller
                         " records the checkpoint already spilled");
         }
 
-        pipeline::BoundedQueue<Chunk> free(2);
-        pipeline::BoundedQueue<Chunk> loaded(2);
-        pipeline::BoundedQueue<Chunk> sorted(2);
-        // Seed the ring: one buffer when a single chunk covers the
-        // remaining input, two otherwise (the historical memory
-        // bound).
-        {
-            Chunk c;
-            c.buf.resize(chunk);
-            free.push(std::move(c));
-            if (chunk < total - start) {
-                Chunk d;
-                d.buf.resize(chunk);
-                free.push(std::move(d));
-            }
-        }
-
-        Reader reader(source, free, loaded, par.batchRecords, total,
-                      chunk, start, base_index);
-        Sorter sorter(loaded, sorted, compute, par);
-        Spiller spiller(sorted, free, store, ckpt);
+        // Adopt the resumed attempt's runs (in chunk order) so the
+        // final run list covers the whole input.
+        std::vector<RunSpan> runs;
         if (ckpt && ckpt->resumed())
-            spiller.seedResumedRuns(store.runs());
-        pipeline::Stage *stages[] = {&reader, &sorter, &spiller};
-        const std::vector<pipeline::StageStats> stage_stats =
-            pipeline::PipelineExecutor::run(
-                stages, trap, [&free, &loaded, &sorted] {
-                    free.poison();
-                    loaded.poison();
-                    sorted.poison();
-                });
-        trap.rethrowIfSet();
+            runs = store.runs();
+        std::uint64_t offset = start;
+        std::uint64_t index = base_index;
+        // Fill @p c with the next chunk (len 0 once the input is
+        // exhausted), sizing its buffer on first use.
+        const auto load = [&](Chunk &c) {
+            c.len = std::min<std::uint64_t>(chunk, total - offset);
+            if (c.len == 0)
+                return;
+            c.buf.resize(chunk);
+            c.offset = offset;
+            c.index = index++;
+            for (std::uint64_t got = 0; got < c.len;) {
+                const std::uint64_t r = source.read(
+                    c.buf.data() + got,
+                    std::min<std::uint64_t>(batch, c.len - got));
+                if (r == 0)
+                    contracts::fail(
+                        "precondition", "source.read() != 0",
+                        __FILE__, __LINE__,
+                        "record source ended at record " +
+                            std::to_string(offset + got) +
+                            " but declared " + std::to_string(total));
+                io::requireNoTerminals(c.buf.data() + got, r,
+                                       offset + got);
+                got += r;
+            }
+            offset += c.len;
+        };
+        double spill_seconds = 0.0;
+        const auto spill = [&](const Chunk &c) {
+            const std::string ctx =
+                "phase-1 spill of chunk " + std::to_string(c.index);
+            addSeconds(spill_seconds, [&] {
+                store.writeAt(c.offset, c.buf.data(), c.len,
+                              ctx.c_str());
+            });
+            const RunSpan run{c.offset, c.len};
+            runs.push_back(run);
+            // Journal the chunk before the next one spills: once
+            // committed, a crash anywhere later never redoes it.
+            if (ckpt != nullptr)
+                ckpt->commitChunk(run);
+        };
 
-        stats.phase1RecordsMoved += sorter.recordsMoved();
-        stats.recordsMoved += sorter.recordsMoved();
-        // The reader starving on the buffer ring is the pipeline's
-        // blocked-on-write-back time: a buffer is missing exactly
-        // while its previous spill has not landed.
-        stats.writeStallSeconds += stage_stats[0].inStallSeconds;
+        Chunk a; // loaded, sorted in the coming step
+        Chunk b; // sorted, spilled and then refilled in the coming step
+        load(a);
+        std::uint64_t moved = 0;
+        ThreadPool io(2);
+        while (a.len > 0) {
+            // parallelFor tasks must not throw (a leaked exception
+            // kills a pool worker), so trap the first error and
+            // rethrow it after the join.
+            io.parallelFor(2, [&](std::uint64_t task) {
+                try {
+                    if (task == 0) {
+                        const std::span<RecordT> run(a.buf.data(),
+                                                     a.len);
+                        moved += sorter.sort(run, compute).recordsMoved;
+                        return;
+                    }
+                    if (b.len > 0)
+                        spill(b);
+                    load(b);
+                } catch (...) {
+                    trap.store(std::current_exception());
+                }
+            });
+            trap.rethrowIfSet();
+            std::swap(a, b);
+        }
+        if (b.len > 0)
+            spill(b);
+
+        stats.phase1RecordsMoved += moved;
+        stats.recordsMoved += moved;
+        stats.writeStallSeconds += spill_seconds;
         // Durability point: a spill the device only buffered is not a
         // spill phase 2 can trust.
         store.flush("phase-1 spill flush");
-        stats.phase1Chunks = spiller.runs().size();
-        store.setRuns(std::move(spiller).takeRuns());
+        stats.phase1Chunks = runs.size();
+        store.setRuns(std::move(runs));
         stats.phase1Seconds +=
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - t1)
@@ -156,176 +189,13 @@ class Phase1Spiller
     }
 
   private:
-    /** One chunk in flight: a recycled buffer plus its position. */
+    /** One chunk buffer and the chunk it holds (len 0 = none). */
     struct Chunk
     {
         std::vector<RecordT> buf;
         std::uint64_t offset = 0;
         std::uint64_t len = 0;
         std::uint64_t index = 0;
-    };
-
-    /** Stage 1: stream records into recycled chunk buffers. */
-    class Reader : public pipeline::Stage
-    {
-      public:
-        Reader(io::RecordSource<RecordT> &source,
-               pipeline::BoundedQueue<Chunk> &free,
-               pipeline::BoundedQueue<Chunk> &loaded,
-               std::uint64_t batch, std::uint64_t total,
-               std::uint64_t chunk, std::uint64_t start = 0,
-               std::uint64_t base_index = 0)
-            : pipeline::Stage("phase1-reader"), source_(&source),
-              free_(&free), loaded_(&loaded), batch_(batch),
-              total_(total), chunk_(chunk), start_(start),
-              baseIndex_(base_index)
-        {
-        }
-
-        void
-        run(pipeline::StageStats &stats) override
-        {
-            std::uint64_t offset = start_;
-            std::uint64_t index = baseIndex_;
-            while (offset < total_) {
-                Chunk c = *pipeline::pull(*free_, stats);
-                c.offset = offset;
-                c.len = std::min<std::uint64_t>(chunk_,
-                                                total_ - offset);
-                c.index = index++;
-                fill(c, offset);
-                offset += c.len;
-                pipeline::emit(*loaded_, std::move(c), stats);
-            }
-            loaded_->close();
-        }
-
-      private:
-        void
-        fill(Chunk &c, std::uint64_t offset)
-        {
-            std::uint64_t got = 0;
-            while (got < c.len) {
-                const std::uint64_t r = source_->read(
-                    c.buf.data() + got,
-                    std::min<std::uint64_t>(batch_, c.len - got));
-                if (r == 0)
-                    contracts::fail(
-                        "precondition", "source.read() != 0",
-                        __FILE__, __LINE__,
-                        "record source ended at record " +
-                            std::to_string(offset + got) +
-                            " but declared " + std::to_string(total_));
-                io::requireNoTerminals(c.buf.data() + got, r,
-                                       offset + got);
-                got += r;
-            }
-        }
-
-        io::RecordSource<RecordT> *source_;
-        pipeline::BoundedQueue<Chunk> *free_;
-        pipeline::BoundedQueue<Chunk> *loaded_;
-        std::uint64_t batch_;
-        std::uint64_t total_;
-        std::uint64_t chunk_;
-        std::uint64_t start_;
-        std::uint64_t baseIndex_;
-    };
-
-    /** Stage 2: sort each chunk in place on the compute pool (a
-     *  different pool than the executor's — nested parallelism is
-     *  only banned within one pool). */
-    class Sorter : public pipeline::Stage
-    {
-      public:
-        Sorter(pipeline::BoundedQueue<Chunk> &loaded,
-               pipeline::BoundedQueue<Chunk> &sorted,
-               ThreadPool &compute, const Params &par)
-            : pipeline::Stage("phase1-sorter"), loaded_(&loaded),
-              sorted_(&sorted), compute_(&compute),
-              impl_(par.phase1Ell, par.presortRun, par.threads)
-        {
-        }
-
-        void
-        run(pipeline::StageStats &stats) override
-        {
-            while (auto c = pipeline::pull(*loaded_, stats)) {
-                const BehavioralStats s = impl_.sort(
-                    std::span<RecordT>(c->buf.data(), c->len),
-                    *compute_);
-                moved_ += s.recordsMoved;
-                pipeline::emit(*sorted_, std::move(*c), stats);
-            }
-            sorted_->close();
-        }
-
-        /** In-chunk sort moves, read after the pipeline joins. */
-        std::uint64_t recordsMoved() const { return moved_; }
-
-      private:
-        pipeline::BoundedQueue<Chunk> *loaded_;
-        pipeline::BoundedQueue<Chunk> *sorted_;
-        ThreadPool *compute_;
-        BehavioralSorter<RecordT> impl_;
-        std::uint64_t moved_ = 0;
-    };
-
-    /** Stage 3: spill sorted chunks and recycle their buffers. */
-    class Spiller : public pipeline::Stage
-    {
-      public:
-        Spiller(pipeline::BoundedQueue<Chunk> &sorted,
-                pipeline::BoundedQueue<Chunk> &free,
-                io::RunStore<RecordT> &store,
-                Checkpointer<RecordT> *ckpt = nullptr)
-            : pipeline::Stage("phase1-spiller"), sorted_(&sorted),
-              free_(&free), store_(&store), ckpt_(ckpt)
-        {
-        }
-
-        /** Adopt the resumed attempt's runs (in chunk order) so the
-         *  final run list covers the whole input. */
-        void
-        seedResumedRuns(const std::vector<RunSpan> &runs)
-        {
-            runs_ = runs;
-        }
-
-        void
-        run(pipeline::StageStats &stats) override
-        {
-            while (auto c = pipeline::pull(*sorted_, stats)) {
-                const std::string ctx =
-                    "phase-1 spill of chunk " +
-                    std::to_string(c->index);
-                store_->writeAt(c->offset, c->buf.data(), c->len,
-                                ctx.c_str());
-                const RunSpan run{c->offset, c->len};
-                runs_.push_back(run);
-                // Journal the chunk before its buffer recycles: once
-                // committed, a crash anywhere later never redoes it.
-                if (ckpt_ != nullptr)
-                    ckpt_->commitChunk(run);
-                pipeline::emit(*free_, std::move(*c), stats);
-            }
-        }
-
-        /** Spilled runs in chunk order (FIFO edges guarantee it). */
-        const std::vector<RunSpan> &runs() const { return runs_; }
-
-        std::vector<RunSpan>
-        takeRuns() &&
-        {
-            return std::move(runs_);
-        }
-
-      private:
-        pipeline::BoundedQueue<Chunk> *sorted_;
-        pipeline::BoundedQueue<Chunk> *free_;
-        io::RunStore<RecordT> *store_;
-        Checkpointer<RecordT> *ckpt_;
-        std::vector<RunSpan> runs_;
     };
 };
 

@@ -44,8 +44,8 @@ struct StreamStats
     /** Stall seconds are summed across all phase-2 merge tasks (per-
      *  task accounting), so with several lanes they may exceed the
      *  phase wall clock.  Phase 2 counts the time spent inside its
-     *  run-store reads and its store/sink writes; phase 1 adds its
-     *  reader's wait for spill write-back to writeStallSeconds. */
+     *  run-store reads and its store/sink writes; phase 1 adds the
+     *  time spent inside its spill writes to writeStallSeconds. */
     double readStallSeconds = 0.0;
     double writeStallSeconds = 0.0;
     /** Spill-store I/O hardening counters (front + back stores; the

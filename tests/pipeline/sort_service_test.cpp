@@ -1,15 +1,17 @@
 /** @file
  * Tests for the SortService: several concurrent sort jobs over one
- * shared executor and one global buffer-pool budget must emit exactly
- * the bytes their serial, private-pool counterparts do, split the
- * budget fairly, stay within it at peak, and refuse loudly a job
- * count the budget cannot make progress on.
+ * global buffer-pool budget must emit exactly the bytes their serial,
+ * private-pool counterparts do, finish even when a sibling job fails,
+ * split the budget fairly, stay within it at peak, and refuse loudly
+ * a job count the budget cannot make progress on.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "common/random.hpp"
 #include "common/record.hpp"
 #include "io/byte_io.hpp"
+#include "io/fault_injection.hpp"
 #include "io/manifest.hpp"
 #include "io/run_store.hpp"
 #include "io/stream.hpp"
@@ -113,6 +116,43 @@ TEST(SortService, ConcurrentJobsMatchSerialPrivatePoolRuns)
             << "concurrent job changed bytes at threads=" << threads;
         EXPECT_EQ(results[0].recordsIn, 12'000u);
         EXPECT_EQ(results[1].recordsIn, 8'000u);
+    }
+}
+
+TEST(SortService, FailedJobDoesNotCancelItsSibling)
+{
+    // One job's spill device fails for good; the service rethrows
+    // that job's error only after its sibling finished, and the
+    // sibling's output is exactly its serial private-pool bytes.
+    const auto failing = makeRecords(12'000, Distribution::UniformRandom);
+    const auto healthy = makeRecords(8'000, Distribution::FewDistinct);
+    io::RetryPolicy fast;
+    fast.backoffBaseMicros = 1;
+
+    for (const unsigned threads : {1u, 4u}) {
+        const auto opt = serviceOptions(threads, 64);
+        const auto expect_healthy = serialReference(opt, healthy);
+
+        JobFixture a(failing);
+        JobFixture b(healthy);
+        io::FaultPlan plan;
+        plan.eioOnWriteAttempt = 2;
+        plan.eioFailures = 1'000'000; // never heals
+        a.front.setFaultPolicy(std::make_shared<io::FaultInjector>(plan));
+        a.front.setRetryPolicy(fast);
+
+        const SortService<Record> service(opt);
+        std::string msg;
+        try {
+            service.run({a.job(), b.job()});
+        } catch (const std::runtime_error &e) {
+            msg = e.what();
+        }
+        EXPECT_NE(msg.find("pwrite failed"), std::string::npos)
+            << "threads=" << threads << ": " << msg;
+        EXPECT_EQ(b.output, expect_healthy)
+            << "failed job cancelled its sibling at threads="
+            << threads;
     }
 }
 

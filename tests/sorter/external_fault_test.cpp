@@ -9,15 +9,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <string>
+#include <unistd.h>
 #include <vector>
 
+#include "common/contract.hpp"
 #include "common/random.hpp"
 #include "common/record.hpp"
+#include "io/byte_io.hpp"
 #include "io/fault_injection.hpp"
 #include "io/run_store.hpp"
 #include "io/stream.hpp"
@@ -253,6 +258,99 @@ TEST(StreamEngineFaults, SinkEnospcDuringTheFinalPassUnwindsCleanly)
         EXPECT_NE(msg.find("pwrite failed"), std::string::npos) << msg;
         EXPECT_EQ(engine.lastPoolOutstanding(), 0u)
             << "buffer pool leaked buffers during the unwind";
+    }
+}
+
+/** Declares every record of a buffer but ends after the first
+ *  @p cut of them: a truncated input the engine only discovers
+ *  mid-read. */
+class TruncatedSource : public io::RecordSource<Record>
+{
+  public:
+    TruncatedSource(const std::vector<Record> &data, std::uint64_t cut)
+        : data_(&data), cut_(cut)
+    {
+    }
+
+    std::uint64_t totalRecords() const override { return data_->size(); }
+
+    std::uint64_t
+    read(Record *dst, std::uint64_t max) override
+    {
+        const std::uint64_t n = std::min<std::uint64_t>(max, cut_ - pos_);
+        std::copy_n(data_->data() + pos_, n, dst);
+        pos_ += n;
+        return n;
+    }
+
+  private:
+    const std::vector<Record> *data_;
+    std::uint64_t cut_;
+    std::uint64_t pos_ = 0;
+};
+
+TEST(StreamEngineFaults, SourceEndingMidPhaseOneUnwindsCleanly)
+{
+    // The source ends at record 2500 of a declared 5000 (chunks of
+    // 1000), so the failing read runs while earlier chunks are still
+    // being sorted and spilled: exactly one contract violation, no
+    // suppressed errors, every pool buffer back.
+    const auto data = makeRecords(5'000, Distribution::UniformRandom);
+    for (const unsigned threads : {1u, 4u}) {
+        TruncatedSource source(data, 2'500);
+        std::vector<Record> out;
+        io::MemorySink<Record> sink(out);
+        io::FileRunStore<Record> front;
+        io::FileRunStore<Record> back;
+        const StreamEngine<Record> engine(faultOptions(threads));
+        unsigned thrown = 0;
+        std::string msg;
+        try {
+            engine.sortStream(source, sink, front, back);
+        } catch (const ContractViolation &e) {
+            ++thrown;
+            msg = e.what();
+        }
+        EXPECT_EQ(thrown, 1u) << "threads=" << threads;
+        EXPECT_NE(msg.find("ended at record 2500 but declared 5000"),
+                  std::string::npos)
+            << msg;
+        EXPECT_EQ(engine.lastPoolOutstanding(), 0u);
+        EXPECT_EQ(engine.lastSecondaryErrors(), 0u);
+    }
+
+    // Durable: the chunks journaled before the source ran dry are
+    // adopted by a resume over the full input, whose output matches
+    // an uninterrupted run byte for byte.
+    auto expected = data;
+    StreamEngine<Record>(faultOptions(1)).sortInPlace(expected);
+    for (const unsigned threads : {1u, 4u}) {
+        const std::string dir = ::testing::TempDir() +
+            "bonsai_truncated_source_job_" + std::to_string(threads);
+        io::createDirectories(dir);
+        const StreamEngine<Record> engine(faultOptions(threads));
+        DurableOptions durable;
+        durable.dir = dir;
+        {
+            TruncatedSource source(data, 2'500);
+            std::vector<Record> out;
+            io::MemorySink<Record> sink(out);
+            EXPECT_THROW(engine.sortStream({.source = &source,
+                                            .sink = &sink,
+                                            .durable = durable}),
+                         ContractViolation);
+            EXPECT_EQ(engine.lastPoolOutstanding(), 0u);
+        }
+        io::MemorySource<Record> source{std::span<const Record>(data)};
+        std::vector<Record> out;
+        io::MemorySink<Record> sink(out);
+        durable.policy = ResumePolicy::ResumeStrict;
+        const StreamStats stats = engine.sortStream(
+            {.source = &source, .sink = &sink, .durable = durable});
+        EXPECT_EQ(out, expected) << "threads=" << threads;
+        EXPECT_GE(stats.resumedChunks, 1u);
+        io::removeJobArtifacts(dir);
+        ::rmdir(dir.c_str());
     }
 }
 
