@@ -12,9 +12,11 @@
  * Every stage is flattened into a list of (group, slice) merge tasks:
  * small groups are one task each, large groups are cut into disjoint
  * Merge Path slices, so both the many-small-group early stages and the
- * single-group final stage saturate all cores.  Output is byte-
- * identical for every thread count because slices follow the
- * (key, input index, position) total order the loser tree merges by.
+ * single-group final stage saturate all cores.  Each task merges with
+ * its own MergeTree (stable branch-free 2-way mergers, blocks owned by
+ * the task).  Output is byte-identical for every thread count because
+ * slices follow the (key, input index, position) total order the merge
+ * tree emits.
  */
 
 #ifndef BONSAI_SORTER_BEHAVIORAL_HPP
@@ -26,11 +28,12 @@
 #include <vector>
 
 #include "common/contract.hpp"
+#include "common/record_buffer.hpp"
 #include "common/run.hpp"
 #include "common/thread_pool.hpp"
 #include "hw/bitonic.hpp"
-#include "sorter/loser_tree.hpp"
 #include "sorter/merge_path.hpp"
+#include "sorter/merge_tree.hpp"
 #include "sorter/stage_plan.hpp"
 
 namespace bonsai::sorter
@@ -103,20 +106,31 @@ class BehavioralSorter
     /**
      * Sort a caller-owned range in place — the out-of-core engine's
      * phase 1 sorts each streamed chunk this way, with no per-chunk
-     * copy round trip.  Scratch is internal; if the stage ping-pong
-     * ends there, the result is copied back (at most one extra pass,
-     * where the old copy-out/copy-in adapter always paid two).
+     * copy round trip.  If the stage ping-pong ends in scratch, the
+     * result is copied back (at most one extra pass).
      */
     BehavioralStats
     sort(std::span<RecordT> data, ThreadPool &pool) const
     {
+        RecordBuffer<RecordT> scratch;
+        return sort(data, pool, scratch);
+    }
+
+    /**
+     * As above, with caller-owned @p scratch that grows to the range
+     * on demand and is never zero-filled, so a caller sorting many
+     * chunks allocates it once.
+     */
+    BehavioralStats
+    sort(std::span<RecordT> data, ThreadPool &pool,
+         RecordBuffer<RecordT> &scratch) const
+    {
         BehavioralStats stats;
         if (data.size() <= 1)
             return stats;
-        std::vector<RecordT> scratch(data.size());
-        if (sortBuffers(data, {scratch.data(), scratch.size()}, pool,
-                        stats))
-            std::copy(scratch.begin(), scratch.end(), data.begin());
+        const std::span<RecordT> buf = scratch.first(data.size());
+        if (sortBuffers(data, buf, pool, stats))
+            std::copy(buf.begin(), buf.end(), data.begin());
         return stats;
     }
 
@@ -168,9 +182,11 @@ class BehavioralSorter
             }
         }
 
+        // One merge tree per task: its node blocks are the task's own.
         pool.parallelFor(tasks.size(), [&](std::uint64_t i) {
-            mergeSlice(tasks[i].members, tasks[i].begin, tasks[i].end,
-                       tasks[i].out);
+            const SliceTask &task = tasks[i];
+            MergeTree<RecordT>(task.members, task.begin, task.end)
+                .merge(task.out);
         });
     }
 
@@ -243,29 +259,6 @@ class BehavioralSorter
             (group_len * width + stage_total - 1) / stage_total;
         return static_cast<unsigned>(
             std::min<std::uint64_t>(share ? share : 1, width));
-    }
-
-    /** Merge one slice (or whole group, when begin/end are empty). */
-    static void
-    mergeSlice(const std::vector<std::span<const RecordT>> &members,
-               const std::vector<std::uint64_t> &begin,
-               const std::vector<std::uint64_t> &end, RecordT *out)
-    {
-        if (members.empty())
-            return;
-        if (members.size() == 1) {
-            const auto &m = members[0];
-            if (begin.empty())
-                std::copy(m.begin(), m.end(), out);
-            else
-                std::copy(m.begin() + begin[0], m.begin() + end[0],
-                          out);
-            return;
-        }
-        LoserTree<RecordT> tree(
-            {members.begin(), members.end()}, begin, end);
-        while (!tree.done())
-            *out++ = tree.pop();
     }
 
     unsigned ell_;

@@ -6,7 +6,7 @@
  *   sorter/stream_stats.hpp   unified telemetry struct
  *   sorter/run_cursor.hpp     batch-reading run cursor (1 pool buffer)
  *   sorter/stream_writer.hpp  batch writer (1 pool buffer)
- *   sorter/tournament.hpp     the shared loser-tree merge kernel
+ *   sorter/tournament.hpp     the streamed merge's loser-tree kernel
  *   sorter/merge_plan.hpp     Equation-10 shape and lane reservation
  *   sorter/splitter.hpp       out-of-core Merge Path boundary search
  *   sorter/phase1_spill.hpp   phase 1 as a two-buffer read/sort/spill
@@ -66,6 +66,7 @@
 #include <vector>
 
 #include "common/contract.hpp"
+#include "common/record_buffer.hpp"
 #include "common/run.hpp"
 #include "common/sync.hpp"
 #include "common/thread_pool.hpp"
@@ -157,14 +158,19 @@ class StreamEngine
         BehavioralSorter<RecordT> phase1(
             opt_.phase1Ell, opt_.presortRun, opt_.threads);
         std::vector<RunSpan> runs;
-        for (std::uint64_t lo = 0; lo < data.size(); lo += chunk) {
-            const std::uint64_t len =
-                std::min<std::uint64_t>(chunk, data.size() - lo);
-            const BehavioralStats s = phase1.sort(
-                std::span<RecordT>(data.data() + lo, len), pool);
-            stats.phase1RecordsMoved += s.recordsMoved;
-            stats.recordsMoved += s.recordsMoved;
-            runs.push_back(RunSpan{lo, len});
+        {
+            // Freed before phase 2 allocates its own scratch.
+            RecordBuffer<RecordT> scratch;
+            for (std::uint64_t lo = 0; lo < data.size(); lo += chunk) {
+                const std::uint64_t len =
+                    std::min<std::uint64_t>(chunk, data.size() - lo);
+                const BehavioralStats s = phase1.sort(
+                    std::span<RecordT>(data.data() + lo, len), pool,
+                    scratch);
+                stats.phase1RecordsMoved += s.recordsMoved;
+                stats.recordsMoved += s.recordsMoved;
+                runs.push_back(RunSpan{lo, len});
+            }
         }
         stats.phase1Chunks = runs.size();
         stats.phase1Seconds = secondsSince(t1);

@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "common/contract.hpp"
+#include "common/record_buffer.hpp"
 #include "common/run.hpp"
 #include "common/sync.hpp"
 #include "common/thread_pool.hpp"
@@ -148,6 +149,7 @@ class Phase1Spiller
         Chunk b; // sorted, spilled and then refilled in the coming step
         load(a);
         std::uint64_t moved = 0;
+        RecordBuffer<RecordT> scratch; // sort scratch, reused by every chunk
         ThreadPool io(2);
         while (a.len > 0) {
             // parallelFor tasks must not throw (a leaked exception
@@ -158,7 +160,8 @@ class Phase1Spiller
                     if (task == 0) {
                         const std::span<RecordT> run(a.buf.data(),
                                                      a.len);
-                        moved += sorter.sort(run, compute).recordsMoved;
+                        moved += sorter.sort(run, compute, scratch)
+                                     .recordsMoved;
                         return;
                     }
                     if (b.len > 0)

@@ -13,11 +13,12 @@
  *    output rank — byte-identical to the serial tournament for any
  *    lane count, including equal-key floods.
  *
- * The tournament itself is the shared kernel in sorter/tournament.hpp
- * (the same tree LoserTree instantiates over spans), run here over a
- * set of RunCursors.  Every task reads and writes its runs on its own
- * thread: the buffered store and sink I/O underneath already reads
- * ahead and writes behind, so phase 2 starts no threads of its own.
+ * The tournament is the loser-tree kernel in sorter/tournament.hpp,
+ * run here over a set of RunCursors; it pops the same (key, input
+ * index, position) order as the in-memory MergeTree.  Every task
+ * reads and writes its runs on its own thread: the buffered store and
+ * sink I/O underneath already reads ahead and writes behind, so phase
+ * 2 starts no threads of its own.
  */
 
 #ifndef BONSAI_SORTER_PHASE2_MERGE_HPP

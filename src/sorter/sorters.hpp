@@ -44,7 +44,6 @@
 #include "io/stream.hpp"
 #include "sorter/behavioral.hpp"
 #include "sorter/external.hpp"
-#include "sorter/loser_tree.hpp"
 #include "sorter/merge_plan.hpp"
 #include "sorter/stage_sim.hpp"
 

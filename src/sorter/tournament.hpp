@@ -1,8 +1,7 @@
 /**
  * @file
- * The tournament (loser) tree merge kernel — the one place the
- * augmented (key, input index, position) selection order is
- * implemented (Knuth TAOCP Vol. 3, 5.4.1).
+ * The tournament (loser) tree merge kernel of the streamed phase-2
+ * merge (Knuth TAOCP Vol. 3, 5.4.1).
  *
  * Structure: leaves are input cursors, internal nodes store the loser
  * of their subtree's tournament, the overall winner is kept outside
@@ -11,11 +10,10 @@
  *
  * Equal keys are broken by input index, so the tree emits the unique
  * sequence ordered by (key, input index, position) — the same
- * augmented total order the Merge Path partitioner cuts on.  Both the
- * in-memory `LoserTree` (span cursors) and the out-of-core streamed
- * merge (batch-reading `RunCursor`s) instantiate this kernel, which is
- * why a streamed merge is byte-identical to the in-memory merge of
- * the same runs.
+ * augmented total order the Merge Path partitioner cuts on and the
+ * in-memory MergeTree (sorter/merge_tree.hpp) emits, which is why a
+ * streamed merge over batch-reading `RunCursor`s is byte-identical to
+ * the in-memory merge of the same runs.
  *
  * The cursor-set parameter provides the merge's view of its inputs:
  *

@@ -7,6 +7,7 @@
 #include "common/checks.hpp"
 #include "common/gensort.hpp"
 #include "common/random.hpp"
+#include "common/thread_pool.hpp"
 #include "model/perf_model.hpp"
 #include "sorter/behavioral.hpp"
 
@@ -189,6 +190,56 @@ TEST(Behavioral, MatchesStdSort)
     for (std::size_t i = 0; i < data.size(); ++i)
         EXPECT_EQ(data[i].key, expect[i].key);
 }
+
+/** Order-dependent FNV-1a digest over every record's key and value. */
+std::uint64_t
+orderedDigest(std::span<const Record> recs)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const Record &r : recs) {
+        for (const std::uint64_t word : {r.key, r.value}) {
+            h ^= word;
+            h *= 0x100000001b3ULL;
+        }
+    }
+    return h;
+}
+
+class BehavioralGolden
+    : public ::testing::TestWithParam<std::tuple<unsigned, unsigned>>
+{
+};
+
+/** The sorted bytes of a FewDistinct input are pinned per fan-in.
+ *  Each merge stage keeps the (key, input index, position) order, so
+ *  the digest is the same for every thread count and Merge Path
+ *  slicing; it differs between fan-ins only because a stage's groups
+ *  take strided runs (StagePlan::groupRuns).  A merge kernel that
+ *  reorders ties changes it. */
+TEST_P(BehavioralGolden, FewDistinctDigestIsPinned)
+{
+    const auto [ell, threads] = GetParam();
+    const std::uint64_t golden = ell == 2 ? 682775178126978180ULL
+        : ell == 16                       ? 4815198268905582772ULL
+                                          : 1357850893837343016ULL;
+    const auto input =
+        makeRecords(200'003, Distribution::FewDistinct, 29);
+
+    auto data = input;
+    sorter::BehavioralSorter<Record>(ell, 16, threads).sort(data);
+    EXPECT_EQ(orderedDigest(data), golden);
+
+    data = input;
+    ThreadPool pool(threads);
+    sorter::BehavioralSorter<Record>(ell, 16, threads)
+        .sort(std::span<Record>(data), pool);
+    EXPECT_EQ(orderedDigest(data), golden);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FanInsAndThreads, BehavioralGolden,
+    ::testing::Combine(::testing::Values(2u, 16u, 128u),
+                       ::testing::Values(1u, 4u)));
 
 } // namespace
 } // namespace bonsai

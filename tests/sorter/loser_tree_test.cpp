@@ -1,11 +1,16 @@
-/** @file Unit tests for the tournament loser tree. */
+/**
+ * @file
+ * Unit tests for the ell-way in-memory merge (MergeTree).  The suite
+ * names (LoserTree, LoserTreeWays) name the merge contract these cases
+ * pin: every fan-in, empty members, duplicate keys and skewed lengths.
+ */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "common/random.hpp"
-#include "sorter/loser_tree.hpp"
+#include "sorter/merge_tree.hpp"
 
 namespace bonsai
 {
@@ -13,11 +18,10 @@ namespace
 {
 
 std::vector<Record>
-drain(sorter::LoserTree<Record> &tree)
+drain(sorter::MergeTree<Record> &tree)
 {
-    std::vector<Record> out;
-    while (!tree.done())
-        out.push_back(tree.pop());
+    std::vector<Record> out(tree.size());
+    tree.merge(out.data());
     return out;
 }
 
@@ -31,7 +35,7 @@ checkMerge(const std::vector<std::vector<Record>> &runs)
         expect.insert(expect.end(), run.begin(), run.end());
     }
     std::sort(expect.begin(), expect.end());
-    sorter::LoserTree<Record> tree(std::move(spans));
+    sorter::MergeTree<Record> tree(spans);
     const auto got = drain(tree);
     ASSERT_EQ(got.size(), expect.size());
     for (std::size_t i = 0; i < got.size(); ++i)
@@ -77,8 +81,9 @@ TEST(LoserTree, SingleInput)
 TEST(LoserTree, AllEmpty)
 {
     std::vector<std::span<const Record>> spans(3);
-    sorter::LoserTree<Record> tree(std::move(spans));
-    EXPECT_TRUE(tree.done());
+    sorter::MergeTree<Record> tree(spans);
+    EXPECT_EQ(tree.size(), 0u);
+    EXPECT_TRUE(drain(tree).empty());
 }
 
 TEST(LoserTree, DuplicateKeysAcrossRuns)

@@ -5,8 +5,8 @@
 #include <algorithm>
 
 #include "common/random.hpp"
-#include "sorter/loser_tree.hpp"
 #include "sorter/merge_path.hpp"
+#include "sorter/merge_tree.hpp"
 
 namespace bonsai
 {
@@ -27,10 +27,10 @@ spansOf(const Runs &runs)
 std::vector<Record>
 serialMerge(const Runs &runs)
 {
-    sorter::LoserTree<Record> tree(spansOf(runs));
-    std::vector<Record> out;
-    while (!tree.done())
-        out.push_back(tree.pop());
+    const auto spans = spansOf(runs);
+    sorter::MergeTree<Record> tree(spans);
+    std::vector<Record> out(tree.size());
+    tree.merge(out.data());
     return out;
 }
 
@@ -41,11 +41,12 @@ slicedMerge(const Runs &runs, unsigned parts)
     const sorter::MergePath<Record> path(spansOf(runs));
     const auto bounds = path.partition(parts);
     std::vector<Record> out;
+    const auto spans = spansOf(runs);
     for (unsigned t = 0; t < parts; ++t) {
-        sorter::LoserTree<Record> tree(spansOf(runs), bounds[t],
-                                       bounds[t + 1]);
-        while (!tree.done())
-            out.push_back(tree.pop());
+        sorter::MergeTree<Record> tree(spans, bounds[t], bounds[t + 1]);
+        const std::size_t at = out.size();
+        out.resize(at + tree.size());
+        tree.merge(out.data() + at);
     }
     return out;
 }

@@ -1,0 +1,244 @@
+/**
+ * @file
+ * Differential tests for the in-memory merge kernel: MergeTree must
+ * write, byte for byte, the sequence TournamentTree pops over the same
+ * inputs — the (key, input index, position) order — for every fan-in,
+ * member shape, key distribution and record width, and Merge Path
+ * slices of it must concatenate to the whole merge.
+ */
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
+#include <span>
+#include <vector>
+
+#include "common/gensort.hpp"
+#include "common/random.hpp"
+#include "common/record.hpp"
+#include "sorter/merge_path.hpp"
+#include "sorter/merge_tree.hpp"
+#include "sorter/tournament.hpp"
+
+namespace bonsai
+{
+namespace
+{
+
+/** TournamentTree's view of in-memory spans, each limited to a
+ *  [begin, end) range. */
+template <typename RecordT>
+class SpanCursors
+{
+  public:
+    SpanCursors(std::span<const std::span<const RecordT>> inputs,
+                const std::vector<std::uint64_t> &begin,
+                const std::vector<std::uint64_t> &end)
+        : inputs_(inputs.begin(), inputs.end())
+    {
+        for (std::size_t i = 0; i < inputs_.size(); ++i) {
+            pos_.push_back(begin.empty() ? 0 : begin[i]);
+            end_.push_back(end.empty() ? inputs_[i].size() : end[i]);
+        }
+    }
+
+    std::size_t size() const { return inputs_.size(); }
+    bool exhausted(std::size_t i) const { return pos_[i] >= end_[i]; }
+    const RecordT &head(std::size_t i) const
+    {
+        return inputs_[i][pos_[i]];
+    }
+    void advance(std::size_t i) { ++pos_[i]; }
+
+  private:
+    std::vector<std::span<const RecordT>> inputs_;
+    std::vector<std::uint64_t> pos_;
+    std::vector<std::uint64_t> end_;
+};
+
+template <typename RecordT>
+using Runs = std::vector<std::vector<RecordT>>;
+
+template <typename RecordT>
+std::vector<std::span<const RecordT>>
+spansOf(const Runs<RecordT> &runs)
+{
+    return {runs.begin(), runs.end()};
+}
+
+template <typename RecordT>
+std::vector<RecordT>
+tournamentMerge(const Runs<RecordT> &runs,
+                const std::vector<std::uint64_t> &begin = {},
+                const std::vector<std::uint64_t> &end = {})
+{
+    const auto spans = spansOf(runs);
+    SpanCursors<RecordT> cursors(spans, begin, end);
+    sorter::TournamentTree<RecordT, SpanCursors<RecordT>> tree(cursors);
+    std::vector<RecordT> out;
+    while (!tree.done())
+        out.push_back(tree.pop());
+    return out;
+}
+
+template <typename RecordT>
+std::vector<RecordT>
+treeMerge(const Runs<RecordT> &runs,
+          const std::vector<std::uint64_t> &begin = {},
+          const std::vector<std::uint64_t> &end = {})
+{
+    const auto spans = spansOf(runs);
+    sorter::MergeTree<RecordT> tree(spans, begin, end);
+    std::vector<RecordT> out(tree.size());
+    EXPECT_EQ(tree.merge(out.data()), out.data() + out.size());
+    return out;
+}
+
+template <typename RecordT>
+void
+expectSameBytes(const std::vector<RecordT> &got,
+                const std::vector<RecordT> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(std::memcmp(&got[i], &want[i], sizeof(RecordT)), 0)
+            << "record " << i << " of " << got.size();
+    }
+}
+
+/** @p r as a RecordT: same key order, value carried in the payload,
+ *  so equal keys with different values expose any tie reordering. */
+template <typename RecordT>
+RecordT convert(const Record &r);
+
+template <>
+Record
+convert<Record>(const Record &r)
+{
+    return r;
+}
+
+template <>
+Record128
+convert<Record128>(const Record &r)
+{
+    return Record128{r.key, r.key * 0x9e3779b97f4a7c15ULL, r.value};
+}
+
+template <>
+GensortRecord
+convert<GensortRecord>(const Record &r)
+{
+    GensortRecord g;
+    for (int b = 0; b < 8; ++b) // big-endian: byte order == key order
+        g.bytes[b] = static_cast<std::uint8_t>(r.key >> (56 - 8 * b));
+    g.bytes[8] = g.bytes[9] = 0x5a;
+    std::memcpy(g.bytes.data() + GensortRecord::kKeyBytes, &r.value,
+                sizeof r.value);
+    return g;
+}
+
+/** One sorted member of @p n records. */
+template <typename RecordT>
+std::vector<RecordT>
+sortedRun(std::size_t n, Distribution dist, std::uint64_t seed)
+{
+    std::vector<RecordT> run;
+    for (const Record &r : makeRecords(n, dist, seed))
+        run.push_back(convert<RecordT>(r));
+    std::stable_sort(run.begin(), run.end());
+    return run;
+}
+
+/** @p ways members whose lengths follow @p length(i). */
+template <typename RecordT, typename Length>
+Runs<RecordT>
+makeRuns(std::size_t ways, Distribution dist, Length &&length)
+{
+    Runs<RecordT> runs;
+    for (std::size_t i = 0; i < ways; ++i)
+        runs.push_back(sortedRun<RecordT>(length(i), dist, 1000 + i));
+    return runs;
+}
+
+constexpr Distribution kDists[] = {Distribution::UniformRandom,
+                                   Distribution::AllEqual,
+                                   Distribution::FewDistinct};
+constexpr std::size_t kFanIns[] = {1, 2, 3, 5, 16, 128, 256};
+
+template <typename RecordT>
+class MergeTreeTyped : public ::testing::Test
+{
+};
+
+using RecordTypes = ::testing::Types<Record, Record128, GensortRecord>;
+TYPED_TEST_SUITE(MergeTreeTyped, RecordTypes);
+
+TYPED_TEST(MergeTreeTyped, MatchesTournamentTree)
+{
+    for (const Distribution dist : kDists) {
+        for (const std::size_t ways : kFanIns) {
+            const auto runs = makeRuns<TypeParam>(
+                ways, dist, [](std::size_t i) { return 40 + i * 7 % 23; });
+            SCOPED_TRACE(::testing::Message()
+                         << "dist=" << static_cast<int>(dist)
+                         << " ways=" << ways);
+            expectSameBytes(treeMerge(runs), tournamentMerge(runs));
+        }
+    }
+}
+
+TYPED_TEST(MergeTreeTyped, EmptyAndSkewedMembers)
+{
+    for (const Distribution dist : kDists) {
+        for (const std::size_t ways : kFanIns) {
+            // Every third member empty, one member far longer than
+            // the rest, a few single records.
+            const auto runs =
+                makeRuns<TypeParam>(ways, dist, [](std::size_t i) {
+                    if (i % 3 == 1)
+                        return std::size_t{0};
+                    return i == 2 ? std::size_t{3000} : i % 4;
+                });
+            SCOPED_TRACE(::testing::Message()
+                         << "dist=" << static_cast<int>(dist)
+                         << " ways=" << ways);
+            expectSameBytes(treeMerge(runs), tournamentMerge(runs));
+        }
+    }
+    const Runs<TypeParam> all_empty(5);
+    EXPECT_TRUE(treeMerge(all_empty).empty());
+    EXPECT_TRUE(treeMerge(Runs<TypeParam>{}).empty());
+}
+
+TYPED_TEST(MergeTreeTyped, SlicesConcatenateToTheWholeMerge)
+{
+    for (const Distribution dist : kDists) {
+        for (const std::size_t ways : kFanIns) {
+            const auto runs = makeRuns<TypeParam>(
+                ways, dist, [](std::size_t i) { return 60 + i * 13 % 41; });
+            const auto whole = treeMerge(runs);
+            const sorter::MergePath<TypeParam> path(spansOf(runs));
+            for (const unsigned parts : {2u, 3u, 7u}) {
+                const auto bounds = path.partition(parts);
+                std::vector<TypeParam> sliced;
+                for (unsigned t = 0; t < parts; ++t) {
+                    const auto slice =
+                        treeMerge(runs, bounds[t], bounds[t + 1]);
+                    expectSameBytes(slice, tournamentMerge(runs, bounds[t],
+                                                           bounds[t + 1]));
+                    sliced.insert(sliced.end(), slice.begin(),
+                                  slice.end());
+                }
+                SCOPED_TRACE(::testing::Message()
+                             << "dist=" << static_cast<int>(dist)
+                             << " ways=" << ways << " parts=" << parts);
+                expectSameBytes(sliced, whole);
+            }
+        }
+    }
+}
+
+} // namespace
+} // namespace bonsai
