@@ -9,20 +9,29 @@
  *
  * Threading model (docs/ARCHITECTURE.md "Software threading model"):
  * one persistent work-stealing ThreadPool lives for the whole sort.
- * Every stage is flattened into a list of (group, slice) merge tasks:
- * small groups are one task each, large groups are cut into disjoint
- * Merge Path slices, so both the many-small-group early stages and the
- * single-group final stage saturate all cores.  Each task merges with
- * its own MergeTree (stable branch-free 2-way mergers, blocks owned by
- * the task).  Output is byte-identical for every thread count because
- * slices follow the (key, input index, position) total order the merge
- * tree emits.
+ * The presort runs as pool tasks over blocks of runs (sorter/presort.hpp:
+ * the network in AVX-512 registers for 16-byte records, else
+ * hw::bitonicSortNetwork).  Every merge stage is flattened into a
+ * list of (group, slice) merge tasks: small groups are one task each,
+ * large groups are cut into disjoint Merge Path slices, so both the
+ * many-small-group early stages and the single-group final stage
+ * saturate all cores.  The tasks run on min(width, tasks) lanes that
+ * take them from a shared counter; each task merges with its own
+ * MergeTree (stable branch-free 2-way mergers) whose node blocks live
+ * in its lane's arena.  Output is byte-identical for every thread
+ * count because slices follow the (key, input index, position) total
+ * order the merge tree emits.
+ *
+ * Buffers: the presort writes into whichever of the caller's range
+ * and the scratch makes the stage ping-pong end in the caller's
+ * range, so a sort never copies its result back.
  */
 
 #ifndef BONSAI_SORTER_BEHAVIORAL_HPP
 #define BONSAI_SORTER_BEHAVIORAL_HPP
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -31,9 +40,9 @@
 #include "common/record_buffer.hpp"
 #include "common/run.hpp"
 #include "common/thread_pool.hpp"
-#include "hw/bitonic.hpp"
 #include "sorter/merge_path.hpp"
 #include "sorter/merge_tree.hpp"
+#include "sorter/presort.hpp"
 #include "sorter/stage_plan.hpp"
 
 namespace bonsai::sorter
@@ -93,21 +102,13 @@ class BehavioralSorter
     BehavioralStats
     sort(std::vector<RecordT> &data, ThreadPool &pool) const
     {
-        BehavioralStats stats;
-        if (data.size() <= 1)
-            return stats;
-        std::vector<RecordT> scratch(data.size());
-        if (sortBuffers({data.data(), data.size()},
-                        {scratch.data(), scratch.size()}, pool, stats))
-            data = std::move(scratch);
-        return stats;
+        return sort(std::span<RecordT>(data), pool);
     }
 
     /**
      * Sort a caller-owned range in place — the out-of-core engine's
      * phase 1 sorts each streamed chunk this way, with no per-chunk
-     * copy round trip.  If the stage ping-pong ends in scratch, the
-     * result is copied back (at most one extra pass).
+     * copy round trip.
      */
     BehavioralStats
     sort(std::span<RecordT> data, ThreadPool &pool) const
@@ -119,7 +120,8 @@ class BehavioralSorter
     /**
      * As above, with caller-owned @p scratch that grows to the range
      * on demand and is never zero-filled, so a caller sorting many
-     * chunks allocates it once.
+     * chunks allocates it once.  The presort writes into whichever of
+     * @p data and @p scratch makes the stage ping-pong end in @p data.
      */
     BehavioralStats
     sort(std::span<RecordT> data, ThreadPool &pool,
@@ -128,9 +130,23 @@ class BehavioralSorter
         BehavioralStats stats;
         if (data.size() <= 1)
             return stats;
-        const std::span<RecordT> buf = scratch.first(data.size());
-        if (sortBuffers(data, buf, pool, stats))
-            std::copy(buf.begin(), buf.end(), data.begin());
+        std::vector<RunSpan> runs = chunkRuns(data.size(), presortRun_);
+        const bool odd = stageCount(runs.size()) % 2 == 1;
+        const std::span<RecordT> other = scratch.first(data.size());
+        std::span<RecordT> src = odd ? other : data;
+        std::span<RecordT> dst = odd ? data : other;
+        presortRuns<RecordT>(data, src, presortRun_, pool);
+        while (runs.size() > 1) {
+            StagePlan plan(std::move(runs), ell_);
+            runStage(plan, src, dst, pool);
+            runs = plan.outputRuns();
+            stats.groupsPerStage.push_back(plan.groups());
+            stats.recordsMoved += plan.totalRecords();
+            ++stats.stages;
+            std::swap(src, dst);
+        }
+        BONSAI_ENSURE(src.data() == data.data(),
+                      "the last stage writes the caller's range");
         return stats;
     }
 
@@ -182,63 +198,33 @@ class BehavioralSorter
             }
         }
 
-        // One merge tree per task: its node blocks are the task's own.
-        pool.parallelFor(tasks.size(), [&](std::uint64_t i) {
-            const SliceTask &task = tasks[i];
-            MergeTree<RecordT>(task.members, task.begin, task.end)
-                .merge(task.out);
+        // One merge tree per task, on lanes that take the tasks in
+        // turn; a lane's trees borrow its arena for their node blocks,
+        // so the blocks are allocated once per lane, not per tree.
+        const std::size_t lanes =
+            std::min<std::size_t>(width, tasks.size());
+        std::atomic<std::size_t> next{0};
+        pool.parallelFor(lanes, [&](std::uint64_t) {
+            RecordBuffer<RecordT> arena;
+            for (std::size_t i = next.fetch_add(1); i < tasks.size();
+                 i = next.fetch_add(1)) {
+                const SliceTask &task = tasks[i];
+                MergeTree<RecordT>(task.members, task.begin, task.end,
+                                   &arena)
+                    .merge(task.out);
+            }
         });
     }
 
   private:
-    /**
-     * Stage loop shared by the vector and span entry points: presort
-     * @p data, then ping-pong merge stages between @p data and
-     * @p scratch.  Returns true when the sorted result ended up in
-     * @p scratch (odd stage count), letting the vector overload move
-     * instead of copy.
-     */
-    bool
-    sortBuffers(std::span<RecordT> data, std::span<RecordT> scratch,
-                ThreadPool &pool, BehavioralStats &stats) const
+    /** Merge stages that reduce @p runs presorted runs to one. */
+    unsigned
+    stageCount(std::uint64_t runs) const
     {
-        BONSAI_REQUIRE(scratch.size() >= data.size(),
-                       "scratch must cover the data range");
-        std::vector<RunSpan> runs = presort(data);
-        std::span<RecordT> src = data;
-        std::span<RecordT> dst = scratch.first(data.size());
-        bool in_scratch = false;
-        while (runs.size() > 1) {
-            StagePlan plan(std::move(runs), ell_);
-            runStage(plan, src, dst, pool);
-            runs = plan.outputRuns();
-            stats.groupsPerStage.push_back(plan.groups());
-            stats.recordsMoved += plan.totalRecords();
-            ++stats.stages;
-            std::swap(src, dst);
-            in_scratch = !in_scratch;
-        }
-        return in_scratch;
-    }
-
-    /** Form initial sorted runs with the bitonic presorter network. */
-    std::vector<RunSpan>
-    presort(std::span<RecordT> data) const
-    {
-        std::vector<RunSpan> runs =
-            chunkRuns(data.size(), presortRun_);
-        if (presortRun_ == 1)
-            return runs;
-        for (const RunSpan &run : runs) {
-            std::span<RecordT> chunk(data.data() + run.offset,
-                                     run.length);
-            if (hw::isPow2(run.length)) {
-                hw::bitonicSortNetwork(chunk);
-            } else {
-                std::sort(chunk.begin(), chunk.end());
-            }
-        }
-        return runs;
+        unsigned stages = 0;
+        for (; runs > 1; runs = (runs + ell_ - 1) / ell_)
+            ++stages;
+        return stages;
     }
 
     /**

@@ -22,9 +22,13 @@
  *
  * Cost: each record is compared and copied once per tree level, with
  * no data-dependent branch; a loser tree instead replays log2(ell)
- * unpredictable branches per record.  Node blocks take
- * (ways - 2) * kBlockRecords records (64 KiB of 16-byte records at
- * ell = 128), owned by the tree and freed with it.
+ * unpredictable branches per record.  A node block is 2 KiB of
+ * records, but never fewer than 32 (128 16-byte records, 85 Record128,
+ * 32 gensort records), and the blocks take (ways - 2) of them: 252 KiB
+ * of 16-byte records at ell = 128.  They live in an arena the caller
+ * lends, so a lane that merges many trees in turn allocates them once
+ * (BehavioralSorter::runStage), or in one the tree owns.  Block size
+ * and placement do not change the merge order.
  */
 
 #ifndef BONSAI_SORTER_MERGE_TREE_HPP
@@ -46,17 +50,21 @@ template <typename RecordT>
 class MergeTree
 {
   public:
-    /** Records per internal-node block. */
-    static constexpr std::size_t kBlockRecords = 32;
+    /** Records per internal-node block: 2 KiB, at least 32. */
+    static constexpr std::size_t kBlockRecords =
+        std::max<std::size_t>(32, 2048 / sizeof(RecordT));
 
     /**
      * Merge input i over positions [begin[i], end[i]) — a Merge Path
      * slice — or over its full extent when @p begin and @p end are
-     * empty.  The inputs must outlive the tree.
+     * empty.  Node blocks live in @p arena, which grows as needed and
+     * is lent to one live tree at a time, or in the tree's own buffer
+     * when it is null.  The inputs must outlive the tree.
      */
     explicit MergeTree(std::span<const std::span<const RecordT>> inputs,
                        std::span<const std::uint64_t> begin = {},
-                       std::span<const std::uint64_t> end = {})
+                       std::span<const std::uint64_t> end = {},
+                       RecordBuffer<RecordT> *arena = nullptr)
     {
         BONSAI_REQUIRE(begin.size() == end.size(),
                        "cursor bound vectors must pair up");
@@ -79,7 +87,8 @@ class MergeTree
         // Nodes 2 .. ways-1 merge into blocks; the root (node 1)
         // merges into the output.
         if (ways_ > 2) {
-            blocks_ = RecordBuffer<RecordT>((ways_ - 2) * kBlockRecords);
+            RecordBuffer<RecordT> &store = arena ? *arena : owned_;
+            blocks_ = store.first((ways_ - 2) * kBlockRecords).data();
             for (std::size_t k = 2; k < ways_; ++k)
                 nodes_[k].drained = false;
         }
@@ -154,7 +163,7 @@ class MergeTree
     void
     refill(std::size_t k)
     {
-        RecordT *const block = blocks_.data() + (k - 2) * kBlockRecords;
+        RecordT *const block = blocks_ + (k - 2) * kBlockRecords;
         RecordT *const end = fill(k, block, block + kBlockRecords);
         const Stream &left = nodes_[2 * k];
         const Stream &right = nodes_[2 * k + 1];
@@ -194,7 +203,8 @@ class MergeTree
     std::size_t ways_ = 1;
     std::vector<Stream> nodes_; ///< heap-indexed; leaves at ways_ + i
     /** Node k's block starts at record (k - 2) * kBlockRecords. */
-    RecordBuffer<RecordT> blocks_;
+    RecordT *blocks_ = nullptr;
+    RecordBuffer<RecordT> owned_; ///< the blocks when no arena is lent
     std::uint64_t total_ = 0;
 };
 

@@ -63,6 +63,7 @@ struct OptionSet
     std::uint64_t budgetBuffers;
     std::uint64_t chunkDivisor; ///< chunk = n / chunkDivisor
     unsigned phase2Ell;
+    unsigned phase1Ell;
 };
 
 /** The knobs that must not change them. */
@@ -81,7 +82,8 @@ describe(const OptionSet &o, const Variant &v)
            std::to_string(o.batch) + " budget_buffers=" +
            std::to_string(o.budgetBuffers) + " chunk_div=" +
            std::to_string(o.chunkDivisor) + " ell=" +
-           std::to_string(o.phase2Ell) + " threads=" +
+           std::to_string(o.phase2Ell) + " phase1_ell=" +
+           std::to_string(o.phase1Ell) + " threads=" +
            std::to_string(v.threads) + " store=" +
            std::to_string(static_cast<int>(v.store)) + " path=" +
            std::to_string(static_cast<int>(v.path));
@@ -97,7 +99,7 @@ StreamEngine<Record>::Options
 engineOptions(const OptionSet &o, unsigned threads)
 {
     StreamEngine<Record>::Options opt;
-    opt.phase1Ell = 4;
+    opt.phase1Ell = o.phase1Ell;
     opt.phase2Ell = o.phase2Ell;
     opt.presortRun = 16;
     // Several runs at the large count, so phase 2 needs several
@@ -245,6 +247,10 @@ constexpr std::uint64_t kChunkDivisors[] = {30, 7, 15};
 /** Requested phase-2 fan-in; the budget caps it (16 survives only
  *  the roomy budget). */
 constexpr unsigned kElls[] = {2, 4, 16};
+/** Phase-1 fan-in: at 128 the in-memory merge tree is wide enough
+ *  that its node blocks matter, and the three give chunks of one to
+ *  five merge stages, odd and even counts. */
+constexpr unsigned kPhase1Ells[] = {4, 16, 128};
 
 TEST(StreamEngineFuzz, TinyInputsAgreeAcrossPathsAndStores)
 {
@@ -254,8 +260,8 @@ TEST(StreamEngineFuzz, TinyInputsAgreeAcrossPathsAndStores)
         for (const Distribution dist : kDists)
             for (const std::uint64_t batch : kBatches)
                 for (const std::uint64_t budget : kBudgets)
-                    sweepOptionSet({n, dist, batch, budget, 30, 4}, rng,
-                                   case_id);
+                    sweepOptionSet({n, dist, batch, budget, 30, 4, 4},
+                                   rng, case_id);
 }
 
 TEST(StreamEngineFuzz, MultiPassInputsAgreeAcrossPathsAndStores)
@@ -264,8 +270,8 @@ TEST(StreamEngineFuzz, MultiPassInputsAgreeAcrossPathsAndStores)
     // distribution and every batch size meets every budget and every
     // fan-in once, and every budget meets every fan-in once, at the
     // count that forces several merge passes.  The chunk size rides
-    // on the distribution, so it too meets every batch, budget and
-    // fan-in.
+    // on the distribution and the phase-1 fan-in on the batch, so
+    // each meets every value of the remaining factors.
     SplitMix64 rng(0x5EED1);
     std::uint64_t case_id = 1000;
     for (std::size_t d = 0; d < 3; ++d) {
@@ -275,7 +281,8 @@ TEST(StreamEngineFuzz, MultiPassInputsAgreeAcrossPathsAndStores)
                               kBatches[b],
                               kBudgets[(d + b) % 3],
                               kChunkDivisors[d],
-                              kElls[(d + 2 * b) % 3]};
+                              kElls[(d + 2 * b) % 3],
+                              kPhase1Ells[b]};
             sweepOptionSet(o, rng, case_id);
         }
     }

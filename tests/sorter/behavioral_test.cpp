@@ -3,13 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "common/checks.hpp"
 #include "common/gensort.hpp"
 #include "common/random.hpp"
+#include "common/record_buffer.hpp"
 #include "common/thread_pool.hpp"
+#include "hw/bitonic.hpp"
 #include "model/perf_model.hpp"
 #include "sorter/behavioral.hpp"
+#include "sorter/merge_tree.hpp"
+#include "sorter/stage_plan.hpp"
 
 namespace bonsai
 {
@@ -191,6 +196,88 @@ TEST(Behavioral, MatchesStdSort)
         EXPECT_EQ(data[i].key, expect[i].key);
 }
 
+TEST(Behavioral, EveryStageParityEndsInTheCallersRange)
+{
+    // 0, 1, 2 and 3 stages at ell = 16: the presort lands in the
+    // caller's range or in the scratch so that the last stage writes
+    // the caller's range.  One scratch serves every size, grown on
+    // demand and never cleared.
+    ThreadPool pool(3);
+    RecordBuffer<Record> scratch;
+    const sorter::BehavioralSorter<Record> sorter(16, 16, 3);
+    const std::pair<std::size_t, unsigned> cases[] = {
+        {10, 0}, {200, 1}, {3000, 2}, {50'000, 3}, {1000, 2}};
+    for (const auto &[n, stages] : cases) {
+        const auto input = makeRecords(n, Distribution::FewDistinct, n);
+        auto want = input;
+        const auto want_stats = sorter.sort(want);
+        auto got = input;
+        EXPECT_EQ(sorter.sort(std::span<Record>(got), pool, scratch),
+                  want_stats);
+        EXPECT_EQ(got, want) << "n=" << n;
+        got = input;
+        sorter.sort(std::span<Record>(got), pool);
+        EXPECT_EQ(got, want) << "n=" << n;
+        EXPECT_TRUE(isSorted(std::span<const Record>(got)));
+        EXPECT_EQ(want_stats.stages, stages) << "n=" << n;
+    }
+}
+
+/**
+ * The sorter spelled out with the reference parts: presort each run
+ * with hw::bitonicSortNetwork (std::sort on a tail that is not a
+ * power of two), then merge each StagePlan group with one MergeTree.
+ */
+std::vector<Record>
+referenceSort(std::vector<Record> data, unsigned ell, std::uint64_t run)
+{
+    std::vector<RunSpan> runs = chunkRuns(data.size(), run);
+    for (const RunSpan &r : runs) {
+        const std::span<Record> block(data.data() + r.offset, r.length);
+        if (hw::isPow2(block.size()))
+            hw::bitonicSortNetwork(block);
+        else
+            std::sort(block.begin(), block.end());
+    }
+    std::vector<Record> other(data.size());
+    while (runs.size() > 1) {
+        const sorter::StagePlan plan(std::move(runs), ell);
+        const std::vector<RunSpan> out = plan.outputRuns();
+        for (std::uint64_t g = 0; g < plan.groups(); ++g) {
+            std::vector<std::span<const Record>> members;
+            for (const RunSpan &r : plan.groupRuns(g))
+                members.emplace_back(data.data() + r.offset, r.length);
+            sorter::MergeTree<Record>(members).merge(other.data() +
+                                                     out[g].offset);
+        }
+        runs = out;
+        data.swap(other);
+    }
+    return data;
+}
+
+TEST(Behavioral, PresortRunLengthsMatchTheReferenceSort)
+{
+    for (const std::uint64_t run : {1u, 8u, 16u, 32u}) {
+        for (const std::size_t n : {1003u, 40'005u}) {
+            for (const Distribution dist :
+                 {Distribution::FewDistinct, Distribution::UniformRandom}) {
+                const auto input = makeRecords(n, dist, run + n);
+                const auto want = referenceSort(input, 16, run);
+                for (const unsigned threads : {1u, 4u}) {
+                    auto got = input;
+                    sorter::BehavioralSorter<Record>(16, run, threads)
+                        .sort(got);
+                    EXPECT_EQ(got, want)
+                        << "run=" << run << " n=" << n << " dist="
+                        << static_cast<int>(dist)
+                        << " threads=" << threads;
+                }
+            }
+        }
+    }
+}
+
 /** Order-dependent FNV-1a digest over every record's key and value. */
 std::uint64_t
 orderedDigest(std::span<const Record> recs)
@@ -210,6 +297,23 @@ class BehavioralGolden
 {
 };
 
+/** Sort @p input through the vector and the span overloads at
+ *  fan-in @p ell on @p threads threads; both must give @p golden. */
+void
+expectDigest(const std::vector<Record> &input, unsigned ell,
+             unsigned threads, std::uint64_t golden)
+{
+    auto data = input;
+    sorter::BehavioralSorter<Record>(ell, 16, threads).sort(data);
+    EXPECT_EQ(orderedDigest(data), golden);
+
+    data = input;
+    ThreadPool pool(threads);
+    sorter::BehavioralSorter<Record>(ell, 16, threads)
+        .sort(std::span<Record>(data), pool);
+    EXPECT_EQ(orderedDigest(data), golden);
+}
+
 /** The sorted bytes of a FewDistinct input are pinned per fan-in.
  *  Each merge stage keeps the (key, input index, position) order, so
  *  the digest is the same for every thread count and Merge Path
@@ -222,18 +326,23 @@ TEST_P(BehavioralGolden, FewDistinctDigestIsPinned)
     const std::uint64_t golden = ell == 2 ? 682775178126978180ULL
         : ell == 16                       ? 4815198268905582772ULL
                                           : 1357850893837343016ULL;
-    const auto input =
-        makeRecords(200'003, Distribution::FewDistinct, 29);
+    expectDigest(makeRecords(200'003, Distribution::FewDistinct, 29), ell,
+                 threads, golden);
+}
 
-    auto data = input;
-    sorter::BehavioralSorter<Record>(ell, 16, threads).sort(data);
-    EXPECT_EQ(orderedDigest(data), golden);
-
-    data = input;
-    ThreadPool pool(threads);
-    sorter::BehavioralSorter<Record>(ell, 16, threads)
-        .sort(std::span<Record>(data), pool);
-    EXPECT_EQ(orderedDigest(data), golden);
+/** As above over 16 keys that straddle 2^63 (2^63 - 7 .. 2^63 + 8),
+ *  where a presorter or merger that compared keys as signed words
+ *  would order the upper half first. */
+TEST_P(BehavioralGolden, FewDistinctKeysAcross2To63DigestIsPinned)
+{
+    const auto [ell, threads] = GetParam();
+    const std::uint64_t golden = ell == 2 ? 7449966820395869071ULL
+        : ell == 16                       ? 11213799219694727531ULL
+                                          : 1385614997471880327ULL;
+    auto input = makeRecords(200'003, Distribution::FewDistinct, 31);
+    for (Record &r : input)
+        r.key += (std::uint64_t{1} << 63) - 8;
+    expectDigest(input, ell, threads, golden);
 }
 
 INSTANTIATE_TEST_SUITE_P(

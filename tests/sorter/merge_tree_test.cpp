@@ -4,7 +4,9 @@
  * write, byte for byte, the sequence TournamentTree pops over the same
  * inputs — the (key, input index, position) order — for every fan-in,
  * member shape, key distribution and record width, and Merge Path
- * slices of it must concatenate to the whole merge.
+ * slices of it must concatenate to the whole merge.  Trees that
+ * borrow one arena for their node blocks must write what trees that
+ * own them write.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include "common/gensort.hpp"
 #include "common/random.hpp"
 #include "common/record.hpp"
+#include "common/record_buffer.hpp"
 #include "sorter/merge_path.hpp"
 #include "sorter/merge_tree.hpp"
 #include "sorter/tournament.hpp"
@@ -86,10 +89,11 @@ template <typename RecordT>
 std::vector<RecordT>
 treeMerge(const Runs<RecordT> &runs,
           const std::vector<std::uint64_t> &begin = {},
-          const std::vector<std::uint64_t> &end = {})
+          const std::vector<std::uint64_t> &end = {},
+          RecordBuffer<RecordT> *arena = nullptr)
 {
     const auto spans = spansOf(runs);
-    sorter::MergeTree<RecordT> tree(spans, begin, end);
+    sorter::MergeTree<RecordT> tree(spans, begin, end, arena);
     std::vector<RecordT> out(tree.size());
     EXPECT_EQ(tree.merge(out.data()), out.data() + out.size());
     return out;
@@ -236,6 +240,44 @@ TYPED_TEST(MergeTreeTyped, SlicesConcatenateToTheWholeMerge)
                              << " ways=" << ways << " parts=" << parts);
                 expectSameBytes(sliced, whole);
             }
+        }
+    }
+}
+
+TYPED_TEST(MergeTreeTyped, BlocksAreTwoKibibytesButAtLeast32Records)
+{
+    constexpr std::size_t want =
+        std::max<std::size_t>(32, 2048 / sizeof(TypeParam));
+    EXPECT_EQ(sorter::MergeTree<TypeParam>::kBlockRecords, want);
+    EXPECT_EQ(sorter::MergeTree<Record>::kBlockRecords, 128u);
+    EXPECT_EQ(sorter::MergeTree<Record128>::kBlockRecords, 85u);
+    EXPECT_EQ(sorter::MergeTree<GensortRecord>::kBlockRecords, 32u);
+}
+
+TYPED_TEST(MergeTreeTyped, TreesSharingAnArenaMatchTreesOwningBlocks)
+{
+    // Trees built in turn on one arena — wide, narrow, then wider, so
+    // the arena both shrinks in use and regrows — write the bytes of
+    // trees that own their blocks.
+    RecordBuffer<TypeParam> arena;
+    for (const Distribution dist : kDists) {
+        for (const std::size_t ways : {128u, 5u, 256u, 2u, 16u}) {
+            const auto runs = makeRuns<TypeParam>(
+                ways, dist, [](std::size_t i) { return 90 + i * 11 % 37; });
+            SCOPED_TRACE(::testing::Message()
+                         << "dist=" << static_cast<int>(dist)
+                         << " ways=" << ways);
+            const auto owned = treeMerge(runs);
+            expectSameBytes(treeMerge(runs, {}, {}, &arena), owned);
+            const sorter::MergePath<TypeParam> path(spansOf(runs));
+            const auto bounds = path.partition(3);
+            std::vector<TypeParam> sliced;
+            for (unsigned t = 0; t < 3; ++t) {
+                const auto slice =
+                    treeMerge(runs, bounds[t], bounds[t + 1], &arena);
+                sliced.insert(sliced.end(), slice.begin(), slice.end());
+            }
+            expectSameBytes(sliced, owned);
         }
     }
 }
