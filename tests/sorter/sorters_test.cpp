@@ -245,6 +245,96 @@ TEST(SsdSorter, StreamedSortMatchesInMemorySort)
               report.stream.bufferPoolBytes);
 }
 
+/** Gensort records [0, n) of seed 2020, generated as they are read,
+ *  so a large input costs no memory. */
+class GeneratedSource : public io::RecordSource<GensortRecord>
+{
+  public:
+    explicit GeneratedSource(std::uint64_t n) : n_(n) {}
+
+    std::uint64_t totalRecords() const override { return n_; }
+
+    std::uint64_t
+    read(GensortRecord *dst, std::uint64_t max) override
+    {
+        const std::uint64_t k = std::min(max, n_ - next_);
+        const auto recs = gen_.generate(next_, k);
+        std::copy(recs.begin(), recs.end(), dst);
+        next_ += k;
+        return k;
+    }
+
+  private:
+    GensortGenerator gen_{2020};
+    std::uint64_t n_;
+    std::uint64_t next_ = 0;
+};
+
+/** Keeps only a count and whether the records came in order. */
+class OrderCheckingSink : public io::RecordSink<GensortRecord>
+{
+  public:
+    void
+    write(const GensortRecord *src, std::uint64_t count) override
+    {
+        for (std::uint64_t i = 0; i < count; ++i) {
+            sorted_ = sorted_ && !(records_ > 0 && src[i] < last_);
+            last_ = src[i];
+            ++records_;
+        }
+    }
+
+    std::uint64_t records() const { return records_; }
+    bool sorted() const { return sorted_; }
+
+  private:
+    GensortRecord last_;
+    std::uint64_t records_ = 0;
+    bool sorted_ = true;
+};
+
+TEST(SsdSorter, StreamedShapeAndPoolPeakArePinned)
+{
+    // The phase-2 shape of a 1-thread gensort extsort at three CLI
+    // budgets.  The admitted fan-in decides the order of equal keys,
+    // so the merge kernel must leave every figure here as it is.  The
+    // pool peak is the widest group's cursors plus one output buffer:
+    // merge-tree node blocks come from the lane's own arena, never
+    // from the pool.
+    struct Pinned
+    {
+        std::uint64_t budgetMib;
+        unsigned ell;
+        unsigned lanes;
+        unsigned passes;
+        std::uint64_t widestGroup;
+    };
+    // 67, 17 and 5 phase-1 runs: at 4 MiB a non-final pass merges
+    // groups of 34 and 33 runs before the final pass.
+    constexpr std::uint64_t kRecords = 700'000;
+    constexpr Pinned kPinned[] = {
+        {4, 64, 1, 2, 34}, {16, 64, 1, 1, 17}, {64, 64, 1, 1, 5}};
+    for (const Pinned &pin : kPinned) {
+        GeneratedSource source(kRecords);
+        OrderCheckingSink sink;
+        sorter::SsdSorter::StreamOptions opts;
+        opts.memoryBudgetBytes = pin.budgetMib << 20;
+        const auto s = sorter::SsdSorter()
+                           .sortStream(source, sink, 100, opts)
+                           .stream;
+        SCOPED_TRACE(::testing::Message()
+                     << "budget " << pin.budgetMib << " MiB");
+        EXPECT_EQ(s.effectiveEll, pin.ell);
+        EXPECT_EQ(s.concurrentGroups, pin.lanes);
+        EXPECT_EQ(s.mergePasses, pin.passes);
+        EXPECT_EQ(s.bufferPoolPeakBytes,
+                  (pin.widestGroup + 1) * s.batchRecords *
+                      sizeof(GensortRecord));
+        EXPECT_EQ(sink.records(), kRecords);
+        EXPECT_TRUE(sink.sorted());
+    }
+}
+
 TEST(SsdSorter, StreamedDegenerateInputs)
 {
     sorter::SsdSorter sorter;
