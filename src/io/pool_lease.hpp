@@ -1,7 +1,7 @@
 /**
  * @file
- * RAII lease of one io::BufferPool buffer — what RunCursor and
- * StreamWriter hold their batch buffer through.
+ * RAII lease of one io::BufferPool buffer — what a RunCursor and a
+ * phase-2 merge's output batch hold their buffer through.
  *
  * A raw acquire()d std::vector owes the pool a release(); a task that
  * throws between the acquire and the release would leak the pool's
@@ -42,11 +42,9 @@ class PoolLease
     }
 
     PoolLease(PoolLease &&other) noexcept
-        : pool_(other.pool_), buf_(std::move(other.buf_)),
-          len_(other.len_)
+        : pool_(other.pool_), buf_(std::move(other.buf_))
     {
         other.pool_ = nullptr;
-        other.len_ = 0;
     }
 
     PoolLease &
@@ -56,9 +54,7 @@ class PoolLease
             reset();
             pool_ = other.pool_;
             buf_ = std::move(other.buf_);
-            len_ = other.len_;
             other.pool_ = nullptr;
-            other.len_ = 0;
         }
         return *this;
     }
@@ -68,20 +64,11 @@ class PoolLease
 
     ~PoolLease() { reset(); }
 
-    /** True when a buffer is held. */
-    bool held() const { return pool_ != nullptr; }
-
     RecordT *data() { return buf_.data(); }
     const RecordT *data() const { return buf_.data(); }
 
     /** Record capacity of the held buffer (the pool's batch size). */
     std::uint64_t capacity() const { return buf_.size(); }
-
-    /** Records currently meaningful in the buffer — payload metadata
-     *  carried with the lease so queue consumers know the fill. */
-    std::uint64_t length() const { return len_; }
-
-    void setLength(std::uint64_t len) { len_ = len; }
 
     /** Return the buffer to its pool early (idempotent). */
     void
@@ -91,13 +78,11 @@ class PoolLease
             pool_->release(std::move(buf_));
             pool_ = nullptr;
         }
-        len_ = 0;
     }
 
   private:
     BufferPool<RecordT> *pool_ = nullptr;
     std::vector<RecordT> buf_;
-    std::uint64_t len_ = 0;
 };
 
 } // namespace bonsai::io

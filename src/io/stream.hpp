@@ -159,8 +159,8 @@ class RecordSink
 /**
  * Sequential view of one disjoint segment of a parent sink's declared
  * window: write() forwards to writeSegment() at an advancing offset,
- * so the batching StreamWriter can drive a slice of the final
- * merge without knowing about segments.
+ * so a slice of the final merge writes its batches without knowing
+ * about segments.
  */
 template <typename RecordT>
 class SegmentSink : public RecordSink<RecordT>

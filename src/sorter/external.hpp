@@ -5,8 +5,7 @@
  *
  *   sorter/stream_stats.hpp   unified telemetry struct
  *   sorter/run_cursor.hpp     batch-reading run cursor (1 pool buffer)
- *   sorter/stream_writer.hpp  batch writer (1 pool buffer)
- *   sorter/tournament.hpp     the streamed merge's loser-tree kernel
+ *   sorter/merge_tree.hpp     the merge kernel of both phases
  *   sorter/merge_plan.hpp     Equation-10 shape and lane reservation
  *   sorter/splitter.hpp       out-of-core Merge Path boundary search
  *   sorter/phase1_spill.hpp   phase 1 as a two-buffer read/sort/spill
@@ -25,19 +24,21 @@
  * Equation 10's b * ell on-chip buffer bound: fan-in AND the number
  * of concurrently merging lanes are jointly derived from the budget
  * (b * laneBuffers(ell) * W buffers), so resident memory never
- * exceeds it.  Each lane reads and writes its runs on the thread that
- * merges.  The final pass is splitter-partitioned into positioned
- * sink segments — byte-identical to the serial tournament for any
- * thread count, including equal-key floods.
+ * exceeds it.  Each lane merges a group through one MergeTree whose
+ * leaves refill from run cursors, and reads and writes its runs on
+ * the thread that merges.  The final pass is splitter-partitioned
+ * into positioned sink segments — byte-identical to the serial merge
+ * for any thread count, including equal-key floods.
  *
  * sortInPlace() is the in-memory adapter: its passes run on
  * BehavioralSorter::runStage — the Merge Path sliced, thread-parallel
  * kernel — over memory-backed stores with zero copies.  The streamed
  * sort always merges through the Phase2Merger, memory stores
- * included.  Both emit the identical record sequence (the per-group
- * loser-tree augmented order), so a streamed sort is byte-identical
- * to the in-memory sort of the same input whenever the buffer budget
- * admits the planned fan-in.
+ * included.  Both merge through MergeTree and emit the identical
+ * record sequence (the per-group augmented (key, run index,
+ * position) order), so a streamed sort is byte-identical to the
+ * in-memory sort of the same input whenever the buffer budget admits
+ * the planned fan-in.
  *
  * The streamed sort has one entry point, sortStream(const
  * SortRequest&), and a request varies it along two axes:

@@ -19,10 +19,10 @@
  *     (key, input index, position within input)
  *
  * which has no ties (index/position pairs are unique).  The merge
- * kernels emit that order too (MergeTree's ties go left, to the lower
- * input index; TournamentTree breaks equal keys by input index), so the
- * concatenation of the slice merges is byte-identical to the serial
- * merge for any slice count — including all-equal-key inputs.
+ * kernel emits that order too (MergeTree's ties go left, to the lower
+ * input index), so the concatenation of the slice merges is
+ * byte-identical to the serial merge for any slice count — including
+ * all-equal-key inputs.
  *
  * Cost: one cut is O(sum_i log n_i) rank evaluations, each of which
  * binary-searches every input — O((ell log n)^2) comparisons per cut,

@@ -8,17 +8,20 @@
  *  - non-final passes merge independent groups on up to W compute
  *    tasks, each taking the next group from a shared counter;
  *  - the final pass is cut into W key-space slices along splitters
- *    (sorter/splitter.hpp), each slice merging through its own cursor
- *    set and landing in the sink as a positioned segment at its exact
- *    output rank — byte-identical to the serial tournament for any
- *    lane count, including equal-key floods.
+ *    (sorter/splitter.hpp), each slice merging its own sub-runs and
+ *    landing in the sink as a positioned segment at its exact output
+ *    rank — byte-identical to the serial merge for any lane count,
+ *    including equal-key floods.
  *
- * The tournament is the loser-tree kernel in sorter/tournament.hpp,
- * run here over a set of RunCursors; it pops the same (key, input
- * index, position) order as the in-memory MergeTree.  Every task
- * reads and writes its runs on its own thread: the buffered store and
- * sink I/O underneath already reads ahead and writes behind, so phase
- * 2 starts no threads of its own.
+ * Every group or slice is one MergeTree (sorter/merge_tree.hpp) — the
+ * in-memory sort's kernel — whose leaves refill from RunCursors, one
+ * leased pool buffer per member, and whose root fills one more leased
+ * buffer that is written to the store or sink whenever it is full.
+ * A one-member group is a one-leaf tree.  Node blocks come from one
+ * arena per merge lane, outside the pool.  Every task reads and
+ * writes its runs on its own thread: the buffered store and sink I/O
+ * underneath already reads ahead and writes behind, so phase 2 starts
+ * no threads of its own.
  */
 
 #ifndef BONSAI_SORTER_PHASE2_MERGE_HPP
@@ -32,6 +35,7 @@
 #include <vector>
 
 #include "common/contract.hpp"
+#include "common/record_buffer.hpp"
 #include "common/run.hpp"
 #include "common/sync.hpp"
 #include "common/thread_pool.hpp"
@@ -40,12 +44,11 @@
 #include "io/run_store.hpp"
 #include "io/stream.hpp"
 #include "sorter/checkpoint.hpp"
+#include "sorter/merge_tree.hpp"
 #include "sorter/run_cursor.hpp"
 #include "sorter/splitter.hpp"
 #include "sorter/stage_plan.hpp"
 #include "sorter/stream_stats.hpp"
-#include "sorter/stream_writer.hpp"
-#include "sorter/tournament.hpp"
 
 namespace bonsai::sorter
 {
@@ -126,35 +129,6 @@ class Phase2Merger
         double writeStall = 0.0;
     };
 
-    /** TournamentTree's view of a set of streaming run cursors. */
-    class CursorSet
-    {
-      public:
-        explicit CursorSet(std::vector<RunCursor<RecordT>> &cursors)
-            : cursors_(&cursors)
-        {
-        }
-
-        std::size_t size() const { return cursors_->size(); }
-
-        bool
-        exhausted(std::size_t i) const
-        {
-            return (*cursors_)[i].exhausted();
-        }
-
-        const RecordT &
-        head(std::size_t i) const
-        {
-            return (*cursors_)[i].head();
-        }
-
-        void advance(std::size_t i) { (*cursors_)[i].advance(); }
-
-      private:
-        std::vector<RunCursor<RecordT>> *cursors_;
-    };
-
     static void
     foldTally(const GroupTally &t, StreamStats &stats)
     {
@@ -182,15 +156,17 @@ class Phase2Merger
         std::atomic<std::size_t> next{0};
         // parallelFor tasks must not throw (a leaked exception kills a
         // pool worker), so trap the first error and rethrow it after
-        // the join; later failures count as secondary.
+        // the join; later failures count as secondary.  A lane's trees
+        // borrow its arena for their node blocks.
         pool_->parallelFor(width, [&](std::uint64_t) {
             try {
+                RecordBuffer<RecordT> arena;
                 for (;;) {
                     const std::size_t i = next.fetch_add(1);
                     if (i >= work.size())
                         break;
-                    tallies[i] =
-                        mergeOneGroup(src, plan, out, work[i], dst);
+                    tallies[i] = mergeOneGroup(src, plan, out, work[i],
+                                               dst, arena);
                 }
             } catch (...) {
                 trap_->store(std::current_exception());
@@ -201,22 +177,18 @@ class Phase2Merger
             foldTally(t, stats);
     }
 
-    /** Merge (or, for a singleton group, batch-copy) group @p g of
-     *  @p plan into its output run in @p dst. */
+    /** Merge group @p g of @p plan into its output run in @p dst. */
     GroupTally
     mergeOneGroup(const io::RunStore<RecordT> &src,
                   const StagePlan &plan,
                   const std::vector<RunSpan> &out, std::uint64_t g,
-                  io::RunStore<RecordT> &dst)
+                  io::RunStore<RecordT> &dst, RecordBuffer<RecordT> &arena)
     {
-        const std::vector<RunSpan> members = plan.groupRuns(g);
         const std::string ctx =
             "phase-2 write-back of merge group " + std::to_string(g);
         io::RunStoreSink<RecordT> gsink(dst, out[g].offset,
                                         ctx.c_str());
-        if (members.size() == 1)
-            return copyRun(src, members[0], gsink);
-        return mergeGroup(src, members, gsink);
+        return mergeGroup(src, plan.groupRuns(g), gsink, &arena);
     }
 
     /** The final pass (one group, streaming to the sink): cut the
@@ -230,11 +202,6 @@ class Phase2Merger
               const std::vector<RunSpan> &members,
               io::RecordSink<RecordT> &sink, StreamStats &stats)
     {
-        if (members.size() == 1) {
-            stats.finalSlices = 1;
-            foldTally(copyRun(src, members[0], sink), stats);
-            return;
-        }
         std::uint64_t total = 0;
         for (const RunSpan &m : members)
             total += m.length;
@@ -266,8 +233,8 @@ class Phase2Merger
         pool_->parallelFor(slices, [&](std::uint64_t t) {
             try {
                 // Keep every member — empty sub-spans included — in
-                // member order, so cursor indices (the equal-key tie
-                // break) match the serial tournament's.
+                // member order, so leaf indices (the equal-key tie
+                // break) match the serial merge's.
                 std::vector<RunSpan> sub;
                 sub.reserve(members.size());
                 for (std::size_t j = 0; j < members.size(); ++j)
@@ -285,55 +252,41 @@ class Phase2Merger
             foldTally(t, stats);
     }
 
-    /** Singleton-group bypass: a 1-member group needs no tournament —
-     *  copy the run to @p out one batch at a time. */
-    GroupTally
-    copyRun(const io::RunStore<RecordT> &src, const RunSpan &run,
-            io::RecordSink<RecordT> &out)
-    {
-        GroupTally tally;
-        const std::string ctx = "batch-copy of run @" +
-                                std::to_string(run.offset) + "+" +
-                                std::to_string(run.length);
-        io::PoolLease<RecordT> buf(*bufs_);
-        for (std::uint64_t done = 0; done < run.length;) {
-            const std::uint64_t n = std::min<std::uint64_t>(
-                buf.capacity(), run.length - done);
-            addSeconds(tally.readStall, [&] {
-                src.readAt(run.offset + done, buf.data(), n,
-                           ctx.c_str());
-            });
-            addSeconds(tally.writeStall,
-                       [&] { out.write(buf.data(), n); });
-            done += n;
-        }
-        tally.moved = run.length;
-        return tally;
-    }
-
-    /** Stream-merge one group of runs from @p src into @p out via
-     *  the shared tournament kernel. */
+    /**
+     * Stream-merge one group of runs from @p src into @p out: a merge
+     * tree whose leaves refill from one RunCursor per member and whose
+     * root fills one leased batch at a time, written whole to @p out.
+     * The group holds members + 1 pool buffers; its node blocks live
+     * in @p arena, or in the tree when that is null (one tree per
+     * final-pass slice).
+     */
     GroupTally
     mergeGroup(const io::RunStore<RecordT> &src,
                const std::vector<RunSpan> &members,
-               io::RecordSink<RecordT> &out)
+               io::RecordSink<RecordT> &out,
+               RecordBuffer<RecordT> *arena = nullptr)
     {
         GroupTally tally;
         std::vector<RunCursor<RecordT>> cursors;
         cursors.reserve(members.size());
         for (const RunSpan &m : members)
             cursors.emplace_back(src, m, *bufs_);
-        StreamWriter<RecordT> drain(out, *bufs_);
-        CursorSet set(cursors);
-        TournamentTree<RecordT, CursorSet> merge(set);
-        while (!merge.done()) {
-            drain.push(merge.pop());
-            ++tally.moved;
+        io::PoolLease<RecordT> batch(*bufs_);
+        MergeTree<RecordT> tree(
+            members.size(),
+            [&cursors](std::size_t i) { return cursors[i].next(); },
+            arena);
+        RecordT *const first = batch.data();
+        for (;;) {
+            const auto n = static_cast<std::uint64_t>(
+                tree.fill(first, first + batch.capacity()) - first);
+            if (n == 0)
+                break;
+            addSeconds(tally.writeStall, [&] { out.write(first, n); });
+            tally.moved += n;
         }
-        drain.finish();
         for (const RunCursor<RecordT> &c : cursors)
             tally.readStall += c.stallSeconds();
-        tally.writeStall += drain.stallSeconds();
         return tally;
     }
 

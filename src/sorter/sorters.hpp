@@ -233,7 +233,9 @@ class SsdSorter
     {
         /** Total resident-memory budget: two streaming chunk buffers
          *  plus sort scratch in phase 1, the batch buffer pool in
-         *  phase 2.  0 = 256 MiB. */
+         *  phase 2.  0 = 256 MiB.  The merge trees' node-block arenas
+         *  (phase 1 and phase 2, a few hundred KiB per merge lane)
+         *  sit outside the pool. */
         std::uint64_t memoryBudgetBytes = 0;
         /** Streaming batch size b, in records.  0 derives it from
          *  the planner's Equation 10 batch (phase2.batchBytes). */

@@ -11,7 +11,7 @@
  * <= batch window.  The tie rule is the shared Merge Path predicate
  * (sorter::precedesPivot in merge_path.hpp) — stated once for the
  * in-memory partitioner and this probe alike — so the concatenated
- * slice merges are byte-identical to the serial tournament, including
+ * slice merges are byte-identical to the serial merge, including
  * on equal-key floods.
  */
 
@@ -80,7 +80,7 @@ storedRunBoundary(const io::RunStore<RecordT> &src, const RunSpan &m,
  * the augmented (key, run index, position) order.  Row 0 is all
  * zeros, row @p slices is the member lengths, and rows are monotone —
  * consecutive rows delimit disjoint sub-spans whose concatenation in
- * t order is exactly the serial tournament output (any monotone
+ * t order is exactly the serial merge's output (any monotone
  * sequence of consistent cuts is).
  *
  * Pivots are sampled batch-aligned from the stored runs so every

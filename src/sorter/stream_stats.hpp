@@ -32,7 +32,7 @@ struct StreamStats
      *  concurrently in non-final passes (1 = serial fallback). */
     unsigned concurrentGroups = 0;
     /** Splitter slices the final pass actually merged with (1 =
-     *  serial tournament). */
+     *  serial merge). */
     unsigned finalSlices = 0;
     std::uint64_t batchRecords = 0;    ///< streaming batch size b
     std::uint64_t bufferPoolBytes = 0; ///< bounded pool budget

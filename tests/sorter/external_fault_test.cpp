@@ -208,7 +208,7 @@ TEST(StreamEngineFaults, FinalSplitterPassFaultUnwindsCleanly)
 TEST(StreamEngineFaults, MergePassWriteBackErrorUnwindsCleanly)
 {
     // The destination store of a non-final merge pass rejects the
-    // write-back: the StreamWriter's batch write throws on the
+    // write-back: the merge group's batch write throws on the
     // merging thread.
     const auto data = makeRecords(30'000, Distribution::UniformRandom);
     for (const unsigned threads : {1u, 4u}) {

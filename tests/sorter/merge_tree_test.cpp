@@ -1,12 +1,14 @@
 /**
  * @file
- * Differential tests for the in-memory merge kernel: MergeTree must
- * write, byte for byte, the sequence TournamentTree pops over the same
- * inputs — the (key, input index, position) order — for every fan-in,
- * member shape, key distribution and record width, and Merge Path
- * slices of it must concatenate to the whole merge.  Trees that
- * borrow one arena for their node blocks must write what trees that
- * own them write.
+ * Differential tests for the merge kernel: MergeTree must write, byte
+ * for byte, the sequence the reference loser tree (tournament.hpp)
+ * pops over the same inputs — the (key, input index, position) order
+ * — for every fan-in, member shape, key distribution and record
+ * width, and Merge Path slices of it must concatenate to the whole
+ * merge.  Trees that borrow one arena for their node blocks must
+ * write what trees that own them write, and trees whose leaves stream
+ * batches from RunCursors over a memory or file store must write what
+ * the in-memory merge writes, at every batch size.
  */
 
 #include <gtest/gtest.h>
@@ -20,9 +22,13 @@
 #include "common/random.hpp"
 #include "common/record.hpp"
 #include "common/record_buffer.hpp"
+#include "common/run.hpp"
+#include "io/buffer_pool.hpp"
+#include "io/run_store.hpp"
 #include "sorter/merge_path.hpp"
 #include "sorter/merge_tree.hpp"
-#include "sorter/tournament.hpp"
+#include "sorter/run_cursor.hpp"
+#include "tournament.hpp"
 
 namespace bonsai
 {
@@ -96,6 +102,40 @@ treeMerge(const Runs<RecordT> &runs,
     sorter::MergeTree<RecordT> tree(spans, begin, end, arena);
     std::vector<RecordT> out(tree.size());
     EXPECT_EQ(tree.merge(out.data()), out.data() + out.size());
+    return out;
+}
+
+/**
+ * Lay @p runs end to end in @p store and merge them through a streamed
+ * tree whose leaves are RunCursors reading @p batch records at a time,
+ * filling output batches of the same size — the shape of a phase-2
+ * merge group.
+ */
+template <typename RecordT>
+std::vector<RecordT>
+streamedMerge(const Runs<RecordT> &runs, io::RunStore<RecordT> &store,
+              std::uint64_t batch)
+{
+    io::BufferPool<RecordT> pool(batch, (runs.size() + 1) * batch *
+                                            sizeof(RecordT));
+    std::vector<sorter::RunCursor<RecordT>> cursors;
+    std::uint64_t offset = 0;
+    for (const auto &run : runs) {
+        if (!run.empty())
+            store.writeAt(offset, run.data(), run.size());
+        cursors.emplace_back(store, RunSpan{offset, run.size()}, pool);
+        offset += run.size();
+    }
+    io::PoolLease<RecordT> out_batch(pool);
+    sorter::MergeTree<RecordT> tree(
+        runs.size(),
+        [&cursors](std::size_t i) { return cursors[i].next(); });
+    std::vector<RecordT> out;
+    RecordT *const first = out_batch.data();
+    for (RecordT *last = tree.fill(first, first + batch); last != first;
+         last = tree.fill(first, first + batch))
+        out.insert(out.end(), first, last);
+    EXPECT_EQ(pool.outstanding(), runs.size() + 1);
     return out;
 }
 
@@ -239,6 +279,36 @@ TYPED_TEST(MergeTreeTyped, SlicesConcatenateToTheWholeMerge)
                              << "dist=" << static_cast<int>(dist)
                              << " ways=" << ways << " parts=" << parts);
                 expectSameBytes(sliced, whole);
+            }
+        }
+    }
+}
+
+TYPED_TEST(MergeTreeTyped, StreamedLeavesMatchTheInMemoryMerge)
+{
+    for (const Distribution dist : kDists) {
+        for (const std::size_t ways : {1u, 2u, 3u, 5u, 64u}) {
+            // Every fourth member empty, one far longer than the rest.
+            const auto runs =
+                makeRuns<TypeParam>(ways, dist, [](std::size_t i) {
+                    if (i % 4 == 1)
+                        return std::size_t{0};
+                    return i == 2 ? std::size_t{300} : 30 + i * 7 % 23;
+                });
+            const auto want = tournamentMerge(runs);
+            std::uint64_t total = 0;
+            for (const auto &run : runs)
+                total += run.size();
+            for (const std::uint64_t batch : {1u, 2u, 3u, 40u}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "dist=" << static_cast<int>(dist)
+                             << " ways=" << ways << " batch=" << batch);
+                std::vector<TypeParam> backing(total);
+                io::MemoryRunStore<TypeParam> memory{
+                    std::span<TypeParam>(backing)};
+                expectSameBytes(streamedMerge(runs, memory, batch), want);
+                io::FileRunStore<TypeParam> file;
+                expectSameBytes(streamedMerge(runs, file, batch), want);
             }
         }
     }
