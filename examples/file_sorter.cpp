@@ -175,9 +175,11 @@ cmdExtSort(const char *in_path, const char *out_path, unsigned threads,
                 static_cast<unsigned long long>(s.phase1Chunks),
                 s.phase1Seconds * 1e3);
     std::printf("phase 2: %u pass(es) at fan-in %u (batch b = %llu "
-                "records, pool %llu KiB) in %.1f ms\n",
+                "records, Eq. 10 F1 batch %llu, pool %llu KiB) in "
+                "%.1f ms\n",
                 s.mergePasses, s.effectiveEll,
                 static_cast<unsigned long long>(s.batchRecords),
+                static_cast<unsigned long long>(s.modelBatchRecords),
                 static_cast<unsigned long long>(s.bufferPoolBytes >> 10),
                 s.phase2Seconds * 1e3);
     std::printf("phase 2 parallelism: %u merge lane(s), final pass "

@@ -50,6 +50,13 @@ class RecordBuffer
         return std::launder(reinterpret_cast<RecordT *>(bytes_.get()));
     }
 
+    const RecordT *
+    data() const
+    {
+        return std::launder(
+            reinterpret_cast<const RecordT *>(bytes_.get()));
+    }
+
     /** The first @p records records; the buffer grows (dropping its
      *  contents) when it holds fewer. */
     std::span<RecordT>

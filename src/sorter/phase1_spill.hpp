@@ -109,7 +109,7 @@ class Phase1Spiller
             c.len = std::min<std::uint64_t>(chunk, total - offset);
             if (c.len == 0)
                 return;
-            c.buf.resize(chunk);
+            c.buf.first(chunk);
             c.offset = offset;
             c.index = index++;
             for (std::uint64_t got = 0; got < c.len;) {
@@ -192,10 +192,12 @@ class Phase1Spiller
     }
 
   private:
-    /** One chunk buffer and the chunk it holds (len 0 = none). */
+    /** One chunk buffer and the chunk it holds (len 0 = none).  The
+     *  load overwrites what it sorts, so the buffer is never
+     *  zero-filled. */
     struct Chunk
     {
-        std::vector<RecordT> buf;
+        RecordBuffer<RecordT> buf;
         std::uint64_t offset = 0;
         std::uint64_t len = 0;
         std::uint64_t index = 0;

@@ -237,8 +237,14 @@ class SsdSorter
          *  (phase 1 and phase 2, a few hundred KiB per merge lane)
          *  sit outside the pool. */
         std::uint64_t memoryBudgetBytes = 0;
-        /** Streaming batch size b, in records.  0 derives it from
-         *  the planner's Equation 10 batch (phase2.batchBytes). */
+        /** Streaming batch size b, in records: every phase-1 chunk
+         *  read, run-cursor refill, output batch and splitter window
+         *  moves b records.  0 = the largest b at which the phase-2
+         *  pool (a quarter of the budget) holds laneBuffers(ell)
+         *  buffers per thread at the planner's fan-in.  An explicit
+         *  b is taken as-is: one too large leaves the pool too few
+         *  buffers for that fan-in, and a narrower merge changes the
+         *  order of equal keys. */
         std::uint64_t batchRecords = 0;
         /** Spill directory for run files ("" = $TMPDIR or /tmp). */
         std::string spillDir;
@@ -357,8 +363,7 @@ class SsdSorter
         eng.bufferBudgetBytes = budget / 4;
         eng.batchRecords = opts.batchRecords != 0
             ? opts.batchRecords
-            : defaultBatchRecords<RecordT>(*plan, record_bytes,
-                                           eng.bufferBudgetBytes,
+            : defaultBatchRecords<RecordT>(*plan, eng.bufferBudgetBytes,
                                            threads_);
         eng.threads = threads_;
 
@@ -376,6 +381,8 @@ class SsdSorter
             req.back = &back.emplace(opts.spillDir);
         }
         report.stream = StreamEngine<RecordT>(eng).sortStream(req);
+        report.stream.modelBatchRecords =
+            plan->phase2.batchBytes / record_bytes;
         report.hostSeconds =
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - start)
@@ -384,30 +391,30 @@ class SsdSorter
     }
 
   private:
-    /** Default streaming batch b: the planner's Equation 10 batch
-     *  (phase2.batchBytes, the largest b with lambda*b*ell <= C_BRAM),
-     *  capped so the pool can hold one full merge lane per requested
-     *  thread — W lanes of fan-in ell need laneBuffers(ell) * W
-     *  buffers (and never fewer than 8) — so asking for more threads
-     *  shrinks b instead of silently serializing phase 2.  Explicit
-     *  user batches are taken as-is and fail loudly if the pool
-     *  cannot hold one. */
+    /** Default streaming batch b: the largest batch at which the
+     *  pool holds one full merge lane per requested thread — W lanes
+     *  of fan-in ell need laneBuffers(ell) * W buffers (and never
+     *  fewer than 8).  The pool then admits the planner's fan-in and
+     *  W lanes, so the bytes are those of any smaller b, while every
+     *  streamed transfer moves as much as the budget affords; asking
+     *  for more threads shrinks b instead of silently serializing
+     *  phase 2.  The planner's Equation-10 batch (phase2.batchBytes,
+     *  the largest b with lambda*b*ell <= C_BRAM) bounds the FPGA's
+     *  on-chip buffers, not the host's, so it only labels the report
+     *  (StreamStats::modelBatchRecords).  Explicit user batches are
+     *  taken as-is and fail loudly if the pool cannot hold one. */
     template <typename RecordT>
     static std::uint64_t
     defaultBatchRecords(const core::SsdPlan &plan,
-                        std::uint64_t record_bytes,
                         std::uint64_t pool_budget_bytes,
                         unsigned threads)
     {
-        std::uint64_t batch = std::max<std::uint64_t>(
-            plan.phase2.batchBytes / record_bytes, 1);
         const std::uint64_t lane_buffers =
             laneBuffers(plan.phase2.config.ell) * threads;
         const std::uint64_t want_buffers =
             std::max<std::uint64_t>(8, lane_buffers);
-        const std::uint64_t cap = std::max<std::uint64_t>(
+        return std::max<std::uint64_t>(
             pool_budget_bytes / (want_buffers * sizeof(RecordT)), 1);
-        return std::min(batch, cap);
     }
 
     model::HardwareParams hw_;

@@ -35,6 +35,10 @@ struct StreamStats
      *  serial merge). */
     unsigned finalSlices = 0;
     std::uint64_t batchRecords = 0;    ///< streaming batch size b
+    /** The planner's Equation-10 batch: the b that the modeled FPGA's
+     *  on-chip buffers allow (SsdSorter::sortStream only; 0
+     *  elsewhere).  The host streams at batchRecords instead. */
+    std::uint64_t modelBatchRecords = 0;
     std::uint64_t bufferPoolBytes = 0; ///< bounded pool budget
     /** High-water pool usage (streamed path only; 0 for the
      *  zero-copy in-memory adapter, which holds no pool buffers). */

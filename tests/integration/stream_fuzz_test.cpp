@@ -42,6 +42,7 @@
 #include "io/stream.hpp"
 #include "pipeline/sort_service.hpp"
 #include "sorter/external.hpp"
+#include "sorter/merge_plan.hpp"
 
 namespace bonsai::sorter
 {
@@ -62,13 +63,21 @@ enum class Path
     ServiceDurable
 };
 
+/** Thread counts of the cases that run against the reference. */
+constexpr unsigned kThreads[] = {1, 2, 4};
+
+/** A budgetBuffers value: the pool booked to the last buffer by the
+ *  most threads, laneBuffers(ell) each — the shape SsdSorter's
+ *  default batch builds. */
+constexpr std::uint64_t kFullyBooked = 0;
+
 /** The knobs that fix the output bytes of a sort. */
 struct OptionSet
 {
     std::size_t n;
     Distribution dist;
     std::uint64_t batch;
-    std::uint64_t budgetBuffers;
+    std::uint64_t budgetBuffers; ///< or kFullyBooked
     std::uint64_t chunkDivisor; ///< chunk = n / chunkDivisor
     unsigned phase2Ell;
     unsigned phase1Ell;
@@ -82,13 +91,21 @@ struct Variant
     Path path;
 };
 
+std::uint64_t
+poolBuffers(const OptionSet &o)
+{
+    if (o.budgetBuffers != kFullyBooked)
+        return o.budgetBuffers;
+    return laneBuffers(o.phase2Ell) * std::ranges::max(kThreads);
+}
+
 std::string
 describe(const OptionSet &o, const Variant &v)
 {
     return "n=" + std::to_string(o.n) + " dist=" +
            std::to_string(static_cast<int>(o.dist)) + " batch=" +
            std::to_string(o.batch) + " budget_buffers=" +
-           std::to_string(o.budgetBuffers) + " chunk_div=" +
+           std::to_string(poolBuffers(o)) + " chunk_div=" +
            std::to_string(o.chunkDivisor) + " ell=" +
            std::to_string(o.phase2Ell) + " phase1_ell=" +
            std::to_string(o.phase1Ell) + " threads=" +
@@ -100,7 +117,7 @@ describe(const OptionSet &o, const Variant &v)
 std::uint64_t
 budgetBytes(const OptionSet &o)
 {
-    return o.budgetBuffers * o.batch * sizeof(Record);
+    return poolBuffers(o) * o.batch * sizeof(Record);
 }
 
 StreamEngine<Record>::Options
@@ -230,7 +247,6 @@ sweepOptionSet(const OptionSet &o, SplitMix64 &rng, std::uint64_t &case_id)
     const std::vector<Record> input = makeRecords(o.n, o.dist, 7);
     const Variant ref{1, Store::Memory, Path::Plain};
     const std::vector<Record> expected = runCase(o, ref, input, case_id++);
-    static constexpr unsigned kThreads[] = {1, 2, 4};
     for (const Path path : {Path::Plain, Path::Durable, Path::Service,
                             Path::ServiceDurable}) {
         Variant v;
@@ -248,8 +264,10 @@ constexpr Distribution kDists[] = {Distribution::UniformRandom,
                                    Distribution::AllEqual};
 constexpr std::uint64_t kBatches[] = {1, 7, 64};
 /** The 6-buffer minimum (ell = 2), a tight budget that caps the
- *  fan-in at 3, and a roomy one that admits fan-in 4 on 4 lanes. */
-constexpr std::uint64_t kBudgets[] = {6, 9, 64};
+ *  fan-in at 3, a roomy one that admits fan-in 4 on 4 lanes, and a
+ *  pool that holds the requested fan-in on 4 lanes with no buffer to
+ *  spare. */
+constexpr std::uint64_t kBudgets[] = {6, 9, 64, kFullyBooked};
 /** About 30, 7 and 15 runs at the multi-pass count. */
 constexpr std::uint64_t kChunkDivisors[] = {30, 7, 15};
 /** Requested phase-2 fan-in; the budget caps it (16 survives only
@@ -275,10 +293,11 @@ TEST(StreamEngineFuzz, TinyInputsAgreeAcrossPathsAndStores)
 /**
  * Cell (d, b) of two orthogonal Latin squares over (distribution,
  * batch): every distribution and every batch size meets every budget
- * and every fan-in once, and every budget meets every fan-in once, at
- * the count that forces several merge passes.  The chunk size rides
- * on the distribution and the phase-1 fan-in on the batch, so each
- * meets every value of the remaining factors.
+ * but the fully booked one and every fan-in once, and every such
+ * budget meets every fan-in once, at the count that forces several
+ * merge passes.  The chunk size rides on the distribution and the
+ * phase-1 fan-in on the batch, so each meets every value of the
+ * remaining factors.
  */
 OptionSet
 multiPassSet(std::size_t d, std::size_t b)
@@ -299,6 +318,13 @@ TEST(StreamEngineFuzz, MultiPassInputsAgreeAcrossPathsAndStores)
     for (std::size_t d = 0; d < 3; ++d)
         for (std::size_t b = 0; b < 3; ++b)
             sweepOptionSet(multiPassSet(d, b), rng, case_id);
+    // The fully booked pool on the transversal b = 2d mod 3, whose
+    // cells differ in distribution, batch and fan-in alike.
+    for (std::size_t d = 0; d < 3; ++d) {
+        OptionSet o = multiPassSet(d, 2 * d % 3);
+        o.budgetBuffers = kFullyBooked;
+        sweepOptionSet(o, rng, case_id);
+    }
 }
 
 /** One seeded fault: a hard EIO on the front or back spill store
