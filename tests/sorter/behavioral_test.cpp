@@ -10,6 +10,7 @@
 #include "common/random.hpp"
 #include "common/record_buffer.hpp"
 #include "common/thread_pool.hpp"
+#include "gensort_keys.hpp"
 #include "hw/bitonic.hpp"
 #include "model/perf_model.hpp"
 #include "sorter/behavioral.hpp"
@@ -348,6 +349,71 @@ TEST_P(BehavioralGolden, FewDistinctKeysAcross2To63DigestIsPinned)
 INSTANTIATE_TEST_SUITE_P(
     FanInsAndThreads, BehavioralGolden,
     ::testing::Combine(::testing::Values(2u, 16u, 128u),
+                       ::testing::Values(1u, 4u)));
+
+class BehavioralGensortGolden
+    : public ::testing::TestWithParam<std::tuple<unsigned, unsigned>>
+{
+};
+
+/** Sort @p keys gensort records at fan-in @p ell on @p threads
+ *  threads through the vector and the scratch-reusing span overloads;
+ *  both must give @p golden. */
+void
+expectGensortDigest(GensortKeys keys, unsigned ell, unsigned threads,
+                    std::uint64_t golden)
+{
+    // 2500 16-record presort runs and a 3-record tail.
+    const auto input = makeGensortKeys(40'003, keys, 43);
+    const sorter::BehavioralSorter<GensortRecord> sorter(ell, 16, threads);
+    auto data = input;
+    sorter.sort(data);
+    EXPECT_EQ(gensortDigest(data), golden);
+
+    data = input;
+    ThreadPool pool(threads);
+    RecordBuffer<GensortRecord> scratch;
+    sorter.sort(std::span<GensortRecord>(data), pool, scratch);
+    EXPECT_EQ(gensortDigest(data), golden);
+}
+
+/** The sorted bytes of gensort inputs whose keys tie in part or in
+ *  whole are pinned per fan-in, as BehavioralGolden pins 16-byte
+ *  records: a presorter or merger that orders equal keys differently,
+ *  or that decides a tie in bytes 0-7 wrongly, changes them. */
+TEST_P(BehavioralGensortGolden, PrefixTieDigestIsPinned)
+{
+    const auto [ell, threads] = GetParam();
+    const std::uint64_t golden = ell == 2 ? 9179823644286079317ULL
+        : ell == 16                       ? 7206167243650969549ULL
+        : ell == 32                       ? 5457992635155414221ULL
+                                          : 3497153801170366481ULL;
+    expectGensortDigest(GensortKeys::PrefixTie, ell, threads, golden);
+}
+
+TEST_P(BehavioralGensortGolden, FewDistinctDigestIsPinned)
+{
+    const auto [ell, threads] = GetParam();
+    const std::uint64_t golden = ell == 2 ? 8369482270337021871ULL
+        : ell == 16                       ? 11332744970936572323ULL
+        : ell == 32                       ? 10488976153090843103ULL
+                                          : 10066596983541885079ULL;
+    expectGensortDigest(GensortKeys::FewDistinct, ell, threads, golden);
+}
+
+TEST_P(BehavioralGensortGolden, AllEqualDigestIsPinned)
+{
+    const auto [ell, threads] = GetParam();
+    const std::uint64_t golden = ell == 2 ? 9309053775678813040ULL
+        : ell == 16                       ? 7272777421245380816ULL
+        : ell == 32                       ? 14258742878139646896ULL
+                                          : 6545505146240465520ULL;
+    expectGensortDigest(GensortKeys::AllEqual, ell, threads, golden);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FanInsAndThreads, BehavioralGensortGolden,
+    ::testing::Combine(::testing::Values(2u, 16u, 32u, 64u),
                        ::testing::Values(1u, 4u)));
 
 } // namespace

@@ -10,6 +10,7 @@
 #include "common/contract.hpp"
 #include "common/random.hpp"
 #include "common/record.hpp"
+#include "gensort_keys.hpp"
 #include "io/run_store.hpp"
 #include "io/stream.hpp"
 #include "sorter/external.hpp"
@@ -120,6 +121,40 @@ TEST(StreamEngine, StreamedOutputIsByteIdenticalToInPlace)
     EXPECT_GE(stats.spillBytesRead, n_bytes * stats.mergePasses);
     EXPECT_LT(stats.spillBytesRead,
               n_bytes * stats.mergePasses + n_bytes / 10);
+}
+
+/** The bytes of a multi-chunk in-memory gensort sort — phase 1 over
+ *  eight chunk ranges, then two runStage passes — are pinned per key
+ *  set and are the same on one thread and on four. */
+TEST(StreamEngine, GensortSortInPlaceDigestIsPinned)
+{
+    StreamEngine<GensortRecord>::Options opt;
+    opt.phase1Ell = 16;
+    opt.phase2Ell = 4;
+    opt.presortRun = 16;
+    opt.chunkRecords = 4000;
+    opt.batchRecords = 64;
+    opt.bufferBudgetBytes = 64 * 64 * sizeof(GensortRecord);
+    const std::pair<GensortKeys, std::uint64_t> cases[] = {
+        {GensortKeys::Uniform, 3532002757694366935ULL},
+        {GensortKeys::PrefixTie, 8758965685584882431ULL},
+        {GensortKeys::FewDistinct, 3610643595247303386ULL},
+        {GensortKeys::AllEqual, 1226613214166795335ULL},
+    };
+    for (const auto &[keys, golden] : cases) {
+        const auto input = makeGensortKeys(30'011, keys, 47);
+        for (const unsigned threads : {1u, 4u}) {
+            opt.threads = threads;
+            auto data = input;
+            const StreamStats stats =
+                StreamEngine<GensortRecord>(opt).sortInPlace(data);
+            EXPECT_EQ(stats.phase1Chunks, 8u);
+            EXPECT_EQ(stats.mergePasses, 2u);
+            EXPECT_EQ(gensortDigest(data), golden)
+                << "keys=" << static_cast<int>(keys)
+                << " threads=" << threads;
+        }
+    }
 }
 
 TEST(StreamEngine, SerialStreamSpillAccountingIsExact)
