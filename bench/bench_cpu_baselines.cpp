@@ -2,7 +2,8 @@
  * @file
  * Live CPU microbenchmarks (google-benchmark): the in-process CPU
  * baselines (std::sort, LSD radix, PARADIS-style parallel radix,
- * sample sort) and the Bonsai behavioral engine on this machine.
+ * sample sort) and the Bonsai behavioral engine on this machine, on
+ * 16-byte records and on 100-byte gensort records.
  * These ground the CPU side of the comparisons with measured numbers
  * (the paper-scale CPU figures in Table I come from the publications;
  * see bench_table1).
@@ -10,7 +11,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "baseline/cpu_sorters.hpp"
+#include "common/gensort.hpp"
 #include "common/random.hpp"
 #include "sorter/behavioral.hpp"
 
@@ -25,12 +29,18 @@ workload(std::size_t n)
     return makeRecords(n, Distribution::UniformRandom, 1234);
 }
 
+std::vector<GensortRecord>
+gensortWorkload(std::size_t n)
+{
+    return GensortGenerator(1234).generate(0, n);
+}
+
 void
-reportRate(benchmark::State &state, std::size_t n)
+reportRate(benchmark::State &state, std::size_t n,
+           std::size_t record_bytes = sizeof(Record))
 {
     state.SetBytesProcessed(
-        static_cast<std::int64_t>(state.iterations()) * n *
-        sizeof(Record));
+        static_cast<std::int64_t>(state.iterations()) * n * record_bytes);
 }
 
 void
@@ -96,6 +106,33 @@ BM_BonsaiBehavioral(benchmark::State &state)
     reportRate(state, input.size());
 }
 
+void
+BM_StdSortGensort(benchmark::State &state)
+{
+    const auto input = gensortWorkload(state.range(0));
+    for (auto _ : state) {
+        auto data = input;
+        std::sort(data.begin(), data.end());
+        benchmark::DoNotOptimize(data.data());
+    }
+    reportRate(state, input.size(), sizeof(GensortRecord));
+}
+
+void
+BM_BonsaiBehavioralGensort(benchmark::State &state)
+{
+    const auto input = gensortWorkload(state.range(0));
+    sorter::BehavioralSorter<GensortRecord> sorter(
+        static_cast<unsigned>(state.range(1)), 16,
+        static_cast<unsigned>(state.range(2)));
+    for (auto _ : state) {
+        auto data = input;
+        sorter.sort(data);
+        benchmark::DoNotOptimize(data.data());
+    }
+    reportRate(state, input.size(), sizeof(GensortRecord));
+}
+
 BENCHMARK(BM_StdSort)->Arg(1 << 16)->Arg(1 << 20)->Arg(1 << 22);
 BENCHMARK(BM_LsdRadix)->Arg(1 << 16)->Arg(1 << 20)->Arg(1 << 22);
 BENCHMARK(BM_ParallelMsdRadix)
@@ -110,6 +147,10 @@ BENCHMARK(BM_BonsaiBehavioral)
     ->Args({1 << 22, 256, 1})
     ->Args({1 << 22, 256, 4})
     ->Args({1 << 22, 256, 8});
+BENCHMARK(BM_StdSortGensort)->Arg(1 << 20);
+BENCHMARK(BM_BonsaiBehavioralGensort)
+    ->Args({1 << 20, 32, 1})
+    ->Args({1 << 20, 64, 1});
 
 } // namespace
 

@@ -14,13 +14,18 @@
 #define BONSAI_COMMON_GENSORT_HPP
 
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "common/record.hpp"
 
 namespace bonsai
 {
+
+struct GensortRecord;
+std::uint64_t keyPrefix(const GensortRecord &rec);
 
 /** One 100-byte sort-benchmark record: 10-byte key, 90-byte value. */
 struct GensortRecord
@@ -31,15 +36,17 @@ struct GensortRecord
 
     std::array<std::uint8_t, kBytes> bytes{};
 
-    /** Lexicographic key comparison, as valsort does. */
+    /** Lexicographic key comparison, as valsort does: bytes 0-7 as
+     *  one big-endian word, then bytes 8-9. */
     friend bool
     operator<(const GensortRecord &a, const GensortRecord &b)
     {
-        for (std::size_t i = 0; i < kKeyBytes; ++i) {
-            if (a.bytes[i] != b.bytes[i])
-                return a.bytes[i] < b.bytes[i];
-        }
-        return false;
+        const std::uint64_t pa = keyPrefix(a);
+        const std::uint64_t pb = keyPrefix(b);
+        if (pa != pb)
+            return pa < pb;
+        return (a.bytes[8] << 8 | a.bytes[9]) <
+               (b.bytes[8] << 8 | b.bytes[9]);
     }
 
     /** The reserved all-zero record (Section V-B flush sentinel) —
@@ -55,6 +62,19 @@ struct GensortRecord
         return true;
     }
 };
+
+/** Key bytes 0-7 as a big-endian word: a monotone prefix of the key
+ *  order (KeyPrefixed), so the in-memory sort moves 16-byte KeyEntry
+ *  tags, not 100-byte records. */
+inline std::uint64_t
+keyPrefix(const GensortRecord &rec)
+{
+    std::uint64_t word;
+    std::memcpy(&word, rec.bytes.data(), sizeof word);
+    if constexpr (std::endian::native == std::endian::little)
+        word = __builtin_bswap64(word);
+    return word;
+}
 
 /** FNV-1a hash of a byte range, truncated to 48 bits (the paper's
  *  90-byte-value to 6-byte-index reduction). */

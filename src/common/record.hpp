@@ -21,6 +21,7 @@
 
 #include <array>
 #include <compare>
+#include <concepts>
 #include <cstdint>
 #include <ostream>
 
@@ -175,6 +176,41 @@ struct WideRecord
     operator<=(const WideRecord &a, const WideRecord &b)
     {
         return !(b < a);
+    }
+};
+
+/**
+ * A record type with a monotone 64-bit key prefix, found by ADL:
+ * keyPrefix(a) < keyPrefix(b) implies a < b, and a < b implies
+ * keyPrefix(a) <= keyPrefix(b).  The in-memory sort kernels move a
+ * KeyEntry per record of such a type instead of the record itself.
+ */
+template <typename RecordT>
+concept KeyPrefixed = requires(const RecordT &r) {
+    { keyPrefix(r) } -> std::same_as<std::uint64_t>;
+};
+
+/** A KeyPrefixed record's key prefix and address: 16 bytes that
+ *  order exactly as the records they point to. */
+template <typename RecordT>
+struct KeyEntry
+{
+    std::uint64_t prefix;
+    const RecordT *rec;
+
+    static KeyEntry
+    of(const RecordT &r)
+    {
+        return {keyPrefix(r), &r};
+    }
+
+    /** *a.rec < *b.rec: the prefixes decide unless they tie. */
+    friend bool
+    operator<(const KeyEntry &a, const KeyEntry &b)
+    {
+        if (a.prefix != b.prefix) [[likely]]
+            return a.prefix < b.prefix;
+        return *a.rec < *b.rec;
     }
 };
 

@@ -10,15 +10,15 @@
  * Threading model (docs/ARCHITECTURE.md "Software threading model"):
  * one persistent work-stealing ThreadPool lives for the whole sort.
  * The presort runs as pool tasks over blocks of runs (sorter/presort.hpp:
- * the network in AVX-512 registers for 16-byte records, else
- * hw::bitonicSortNetwork).  Every merge stage is flattened into a
+ * the network in AVX-512 registers for 16-byte records, on key tags
+ * for gensort records, else hw::bitonicSortNetwork).  Every merge stage is flattened into a
  * list of (group, slice) merge tasks: small groups are one task each,
  * large groups are cut into disjoint Merge Path slices, so both the
  * many-small-group early stages and the single-group final stage
  * saturate all cores.  The tasks run on min(width, tasks) lanes that
  * take them from a shared counter; each task merges with its own
- * MergeTree (stable branch-free 2-way mergers) whose node blocks live
- * in its lane's arena.  Output is byte-identical for every thread
+ * MergeTree (stable branch-free 2-way mergers) whose node blocks —
+ * 16-byte key entries for gensort records — live in its lane's arena.  Output is byte-identical for every thread
  * count because slices follow the (key, input index, position) total
  * order the merge tree emits.
  *
@@ -205,7 +205,7 @@ class BehavioralSorter
             std::min<std::size_t>(width, tasks.size());
         std::atomic<std::size_t> next{0};
         pool.parallelFor(lanes, [&](std::uint64_t) {
-            RecordBuffer<RecordT> arena;
+            RecordBuffer<typename MergeTree<RecordT>::Block> arena;
             for (std::size_t i = next.fetch_add(1); i < tasks.size();
                  i = next.fetch_add(1)) {
                 const SliceTask &task = tasks[i];

@@ -17,8 +17,9 @@
  * in-memory sort's kernel — whose leaves refill from RunCursors, one
  * leased pool buffer per member, and whose root fills one more leased
  * buffer that is written to the store or sink whenever it is full.
- * A one-member group is a one-leaf tree.  Node blocks come from one
- * arena per merge lane, outside the pool.  Every task reads and
+ * A one-member group is a one-leaf tree.  Node blocks hold records,
+ * never key entries (a leaf batch is overwritten on refill), and come
+ * from one arena per merge lane, outside the pool.  Every task reads and
  * writes its runs on its own thread: the buffered store and sink I/O
  * underneath already reads ahead and writes behind, so phase 2 starts
  * no threads of its own.
@@ -272,7 +273,7 @@ class Phase2Merger
         for (const RunSpan &m : members)
             cursors.emplace_back(src, m, *bufs_);
         io::PoolLease<RecordT> batch(*bufs_);
-        MergeTree<RecordT> tree(
+        MergeTree<RecordT, RecordT> tree(
             members.size(),
             [&cursors](std::size_t i) { return cursors[i].next(); },
             arena);

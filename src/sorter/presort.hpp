@@ -6,7 +6,7 @@
  *
  * hw::bitonicSortNetwork is the reference: it runs the network's
  * compare-exchange sequence one pair at a time, and it is the
- * presorter for every record type, run length and CPU but one.  For
+ * presorter for every record type, run length and CPU but two.  For
  * 16-record runs of 16-byte Records on a CPU with AVX-512F, the same
  * sequence runs in registers instead: the 16 keys in two zmm, the 16
  * values in two zmm, and each of the network's ten stages is a
@@ -15,7 +15,10 @@
  * network would swap the pair, which is only on strict less, so ties
  * never swap.  The network is not stable; running the same sequence
  * with the same swap rule is what reproduces the reference's order
- * of equal keys, byte for byte.
+ * of equal keys, byte for byte.  16-record runs of a KeyPrefixed
+ * type (gensort records) run the same sequence and swap rule on
+ * 16-byte KeyEntry tags instead of the records, then gather each
+ * record once.
  *
  * The presorter reads from one buffer and may write into another, so
  * a sorter can place the presorted runs wherever its merge stages
@@ -28,6 +31,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <new>
 #include <span>
 #include <type_traits>
 
@@ -175,11 +180,69 @@ bitonicSort16Avx512(const Record *in, Record *out)
 }
 #endif // BONSAI_PRESORT_AVX512
 
+/** The presorter's run length: the paper's 16-record network. */
+inline constexpr std::size_t kEntryRun = 16;
+
+/**
+ * hw::bitonicSortNetwork over kEntryRun records at @p in, written to
+ * @p out (which may be @p in), on the records' KeyEntry tags: the same
+ * compare-exchange sequence with the same strict-less swap rule, on
+ * tags that order as the records do, so it swaps exactly the pairs
+ * the record network swaps.  A swap is a masked exchange of the two
+ * tags' words, not a branch; then each record moves once, by gather.
+ */
+template <KeyPrefixed RecordT>
+void
+presortByEntries(const RecordT *in, RecordT *out)
+{
+    // An in-place gather would overwrite records that tags still
+    // point to, so it gathers from a copy.
+    alignas(RecordT) std::byte copy[kEntryRun * sizeof(RecordT)];
+    if (in == out) {
+        std::memcpy(copy, in, sizeof copy);
+        in = std::launder(reinterpret_cast<const RecordT *>(copy));
+    }
+    std::uint64_t prefix[kEntryRun];
+    std::uintptr_t rec[kEntryRun];
+    for (std::size_t i = 0; i < kEntryRun; ++i) {
+        prefix[i] = keyPrefix(in[i]);
+        rec[i] = reinterpret_cast<std::uintptr_t>(in + i);
+    }
+    const auto entry = [&](std::size_t i) {
+        return KeyEntry<RecordT>{prefix[i],
+                                 reinterpret_cast<const RecordT *>(rec[i])};
+    };
+    for (std::size_t block = 2; block <= kEntryRun; block *= 2) {
+        for (std::size_t stride = block / 2; stride >= 1; stride /= 2) {
+            for (std::size_t i = 0; i < kEntryRun; ++i) {
+                if ((i & stride) != 0)
+                    continue;
+                const std::size_t j = i + stride;
+                // Ascending pairs swap when the high tag is strictly
+                // less, descending ones when the low tag is.
+                const bool swap = (i & block) == 0 ? entry(j) < entry(i)
+                                                   : entry(i) < entry(j);
+                const std::uint64_t mask =
+                    std::uint64_t{0} - std::uint64_t{swap};
+                const std::uint64_t dp = (prefix[i] ^ prefix[j]) & mask;
+                const std::uintptr_t dr = (rec[i] ^ rec[j]) & mask;
+                prefix[i] ^= dp;
+                prefix[j] ^= dp;
+                rec[i] ^= dr;
+                rec[j] ^= dr;
+            }
+        }
+    }
+    for (std::size_t i = 0; i < kEntryRun; ++i)
+        out[i] = *reinterpret_cast<const RecordT *>(rec[i]);
+}
+
 /**
  * Presort the @p n records at @p in into @p out (which may be @p in):
  * the bitonic network on a power-of-two run, std::sort on a shorter
- * tail.  A 16-record Record run takes the register network when the
- * CPU has it; every other run copies and calls hw::bitonicSortNetwork.
+ * tail.  A 16-record run takes the register network when it is of
+ * Records and the CPU has it, and the tag network when its type is
+ * KeyPrefixed; every other run copies and calls hw::bitonicSortNetwork.
  */
 template <typename RecordT>
 void
@@ -193,6 +256,12 @@ presortBlock(const RecordT *in, RecordT *out, std::size_t n)
         }
     }
 #endif
+    if constexpr (KeyPrefixed<RecordT>) {
+        if (n == kEntryRun) {
+            presortByEntries(in, out);
+            return;
+        }
+    }
     if (in != out)
         std::copy(in, in + n, out);
     const std::span<RecordT> run(out, n);

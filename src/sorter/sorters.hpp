@@ -234,8 +234,10 @@ class SsdSorter
         /** Total resident-memory budget: two streaming chunk buffers
          *  plus sort scratch in phase 1, the batch buffer pool in
          *  phase 2.  0 = 256 MiB.  The merge trees' node-block arenas
-         *  (phase 1 and phase 2, a few hundred KiB per merge lane)
-         *  sit outside the pool. */
+         *  sit outside the pool: one per merge lane, (ell - 2) 2 KiB
+         *  blocks — of 16-byte key entries in phase 1's gensort
+         *  trees, of records (at least 32 a block) in phase 2's
+         *  streamed trees — a few hundred KiB per lane. */
         std::uint64_t memoryBudgetBytes = 0;
         /** Streaming batch size b, in records: every phase-1 chunk
          *  read, run-cursor refill, output batch and splitter window

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <utility>
+#include <vector>
 
 #include "common/gensort.hpp"
+#include "common/random.hpp"
 
 namespace bonsai
 {
@@ -105,6 +109,116 @@ TEST(Gensort, ValsortSummaryCountsDuplicates)
     std::sort(recs.begin(), recs.end());
     const ValsortSummary summary = valsortSummary(recs);
     EXPECT_GE(summary.duplicateKeys, 2u);
+}
+
+/** A valsort-style reference: memcmp over the 10 key bytes. */
+bool
+memcmpLess(const GensortRecord &a, const GensortRecord &b)
+{
+    return std::memcmp(a.bytes.data(), b.bytes.data(),
+                       GensortRecord::kKeyBytes) < 0;
+}
+
+GensortRecord
+randomRecord(SplitMix64 &rng)
+{
+    GensortRecord r;
+    for (std::uint8_t &b : r.bytes)
+        b = static_cast<std::uint8_t>(rng.next() >> 56);
+    return r;
+}
+
+/** operator< must agree with memcmp both ways round on every pair. */
+void
+expectOrderMatchesMemcmp(
+    const std::vector<std::pair<GensortRecord, GensortRecord>> &pairs)
+{
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+        const auto &[a, b] = pairs[i];
+        ASSERT_EQ(a < b, memcmpLess(a, b)) << "pair " << i;
+        ASSERT_EQ(b < a, memcmpLess(b, a)) << "pair " << i;
+    }
+}
+
+TEST(Gensort, OrderMatchesMemcmpOnKeysThatDifferInOneByte)
+{
+    // Each key byte in turn takes both sides of 0x7f/0x80 (a signed
+    // byte compare would flip them) and the extremes 0x00 and 0xff.
+    SplitMix64 rng(10);
+    std::vector<std::pair<GensortRecord, GensortRecord>> pairs;
+    const std::pair<std::uint8_t, std::uint8_t> values[] = {
+        {0x00, 0x01}, {0x7f, 0x80}, {0x00, 0xff}, {0xfe, 0xff}};
+    for (std::size_t pos = 0; pos < GensortRecord::kKeyBytes; ++pos) {
+        for (const auto &[lo, hi] : values) {
+            GensortRecord a = randomRecord(rng);
+            GensortRecord b = a;
+            a.bytes[pos] = lo;
+            b.bytes[pos] = hi;
+            pairs.emplace_back(a, b);
+        }
+    }
+    expectOrderMatchesMemcmp(pairs);
+}
+
+TEST(Gensort, OrderMatchesMemcmpOnRandomPairs)
+{
+    SplitMix64 rng(11);
+    std::vector<std::pair<GensortRecord, GensortRecord>> pairs;
+    for (int i = 0; i < 20'000; ++i) {
+        GensortRecord a = randomRecord(rng);
+        GensortRecord b = randomRecord(rng);
+        // Share a random-length leading part of the key, so every
+        // byte is the first to differ in some pairs.
+        const std::size_t shared = rng.nextBounded(GensortRecord::kKeyBytes);
+        std::memcpy(b.bytes.data(), a.bytes.data(), shared);
+        pairs.emplace_back(a, b);
+    }
+    expectOrderMatchesMemcmp(pairs);
+}
+
+TEST(Gensort, EqualKeysWithDifferentValuesAreUnordered)
+{
+    SplitMix64 rng(12);
+    std::vector<std::pair<GensortRecord, GensortRecord>> pairs;
+    for (int i = 0; i < 1000; ++i) {
+        GensortRecord a = randomRecord(rng);
+        GensortRecord b = randomRecord(rng);
+        std::memcpy(b.bytes.data(), a.bytes.data(),
+                    GensortRecord::kKeyBytes);
+        pairs.emplace_back(a, b);
+    }
+    expectOrderMatchesMemcmp(pairs);
+    for (const auto &[a, b] : pairs)
+        EXPECT_FALSE(a < b || b < a);
+}
+
+TEST(Gensort, KeyPrefixIsMonotone)
+{
+    // prefix(a) < prefix(b) implies a < b, and a < b implies
+    // prefix(a) <= prefix(b), over random pairs and pairs whose keys
+    // tie in bytes 0-7 or differ only in byte 7 or bytes 8-9.
+    static_assert(KeyPrefixed<GensortRecord>);
+    SplitMix64 rng(13);
+    for (int i = 0; i < 20'000; ++i) {
+        GensortRecord a = randomRecord(rng);
+        GensortRecord b = randomRecord(rng);
+        const std::size_t shared = rng.nextBounded(GensortRecord::kKeyBytes);
+        std::memcpy(b.bytes.data(), a.bytes.data(), shared);
+        if (i % 4 == 0)
+            std::memcpy(b.bytes.data(), a.bytes.data(), 8);
+        for (const auto &[x, y] : {std::pair{a, b}, std::pair{b, a}}) {
+            if (keyPrefix(x) < keyPrefix(y)) {
+                ASSERT_TRUE(x < y) << "pair " << i;
+            }
+            if (x < y) {
+                ASSERT_LE(keyPrefix(x), keyPrefix(y)) << "pair " << i;
+            }
+        }
+    }
+    GensortRecord r;
+    for (std::size_t j = 0; j < 8; ++j)
+        r.bytes[j] = static_cast<std::uint8_t>(0x10 + j);
+    EXPECT_EQ(keyPrefix(r), 0x1011121314151617ULL); // big-endian
 }
 
 TEST(Gensort, KeysLookUniform)

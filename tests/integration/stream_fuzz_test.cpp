@@ -14,6 +14,10 @@
  * sorted permutation of its input, keep the buffer pool's peak within
  * the budget, and return every pool buffer.
  *
+ * The gensort slice sorts 100-byte records, whose in-memory merge
+ * trees carry key entries and whose streamed ones carry records: the
+ * two must emit the same bytes.
+ *
  * The fault seeds put a hard EIO on one spill store from a seeded
  * read or write attempt on: the sort must fail with exactly one
  * std::runtime_error and return every pool buffer, or — when the
@@ -33,8 +37,10 @@
 #include <vector>
 
 #include "common/checks.hpp"
+#include "common/gensort.hpp"
 #include "common/random.hpp"
 #include "common/record.hpp"
+#include "gensort_keys.hpp"
 #include "io/byte_io.hpp"
 #include "io/fault_injection.hpp"
 #include "io/manifest.hpp"
@@ -137,27 +143,28 @@ engineOptions(const OptionSet &o, unsigned threads)
 }
 
 /** A front/back run-store pair of one kind, sized for @p n records. */
+template <typename RecordT = Record>
 struct StorePair
 {
     StorePair(Store kind, std::size_t n)
     {
         if (kind == Store::File) {
-            front = std::make_unique<io::FileRunStore<Record>>();
-            back = std::make_unique<io::FileRunStore<Record>>();
+            front = std::make_unique<io::FileRunStore<RecordT>>();
+            back = std::make_unique<io::FileRunStore<RecordT>>();
             return;
         }
         frontBacking.resize(n);
         backBacking.resize(n);
-        front = std::make_unique<io::MemoryRunStore<Record>>(
-            std::span<Record>(frontBacking));
-        back = std::make_unique<io::MemoryRunStore<Record>>(
-            std::span<Record>(backBacking));
+        front = std::make_unique<io::MemoryRunStore<RecordT>>(
+            std::span<RecordT>(frontBacking));
+        back = std::make_unique<io::MemoryRunStore<RecordT>>(
+            std::span<RecordT>(backBacking));
     }
 
-    std::vector<Record> frontBacking;
-    std::vector<Record> backBacking;
-    std::unique_ptr<io::RunStore<Record>> front;
-    std::unique_ptr<io::RunStore<Record>> back;
+    std::vector<RecordT> frontBacking;
+    std::vector<RecordT> backBacking;
+    std::unique_ptr<io::RunStore<RecordT>> front;
+    std::unique_ptr<io::RunStore<RecordT>> back;
 };
 
 /** A fresh job directory for durable case @p case_id. */
@@ -193,7 +200,7 @@ runCase(const OptionSet &o, const Variant &v, const std::vector<Record> &input,
     std::uint64_t budget = budgetBytes(o);
 
     if (v.path == Path::Plain) {
-        StorePair pair(v.store, input.size());
+        StorePair<> pair(v.store, input.size());
         stats = engine.sortStream(source, sink, *pair.front, *pair.back);
         EXPECT_EQ(engine.lastPoolOutstanding(), 0u) << what;
     } else if (v.path == Path::Durable) {
@@ -213,8 +220,8 @@ runCase(const OptionSet &o, const Variant &v, const std::vector<Record> &input,
         io::MemorySource<Record> source2{std::span<const Record>(input)};
         std::vector<Record> out2;
         io::MemorySink<Record> sink2(out2);
-        StorePair p1(v.store, input.size());
-        StorePair p2(v.store, input.size());
+        StorePair<> p1(v.store, input.size());
+        StorePair<> p2(v.store, input.size());
         SortRequest<Record> j1{.source = &source, .sink = &sink,
                                .front = p1.front.get(),
                                .back = p1.back.get()};
@@ -288,6 +295,71 @@ TEST(StreamEngineFuzz, TinyInputsAgreeAcrossPathsAndStores)
                 for (const std::uint64_t budget : kBudgets)
                     sweepOptionSet({n, dist, batch, budget, 30, 4, 4},
                                    rng, case_id);
+}
+
+/** One gensort case: @p input sorted in place and streamed on
+ *  @p store stores must give the same bytes. */
+void
+expectGensortStreamedMatchesInPlace(
+    const StreamEngine<GensortRecord> &engine,
+    const std::vector<GensortRecord> &input, Store store,
+    const std::string &what)
+{
+    auto in_place = input;
+    engine.sortInPlace(in_place);
+
+    io::MemorySource<GensortRecord> source{
+        std::span<const GensortRecord>(input)};
+    std::vector<GensortRecord> streamed;
+    io::MemorySink<GensortRecord> sink(streamed);
+    StorePair<GensortRecord> pair(store, input.size());
+    engine.sortStream(source, sink, *pair.front, *pair.back);
+    EXPECT_EQ(engine.lastPoolOutstanding(), 0u) << what;
+    ASSERT_EQ(streamed.size(), input.size()) << what;
+    ASSERT_EQ(gensortDigest(streamed), gensortDigest(in_place)) << what;
+}
+
+/**
+ * The gensort slice: a streamed StreamEngine<GensortRecord> sort,
+ * whose phase-2 trees hold records, must emit the bytes of
+ * sortInPlace, whose in-memory trees hold key entries, on uniform
+ * keys and on keys that tie in bytes 0-7, for every batch and fan-in
+ * on seeded thread counts, phase-1 fan-ins and stores.  The pool is
+ * booked for the requested fan-in, so the streamed sort merges as
+ * wide as the in-memory one.
+ */
+TEST(StreamEngineFuzz, GensortStreamedMatchesSortInPlace)
+{
+    SplitMix64 rng(0x5EED6);
+    for (const std::size_t n : {0, 1, 2, 1500})
+        for (const GensortKeys keys :
+             {GensortKeys::Uniform, GensortKeys::PrefixTie})
+            for (const std::uint64_t batch : kBatches)
+                for (const unsigned ell : kElls) {
+                    StreamEngine<GensortRecord>::Options opt;
+                    opt.phase1Ell = kPhase1Ells[rng.nextBounded(3)];
+                    opt.phase2Ell = ell;
+                    opt.chunkRecords = std::max<std::size_t>(1, n / 9);
+                    opt.batchRecords = batch;
+                    opt.threads = kThreads[rng.nextBounded(3)];
+                    opt.bufferBudgetBytes = laneBuffers(ell) *
+                                            opt.threads * batch *
+                                            sizeof(GensortRecord);
+                    const Store store =
+                        rng.nextBounded(2) ? Store::File : Store::Memory;
+                    expectGensortStreamedMatchesInPlace(
+                        StreamEngine<GensortRecord>(opt),
+                        makeGensortKeys(n, keys, 7), store,
+                        "n=" + std::to_string(n) + " keys=" +
+                            std::to_string(static_cast<int>(keys)) +
+                            " batch=" + std::to_string(batch) +
+                            " ell=" + std::to_string(ell) +
+                            " phase1_ell=" +
+                            std::to_string(opt.phase1Ell) +
+                            " threads=" + std::to_string(opt.threads) +
+                            " store=" +
+                            std::to_string(static_cast<int>(store)));
+                }
 }
 
 /**

@@ -150,8 +150,9 @@ TEST(Presort, TiedKeysKeepTheNetworksValueOrder)
 }
 
 /** Runs of @p lengths records that are not 16-record Record blocks
- *  take the fallback: hw::bitonicSortNetwork, or std::sort on a run
- *  that is not a power of two. */
+ *  write what hw::bitonicSortNetwork writes (std::sort on a run that
+ *  is not a power of two): the fallback copies and calls it, and a
+ *  16-record gensort run runs its sequence on key tags. */
 template <typename RecordT>
 void
 expectFallbackMatches(const std::vector<RecordT> &input,
@@ -184,6 +185,34 @@ TEST(Presort, OtherRecordTypesAndLengthsTakeTheNetwork)
     for (std::size_t i = 0; i < gensort.size(); ++i)
         gensort[i].bytes[0] = static_cast<std::uint8_t>(i % 3);
     expectFallbackMatches(gensort, {2, 8, 16, 32, 64});
+}
+
+TEST(Presort, GensortRunsOfSixteenSortTheirTags)
+{
+    // Keys that tie in bytes 0-7 (the tags' prefixes tie, so the
+    // records decide), in all ten bytes, and in none: the tag network
+    // must swap exactly the pairs the record network swaps, in place
+    // and out of place.
+    SplitMix64 rng(17);
+    std::vector<GensortRecord> recs = GensortGenerator(6).generate(0, 16 * 96);
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+        if (i < 16 * 64)
+            std::fill_n(recs[i].bytes.data(), 8, std::uint8_t{0x42});
+        if (i < 16 * 32)
+            recs[i].bytes[8] = recs[i].bytes[9] =
+                static_cast<std::uint8_t>(rng.nextBounded(2));
+    }
+    for (std::size_t lo = 0; lo < recs.size(); lo += 16) {
+        SCOPED_TRACE(::testing::Message() << "block at " << lo);
+        const std::span<const GensortRecord> block(recs.data() + lo, 16);
+        const std::vector<GensortRecord> want = networkSorted(block);
+        std::vector<GensortRecord> out(16);
+        sorter::presortBlock(block.data(), out.data(), 16);
+        expectSameBytes<GensortRecord>(out, want);
+        std::vector<GensortRecord> in_place(block.begin(), block.end());
+        sorter::presortBlock(in_place.data(), in_place.data(), 16);
+        expectSameBytes<GensortRecord>(in_place, want);
+    }
 }
 
 TEST(Presort, RunsMatchPerBlockNetworkAtAnyWidthAndPlacement)
