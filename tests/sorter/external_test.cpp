@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "common/contract.hpp"
@@ -156,6 +157,83 @@ TEST(StreamEngine, GensortSortInPlaceDigestIsPinned)
         }
     }
 }
+
+/** Order-dependent FNV-1a digest over every record's key and value. */
+std::uint64_t
+recordDigest(std::span<const Record> recs)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const Record &r : recs) {
+        for (const std::uint64_t word : {r.key, r.value}) {
+            h ^= word;
+            h *= 0x100000001b3ULL;
+        }
+    }
+    return h;
+}
+
+/** (phase-2 fan-in, phase-2 passes, threads). */
+class StreamEngineInPlaceGolden
+    : public ::testing::TestWithParam<
+          std::tuple<unsigned, unsigned, unsigned>>
+{
+};
+
+/** The bytes of a multi-chunk in-memory sort of 16-byte records are
+ *  pinned per phase-2 fan-in and pass count, and are the same on one
+ *  thread and on four.  The chunk counts give one, two and three
+ *  phase-2 passes, so the merged result ends in the scratch vector
+ *  (odd pass counts) and in the caller's vector (even ones). */
+TEST_P(StreamEngineInPlaceGolden, FewDistinctDigestIsPinned)
+{
+    const auto [ell, passes, threads] = GetParam();
+    struct Pin
+    {
+        unsigned ell;
+        unsigned passes;
+        std::uint64_t chunks;
+        std::uint64_t golden;
+    };
+    // 1, 2, 3 passes: 2, 3-4, 5-8 chunks at ell 2 and 2-16, 17-256,
+    // 257-4096 chunks at ell 16.
+    const Pin pins[] = {
+        {2, 1, 2, 13565026810578955485ULL},
+        {2, 2, 3, 12072862367880735165ULL},
+        {2, 3, 7, 3163246418575146625ULL},
+        {16, 1, 9, 13376347858655846145ULL},
+        {16, 2, 40, 593594670426853565ULL},
+        {16, 3, 298, 14103949776749671441ULL},
+    };
+    const std::uint64_t n = 30'011;
+    for (const Pin &pin : pins) {
+        if (pin.ell != ell || pin.passes != passes)
+            continue;
+        StreamEngine<Record>::Options opt;
+        opt.phase1Ell = 16;
+        opt.phase2Ell = ell;
+        opt.presortRun = 16;
+        opt.chunkRecords = (n + pin.chunks - 1) / pin.chunks;
+        opt.batchRecords = 64;
+        opt.bufferBudgetBytes = 64 * 64 * sizeof(Record);
+        opt.threads = threads;
+        auto data = makeRecords(n, Distribution::FewDistinct, 53);
+        const StreamStats stats =
+            StreamEngine<Record>(opt).sortInPlace(data);
+        EXPECT_EQ(stats.phase1Chunks, pin.chunks);
+        EXPECT_EQ(stats.mergePasses, passes);
+        EXPECT_EQ(stats.recordsMoved,
+                  stats.phase1RecordsMoved + passes * n);
+        EXPECT_EQ(recordDigest(data), pin.golden);
+        return;
+    }
+    FAIL() << "no pin for ell=" << ell << " passes=" << passes;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FanInsPassesAndThreads, StreamEngineInPlaceGolden,
+    ::testing::Combine(::testing::Values(2u, 16u),
+                       ::testing::Values(1u, 2u, 3u),
+                       ::testing::Values(1u, 4u)));
 
 TEST(StreamEngine, SerialStreamSpillAccountingIsExact)
 {
