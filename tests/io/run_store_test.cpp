@@ -1,8 +1,8 @@
 /** @file Unit tests for memory- and file-backed run stores, including
- *  the named PersistentRunStore that crash-consistent sorts spill to:
- *  reopen-for-resume must keep every byte, fresh open must truncate,
- *  and a full device must name the spill file and the spilling chunk
- *  in its error. */
+ *  a FileRunStore over a named spill file, as crash-consistent sorts
+ *  use it: reopen-for-resume must keep every byte, fresh open must
+ *  truncate, and a full device must name the spill file and the
+ *  spilling chunk in its error. */
 
 #include <gtest/gtest.h>
 
@@ -78,7 +78,7 @@ TEST(FileRunStore, RoundTripsAndCountsTraffic)
 TEST(PersistentRunStore, RoundTripsAndCountsTraffic)
 {
     TempSpill spill("persistent_roundtrip.spill");
-    PersistentRunStore<Record> store(spill.str());
+    FileRunStore<Record> store(ByteFile::create(spill.str()));
     roundTrip(store);
     EXPECT_TRUE(store.memorySpan().empty());
     EXPECT_EQ(store.path(), spill.str());
@@ -92,14 +92,14 @@ TEST(PersistentRunStore, ResumeReopenKeepsBytesFreshOpenTruncates)
     for (std::uint64_t i = 0; i < recs.size(); ++i)
         recs[i] = Record{i + 1, i};
     {
-        PersistentRunStore<Record> store(spill.str());
+        FileRunStore<Record> store(ByteFile::create(spill.str()));
         store.writeAt(0, recs.data(), recs.size());
         store.flush("test flush");
     } // close: the named file outlives the store object
 
     {
-        PersistentRunStore<Record> store(spill.str(),
-                                         /*resume=*/true);
+        FileRunStore<Record> store(
+            ByteFile::openReadWrite(spill.str()));
         EXPECT_EQ(store.sizeBytes(), recs.size() * sizeof(Record));
         std::vector<Record> got(recs.size());
         store.readAt(0, got.data(), got.size());
@@ -108,7 +108,7 @@ TEST(PersistentRunStore, ResumeReopenKeepsBytesFreshOpenTruncates)
 
     // A fresh (non-resume) open is a new attempt: the previous
     // attempt's bytes must not bleed through.
-    PersistentRunStore<Record> store(spill.str(), /*resume=*/false);
+    FileRunStore<Record> store(ByteFile::create(spill.str()));
     EXPECT_EQ(store.sizeBytes(), 0u);
 }
 
@@ -118,7 +118,7 @@ TEST(PersistentRunStore, FullDeviceNamesTheSpillFileAndTheChunk)
     // directory surfaces the spill path, the failing offset and the
     // caller's chunk context — named spills must not regress it.
     TempSpill spill("persistent_enospc.spill");
-    PersistentRunStore<Record> store(spill.str());
+    FileRunStore<Record> store(ByteFile::create(spill.str()));
     FaultPlan plan;
     plan.enospcAtWriteByte = 64 * sizeof(Record);
     store.setFaultPolicy(std::make_shared<FaultInjector>(plan));
