@@ -3,8 +3,10 @@
  * Checkpointer: the crash-consistency coordinator of a durable
  * out-of-core sort.
  *
- * A checkpointed sort runs against two PersistentRunStores under a
- * job directory plus the job manifest (io/manifest.hpp).  The
+ * A checkpointed sort runs against two FileRunStores over named
+ * spill files under a job directory plus the job manifest
+ * (io/manifest.hpp).  A fresh attempt creates the files empty; a
+ * resumed one reopens them without truncation.  The
  * Checkpointer owns all three and enforces the ordering the resume
  * path relies on: run *data* is flushed (RunStore::flush, i.e.
  * fdatasync) before the manifest that records it is committed, so any
@@ -102,14 +104,14 @@ class Checkpointer
         startFresh();
     }
 
-    /** The two persistent spill stores (0 = front, 1 = back). */
-    io::PersistentRunStore<RecordT> &
+    /** The two named spill stores (0 = front, 1 = back). */
+    io::FileRunStore<RecordT> &
     store(unsigned i)
     {
         return *stores_[i];
     }
-    io::PersistentRunStore<RecordT> &front() { return *stores_[0]; }
-    io::PersistentRunStore<RecordT> &back() { return *stores_[1]; }
+    io::FileRunStore<RecordT> &front() { return *stores_[0]; }
+    io::FileRunStore<RecordT> &back() { return *stores_[1]; }
 
     /** True when a previous attempt's work was adopted. */
     bool resumed() const { return resumed_; }
@@ -200,9 +202,9 @@ class Checkpointer
                 cfg_.durable.dir + "/" +
                 (i == 0 ? io::kFrontStoreFileName
                         : io::kBackStoreFileName);
-            stores_[i] =
-                std::make_unique<io::PersistentRunStore<RecordT>>(
-                    path, resume);
+            stores_[i] = std::make_unique<io::FileRunStore<RecordT>>(
+                resume ? io::ByteFile::openReadWrite(path)
+                       : io::ByteFile::create(path));
             stores_[i]->setFaultPolicy(cfg_.durable.faultPolicy);
             stores_[i]->setRetryPolicy(cfg_.durable.retryPolicy);
         }
@@ -248,8 +250,7 @@ class Checkpointer
     std::string
     verifyRuns(const io::JobManifest &m)
     {
-        io::PersistentRunStore<RecordT> &live =
-            store(m.currentStore);
+        io::FileRunStore<RecordT> &live = store(m.currentStore);
         const std::uint64_t fileRecords =
             live.sizeBytes() / sizeof(RecordT);
         for (std::size_t i = 0; i < m.runs.size(); ++i) {
@@ -304,7 +305,7 @@ class Checkpointer
      *  flushed (or is being resume-verified), so the read is page-
      *  cache hot in the common case. */
     std::uint32_t
-    runCrc(const io::PersistentRunStore<RecordT> &s,
+    runCrc(const io::FileRunStore<RecordT> &s,
            const RunSpan &run, const char *context) const
     {
         std::vector<RecordT> buf(static_cast<std::size_t>(
@@ -332,7 +333,7 @@ class Checkpointer
     }
 
     Config cfg_;
-    std::unique_ptr<io::PersistentRunStore<RecordT>> stores_[2];
+    std::unique_ptr<io::FileRunStore<RecordT>> stores_[2];
     io::JobManifest m_;
     bool resumed_ = false;
     std::uint64_t resumedChunks_ = 0;
