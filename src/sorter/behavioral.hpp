@@ -127,15 +127,40 @@ class BehavioralSorter
     sort(std::span<RecordT> data, ThreadPool &pool,
          RecordBuffer<RecordT> &scratch) const
     {
-        BehavioralStats stats;
         if (data.size() <= 1)
-            return stats;
+            return {};
         std::vector<RunSpan> runs = chunkRuns(data.size(), presortRun_);
         const bool odd = stageCount(runs.size()) % 2 == 1;
         const std::span<RecordT> other = scratch.first(data.size());
         std::span<RecordT> src = odd ? other : data;
         std::span<RecordT> dst = odd ? data : other;
         presortRuns<RecordT>(data, src, presortRun_, pool);
+        MergeResult merged = mergeRuns(std::move(runs), src, dst, pool);
+        BONSAI_ENSURE(merged.out.data() == data.data(),
+                      "the last stage writes the caller's range");
+        return std::move(merged.stats);
+    }
+
+    /** Where mergeRuns left its result, and what it cost. */
+    struct MergeResult
+    {
+        std::span<RecordT> out; ///< @p src or @p dst of mergeRuns
+        BehavioralStats stats;
+    };
+
+    /**
+     * Merge the sorted @p runs of @p src down to one run, one
+     * StagePlan stage at a time, each stage reading one of @p src and
+     * @p dst and writing the other.  The result lands in @p src after
+     * an even number of stages and in @p dst after an odd one; the
+     * returned span says which.  sort() runs it after the presort,
+     * and StreamEngine::sortInPlace runs it as its phase 2.
+     */
+    MergeResult
+    mergeRuns(std::vector<RunSpan> runs, std::span<RecordT> src,
+              std::span<RecordT> dst, ThreadPool &pool) const
+    {
+        BehavioralStats stats;
         while (runs.size() > 1) {
             StagePlan plan(std::move(runs), ell_);
             runStage(plan, src, dst, pool);
@@ -145,9 +170,7 @@ class BehavioralSorter
             ++stats.stages;
             std::swap(src, dst);
         }
-        BONSAI_ENSURE(src.data() == data.data(),
-                      "the last stage writes the caller's range");
-        return stats;
+        return {src, std::move(stats)};
     }
 
     /**

@@ -30,11 +30,12 @@
  * into positioned sink segments — byte-identical to the serial merge
  * for any thread count, including equal-key floods.
  *
- * sortInPlace() is the in-memory adapter: its passes run on
- * BehavioralSorter::runStage — the Merge Path sliced, thread-parallel
- * kernel — over memory-backed stores with zero copies.  The streamed
- * sort always merges through the Phase2Merger, memory stores
- * included.  Both merge through MergeTree and emit the identical
+ * sortInPlace() is the in-memory adapter and uses no run store: its
+ * passes run BehavioralSorter::mergeRuns — the stage loop of the
+ * Merge Path sliced, thread-parallel kernel — over the caller's
+ * vector and one scratch vector.  The streamed sort always merges
+ * through the Phase2Merger, whether it spills to memory or file
+ * stores.  Both merge through MergeTree and emit the identical
  * record sequence (the per-group augmented (key, run index,
  * position) order), so a streamed sort is byte-identical to the
  * in-memory sort of the same input whenever the buffer budget admits
@@ -79,7 +80,6 @@
 #include "sorter/merge_plan.hpp"
 #include "sorter/phase1_spill.hpp"
 #include "sorter/phase2_merge.hpp"
-#include "sorter/stage_plan.hpp"
 #include "sorter/stream_stats.hpp"
 
 namespace bonsai::sorter
@@ -131,9 +131,11 @@ class StreamEngine
 
     /**
      * In-memory adapter: phase 1 sorts chunk ranges of @p data in
-     * place, phase 2 ping-pongs memory-backed stores (zero-copy Merge
-     * Path passes).  Byte-identical to the streamed path on the same
-     * input and options.
+     * place, phase 2 merges the chunk runs with
+     * BehavioralSorter::mergeRuns, ping-ponging between @p data and
+     * one scratch vector (Merge Path sliced passes, no copies).
+     * Byte-identical to the streamed path on the same input and
+     * options.
      */
     StreamStats
     sortInPlace(std::vector<RecordT> &data) const
@@ -180,21 +182,13 @@ class StreamEngine
 
         const auto t2 = std::chrono::steady_clock::now();
         std::vector<RecordT> scratch(data.size());
-        io::MemoryRunStore<RecordT> front(
-            {data.data(), data.size()});
-        io::MemoryRunStore<RecordT> back(
-            {scratch.data(), scratch.size()});
-        front.setRuns(std::move(runs));
-        io::RunStore<RecordT> *src = &front;
-        io::RunStore<RecordT> *dst = &back;
         const BehavioralSorter<RecordT> merger(opt_.phase2Ell, 1,
                                                opt_.threads);
-        while (src->runs().size() > 1) {
-            mergePass(*src, *dst, opt_.phase2Ell, merger, pool, stats);
-            std::swap(src, dst);
-            ++stats.mergePasses;
-        }
-        if (src == &back)
+        const auto merged =
+            merger.mergeRuns(std::move(runs), data, scratch, pool);
+        stats.mergePasses = merged.stats.stages;
+        stats.recordsMoved += merged.stats.recordsMoved;
+        if (merged.out.data() == scratch.data())
             data = std::move(scratch);
         stats.phase2Seconds = secondsSince(t2);
         return stats;
@@ -424,26 +418,6 @@ class StreamEngine
         if (batch_bytes == 0)
             return 0;
         return (opt_.bufferBudgetBytes / batch_bytes) * batch_bytes;
-    }
-
-    /** One store-to-store merge pass; memory-backed store pairs run
-     *  the zero-copy Merge Path kernel instead of streaming. */
-    void
-    mergePass(io::RunStore<RecordT> &src, io::RunStore<RecordT> &dst,
-              unsigned ell, const BehavioralSorter<RecordT> &merger,
-              ThreadPool &pool, StreamStats &stats) const
-    {
-        const StagePlan plan(src.runs(), ell);
-        const std::span<RecordT> s = src.memorySpan();
-        const std::span<RecordT> d = dst.memorySpan();
-        BONSAI_REQUIRE(!s.empty() && !d.empty(),
-                       "mergePass needs memory-backed stores; "
-                       "storage-backed passes go through the "
-                       "Phase2Merger");
-        merger.runStage(plan, {s.data(), s.size()}, d, pool);
-        stats.recordsMoved += plan.totalRecords();
-        dst.setRuns(plan.outputRuns());
-        src.setRuns({});
     }
 
     Options opt_;

@@ -102,7 +102,7 @@ class Phase2Merger
                 break;
             }
             const std::vector<RunSpan> out = plan.outputRuns();
-            mergePassStreamed(*src, *dst, plan, out, stats);
+            nonFinalPass(*src, *dst, plan, out, stats);
             // Durability point: the next pass reads these runs back
             // assuming they reached the device.
             dst->flush("phase-2 merge pass flush");
@@ -142,10 +142,9 @@ class Phase2Merger
      *  merging the next unclaimed group until none is left, so at
      *  most W groups hold pool buffers at once. */
     void
-    mergePassStreamed(io::RunStore<RecordT> &src,
-                      io::RunStore<RecordT> &dst, const StagePlan &plan,
-                      const std::vector<RunSpan> &out,
-                      StreamStats &stats)
+    nonFinalPass(io::RunStore<RecordT> &src, io::RunStore<RecordT> &dst,
+                 const StagePlan &plan, const std::vector<RunSpan> &out,
+                 StreamStats &stats)
     {
         std::vector<std::uint64_t> work;
         for (std::uint64_t g = 0; g < plan.groups(); ++g)
