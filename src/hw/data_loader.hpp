@@ -40,6 +40,11 @@ template <typename RecordT>
 class DataLoader : public sim::Component
 {
   public:
+    /** Per-leaf delivery bus width (the 512-bit FIFO + unpacker path
+     *  of Figure 7); caps how many records can land in a buffer per
+     *  cycle. */
+    static constexpr std::uint64_t kBusBytesPerCycle = 64;
+
     /** Per-leaf feed description. */
     struct LeafFeed
     {
@@ -61,21 +66,17 @@ class DataLoader : public sim::Component
      * @param base_addr Byte address of the source buffer in the memory
      *              model's address space (for bank interleaving).
      * @param record_bytes Modeled record width r.
-     * @param bus_bytes_per_cycle Per-leaf delivery bus width (the
-     *              512-bit FIFO + unpacker path of Figure 7); caps
-     *              how many records can land in a buffer per cycle.
      */
     DataLoader(std::string name, std::span<const RecordT> source,
                std::vector<LeafFeed> feeds, mem::MemoryTiming &memory,
                std::uint64_t batch_records, std::uint64_t presort_chunk,
-               std::uint64_t base_addr, std::uint64_t record_bytes,
-               std::uint64_t bus_bytes_per_cycle = 64)
+               std::uint64_t base_addr, std::uint64_t record_bytes)
         : Component(std::move(name)), source_(source),
           memory_(memory), batchRecords_(batch_records),
           presortChunk_(presort_chunk), baseAddr_(base_addr),
           recordBytes_(record_bytes),
           busRecordsPerCycle_(std::max<std::uint64_t>(
-              bus_bytes_per_cycle / record_bytes, 1))
+              kBusBytesPerCycle / record_bytes, 1))
     {
         BONSAI_REQUIRE(batch_records > 0,
                        "read batch must cover at least one record");

@@ -64,7 +64,6 @@ class PipelineSimSorter
         std::uint64_t batchBytes = 1024;
         std::uint64_t recordBytes = 4;
         std::uint64_t presortRun = 16;
-        std::uint64_t maxCyclesPerSlot = 0; ///< 0 = auto bound
         /** Wire a ProtocolChecker over every tree (see SimSorter). */
         bool checked = false;
         /** Engine strategy (see SimSorter::Options::engine). */
@@ -230,9 +229,9 @@ class PipelineSimSorter
             }
             return true;
         };
-        std::uint64_t budget = opts_.maxCyclesPerSlot;
-        if (budget == 0)
-            budget = 100'000 + slot_records * 64;
+        // A generous per-slot cycle bound: a slot still running past
+        // it has deadlocked.
+        const std::uint64_t budget = 100'000 + slot_records * 64;
         const auto result = engine.run(done, budget, opts_.engine);
         stats.totalCycles += result.cycles;
         for (ChunkState *cs : touched)

@@ -98,9 +98,6 @@ class SimSorter
         bool inputPresorted = false;
         /** Unrolled-tree data split (ignored at lambda_unrl = 1). */
         UnrollMode unrollMode = UnrollMode::AddressRange;
-        /** Per-stage cycle budget; 0 derives a generous bound from the
-         *  stage size (deadlock detection). */
-        std::uint64_t maxCyclesPerStage = 0;
         /** Run every stage under a wired ProtocolChecker: per-channel
          *  stream contracts are verified every cycle and a finalize
          *  pass checks terminal counts and quiescence per stage. */
@@ -382,9 +379,9 @@ class SimSorter
             }
             return true;
         };
-        std::uint64_t budget = opts_.maxCyclesPerStage;
-        if (budget == 0)
-            budget = 100'000 + stage_records * 64;
+        // A generous per-stage cycle bound: a stage still running
+        // past it has deadlocked.
+        const std::uint64_t budget = 100'000 + stage_records * 64;
         const sim::SimEngine::RunResult result =
             engine.run(done, budget, opts_.engine);
         stats.totalCycles += result.cycles;
