@@ -37,33 +37,15 @@
 #include <type_traits>
 
 #include "common/contract.hpp"
+#include "common/cpu.hpp"
 #include "common/record.hpp"
 #include "common/thread_pool.hpp"
 #include "hw/bitonic.hpp"
 
-#if defined(__x86_64__)
-#include <immintrin.h>
-#define BONSAI_PRESORT_AVX512 1
-#else
-#define BONSAI_PRESORT_AVX512 0
-#endif
-
 namespace bonsai::sorter
 {
 
-/** True iff the register presorter can run on this CPU (checked once). */
-inline bool
-haveAvx512Presort()
-{
-#if BONSAI_PRESORT_AVX512
-    static const bool supported = __builtin_cpu_supports("avx512f") != 0;
-    return supported;
-#else
-    return false;
-#endif
-}
-
-#if BONSAI_PRESORT_AVX512
+#if BONSAI_AVX512
 namespace presort_detail
 {
 
@@ -141,7 +123,7 @@ stage(__m512i (&k)[2], __m512i (&v)[2])
 /**
  * hw::bitonicSortNetwork over the 16 records at @p in, written to
  * @p out (which may be @p in), in AVX-512F registers.  Call only when
- * haveAvx512Presort().
+ * haveAvx512f().
  */
 __attribute__((target("avx512f"))) inline void
 bitonicSort16Avx512(const Record *in, Record *out)
@@ -178,7 +160,7 @@ bitonicSort16Avx512(const Record *in, Record *out)
     _mm512_storeu_si512(out + 12,
                         _mm512_permutex2var_epi64(k[1], high, v[1]));
 }
-#endif // BONSAI_PRESORT_AVX512
+#endif // BONSAI_AVX512
 
 /** The presorter's run length: the paper's 16-record network. */
 inline constexpr std::size_t kEntryRun = 16;
@@ -248,9 +230,9 @@ template <typename RecordT>
 void
 presortBlock(const RecordT *in, RecordT *out, std::size_t n)
 {
-#if BONSAI_PRESORT_AVX512
+#if BONSAI_AVX512
     if constexpr (std::is_same_v<RecordT, Record>) {
-        if (n == 16 && haveAvx512Presort()) {
+        if (n == 16 && haveAvx512f()) {
             bitonicSort16Avx512(in, out);
             return;
         }

@@ -67,8 +67,8 @@ expectAllPathsMatchNetwork(std::span<const Record> block)
     sorter::presortBlock(in_place.data(), in_place.data(), 16);
     expectSameBytes<Record>(in_place, want);
 
-#if BONSAI_PRESORT_AVX512
-    if (sorter::haveAvx512Presort()) {
+#if BONSAI_AVX512
+    if (haveAvx512f()) {
         std::vector<Record> simd(16);
         sorter::bitonicSort16Avx512(block.data(), simd.data());
         expectSameBytes<Record>(simd, want);
