@@ -23,7 +23,17 @@
  * (per-input [begin, end) ranges) therefore writes exactly the
  * records the whole merge writes at that slice's output ranks, and a
  * streamed tree writes what the in-memory tree writes over the same
- * runs, whatever the batch size.
+ * runs, whatever the batch size.  A node of 16-byte Records on a CPU
+ * with AVX-512F emits 8 records per step, as the paper's k-merger
+ * emits k per cycle (Section II), and in the same order: a Merge Path
+ * co-rank over the next 8 records of each child counts the outputs
+ * the left gives, where a left record counts when its key is <= that
+ * of the right record it is paired with, so ties go left; a 3-level
+ * bitonic merge then orders the 8 on (key, rank), the rank being the
+ * record's side and position (left 0-7, right 8-15).  Ranks are
+ * unique, so every tie resolves by side, then position, as the
+ * one-record step resolves it.  The one-record step runs the last
+ * n mod 8 steps, other record types and other CPUs.
  *
  * Entries: an in-memory tree over a KeyPrefixed record type (a
  * gensort record) moves 16-byte KeyEntry tags — the record's 8-byte
@@ -41,15 +51,18 @@
  *
  * Cost: each item is compared and copied once per tree level, with no
  * data-dependent branch; a loser tree instead replays log2(ell)
- * unpredictable branches per record.  With entries, a record is
- * copied once per tree, at the root, and an entry per level.  A node
- * block is 2 KiB, but never fewer than 32 items (128 16-byte records
- * or entries, 85 Record128, 32 gensort records), and the blocks take
- * (ways - 2) of them: 252 KiB at ell = 128.  They live in an arena
- * the caller lends, so a lane that merges many trees in turn
- * allocates them once (BehavioralSorter::runStage, Phase2Merger), or
- * in one the tree owns.  Block size, placement and content do not
- * change the merge order.
+ * unpredictable branches per record.  The one-record step is bound
+ * by its latency (load the heads, compare, move a pointer); the
+ * 8-record step pays that chain (load, co-rank, popcount) once per
+ * 8 records and keeps its merge network off it.  With entries, a
+ * record is copied once per tree, at the root, and an entry per
+ * level.  A node block is 2 KiB, but never fewer than 32 items (128
+ * 16-byte records or entries, 85 Record128, 32 gensort records), and
+ * the blocks take (ways - 2) of them: 252 KiB at ell = 128.  They
+ * live in an arena the caller lends, so a lane that merges many trees
+ * in turn allocates them once (BehavioralSorter::runStage,
+ * Phase2Merger), or in one the tree owns.  Block size, placement and
+ * content do not change the merge order.
  */
 
 #ifndef BONSAI_SORTER_MERGE_TREE_HPP
@@ -64,11 +77,165 @@
 #include <vector>
 
 #include "common/contract.hpp"
+#include "common/cpu.hpp"
 #include "common/record.hpp"
 #include "common/record_buffer.hpp"
 
 namespace bonsai::sorter
 {
+
+namespace merge_detail
+{
+
+/** Write @p in to @p out as what a node of output type OutT writes:
+ *  the item itself, a record's entry, or an entry's record. */
+template <typename OutT, typename InT>
+void
+put(OutT &out, const InT &in)
+{
+    if constexpr (std::is_same_v<OutT, InT>)
+        out = in;
+    else if constexpr (std::is_same_v<OutT, KeyEntry<InT>>)
+        out = OutT::of(in);
+    else
+        out = *in.rec;
+}
+
+} // namespace merge_detail
+
+/**
+ * The branch-free 2-way merge step, @p n times, from the heads at
+ * @p lp and @p rp to @p out: take the right head only when it is
+ * strictly smaller (ties go left).  Each step consumes one item, so
+ * with n <= min(left, right) no bound check is needed inside the
+ * loop.  Entries compare as their records do, so the steps are those
+ * of a record merge.  Advances @p lp and @p rp past what they gave;
+ * returns the end of the output.
+ */
+template <typename InT, typename OutT>
+OutT *
+mergeSteps(const InT *&lp, const InT *&rp, OutT *out, std::size_t n)
+{
+    const InT *l = lp;
+    const InT *r = rp;
+    for (OutT *const stop = out + n; out != stop; ++out) {
+        const bool take_right = *r < *l;
+        // Select the source by masking, not by a conditional the
+        // compiler could turn back into a branch.
+        const std::uintptr_t mask =
+            std::uintptr_t{0} - std::uintptr_t{take_right};
+        const auto li = reinterpret_cast<std::uintptr_t>(l);
+        const auto ri = reinterpret_cast<std::uintptr_t>(r);
+        merge_detail::put(
+            *out, *reinterpret_cast<const InT *>(li ^ ((li ^ ri) & mask)));
+        r += take_right;
+        l += !take_right;
+    }
+    lp = l;
+    rp = r;
+    return out;
+}
+
+#if BONSAI_AVX512
+namespace merge_detail
+{
+
+/** One level of an 8-lane ascending bitonic merge on (key, rank):
+ *  lane j and lane j ^ kStride exchange when out of order. */
+template <unsigned kStride>
+__attribute__((target("avx512f"))) inline void
+bitonicLevel(__m512i &keys, __m512i &ranks)
+{
+    constexpr long long s = kStride;
+    const __m512i partner =
+        _mm512_setr_epi64(s, 1 ^ s, 2 ^ s, 3 ^ s, 4 ^ s, 5 ^ s, 6 ^ s, 7 ^ s);
+    // Two-source permutes with both sources the same register, as in
+    // the presorter: GCC 12's one-source form trips -Wuninitialized.
+    const __m512i pk = _mm512_permutex2var_epi64(keys, partner, keys);
+    const __m512i pr = _mm512_permutex2var_epi64(ranks, partner, ranks);
+    // The partner comes first: a smaller key, or the same key and a
+    // smaller rank.  Ranks are unique, so no two lanes tie.
+    const __mmask8 partner_first =
+        _mm512_cmplt_epu64_mask(pk, keys) |
+        _mm512_mask_cmplt_epu64_mask(_mm512_cmpeq_epu64_mask(pk, keys), pr,
+                                     ranks);
+    // The low lane of a pair keeps the first record, the high lane
+    // the second.
+    constexpr __mmask8 high_lanes =
+        kStride == 4 ? 0xF0 : kStride == 2 ? 0xCC : 0xAA;
+    const __mmask8 take = partner_first ^ high_lanes;
+    keys = _mm512_mask_blend_epi64(take, keys, pk);
+    ranks = _mm512_mask_blend_epi64(take, ranks, pr);
+}
+
+} // namespace merge_detail
+
+/**
+ * n / 8 steps of the 8-record merge step over Records, from the heads
+ * at @p lp and @p rp to @p out; each writes the next 8 records the
+ * one-record step would, byte for byte.  Requires n <= min(left,
+ * right), so the 8 records a step reads from each side are in
+ * bounds.  Advances @p lp and @p rp past what they gave; returns the
+ * end of the output.  Call only when haveAvx512f().
+ */
+__attribute__((target("avx512f"))) inline Record *
+mergeSteps8Avx512(const Record *&lp, const Record *&rp, Record *out,
+                  std::size_t n)
+{
+    static_assert(sizeof(Record) == 16 && offsetof(Record, key) == 0 &&
+                      offsetof(Record, value) == 8,
+                  "a Record is one key word then one value word");
+    // Word indices into two registers of 4 records each.
+    const __m512i keys = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
+    const __m512i keys_reversed =
+        _mm512_setr_epi64(14, 12, 10, 8, 6, 4, 2, 0);
+    const __m512i values = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
+    // Left record j has rank j and right record j rank 8 + j, so the
+    // (key, rank) order is the (key, side, position) order.
+    const __m512i left_ranks = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7);
+    const __m512i right_ranks_reversed =
+        _mm512_setr_epi64(15, 14, 13, 12, 11, 10, 9, 8);
+    const __m512i low = _mm512_setr_epi64(0, 8, 1, 9, 2, 10, 3, 11);
+    const __m512i high = _mm512_setr_epi64(4, 12, 5, 13, 6, 14, 7, 15);
+
+    const Record *l = lp;
+    const Record *r = rp;
+    for (Record *const stop = out + n / 8 * 8; out != stop; out += 8) {
+        const __m512i l0 = _mm512_loadu_si512(l);
+        const __m512i l1 = _mm512_loadu_si512(l + 4);
+        const __m512i r0 = _mm512_loadu_si512(r);
+        const __m512i r1 = _mm512_loadu_si512(r + 4);
+        const __m512i lk = _mm512_permutex2var_epi64(l0, keys, l1);
+        // Lane j: the key of right record 7 - j.
+        const __m512i rk = _mm512_permutex2var_epi64(r0, keys_reversed, r1);
+        // The co-rank: lane j is set iff left record j comes before
+        // right record 7 - j.  The set lanes are a prefix, and their
+        // count a is how many of the 8 outputs the left gives.
+        const __mmask8 from_left = _mm512_cmple_epu64_mask(lk, rk);
+        const auto a = static_cast<unsigned>(__builtin_popcount(from_left));
+        // Left records 0 .. a-1 ascending, then right records
+        // 7-a .. 0 descending: a bitonic sequence.
+        __m512i k = _mm512_mask_blend_epi64(from_left, rk, lk);
+        __m512i rank =
+            _mm512_mask_blend_epi64(from_left, right_ranks_reversed,
+                                    left_ranks);
+        merge_detail::bitonicLevel<4>(k, rank);
+        merge_detail::bitonicLevel<2>(k, rank);
+        merge_detail::bitonicLevel<1>(k, rank);
+        // Gather each output's value by its rank, then interleave.
+        const __m512i v = _mm512_permutex2var_epi64(
+            _mm512_permutex2var_epi64(l0, values, l1), rank,
+            _mm512_permutex2var_epi64(r0, values, r1));
+        _mm512_storeu_si512(out, _mm512_permutex2var_epi64(k, low, v));
+        _mm512_storeu_si512(out + 4, _mm512_permutex2var_epi64(k, high, v));
+        l += a;
+        r += 8 - a;
+    }
+    lp = l;
+    rp = r;
+    return out;
+}
+#endif // BONSAI_AVX512
 
 /**
  * The merge tree over RecordT inputs whose internal-node blocks hold
@@ -178,21 +345,6 @@ class MergeTree
         }
     };
 
-    /** Write @p in to @p out as what a node of output type OutT
-     *  writes: a record's entry, an entry's record, or the item
-     *  itself. */
-    template <typename OutT, typename InT>
-    static void
-    put(OutT &out, const InT &in)
-    {
-        if constexpr (std::is_same_v<OutT, InT>)
-            out = in;
-        else if constexpr (std::is_same_v<InT, RecordT>)
-            out = KeyEntry<RecordT>::of(in);
-        else
-            out = *in.rec;
-    }
-
     /**
      * Merge node @p k's children into [out, last) until it is full or
      * both children are drained; returns the end of what was written.
@@ -229,7 +381,7 @@ class MergeTree
                     break; // both children drained
                 for (const InT *const stop = rest.pos + n;
                      rest.pos != stop; ++rest.pos, ++out)
-                    put(*out, *rest.pos);
+                    merge_detail::put(*out, *rest.pos);
                 continue;
             }
             out = mergeRun(left, right, out,
@@ -276,35 +428,24 @@ class MergeTree
         inner_[k] = {block, end, end != block + kBlockRecords};
     }
 
-    /**
-     * The branch-free 2-way merge step, @p n times: take the right
-     * head only when it is strictly smaller (ties go left).  Each step
-     * consumes one item, so with n <= min(left, right) no bound check
-     * is needed inside the loop.  Entries compare as their records
-     * do, so the steps are those of a record merge.
-     */
+    /** @p n merge steps from @p left and @p right: 8 records a step
+     *  while 8 remain, when the items are Records and the CPU has
+     *  AVX-512F, then one a step. */
     template <typename InT, typename OutT>
     static OutT *
     mergeRun(Stream<InT> &left, Stream<InT> &right, OutT *out,
              std::size_t n)
     {
-        const InT *lp = left.pos;
-        const InT *rp = right.pos;
-        for (OutT *const stop = out + n; out != stop; ++out) {
-            const bool take_right = *rp < *lp;
-            // Select the source by masking, not by a conditional the
-            // compiler could turn back into a branch.
-            const std::uintptr_t mask =
-                std::uintptr_t{0} - std::uintptr_t{take_right};
-            const auto l = reinterpret_cast<std::uintptr_t>(lp);
-            const auto r = reinterpret_cast<std::uintptr_t>(rp);
-            put(*out, *reinterpret_cast<const InT *>(l ^ ((l ^ r) & mask)));
-            rp += take_right;
-            lp += !take_right;
+#if BONSAI_AVX512
+        if constexpr (std::is_same_v<InT, Record> &&
+                      std::is_same_v<OutT, Record>) {
+            if (n >= 8 && haveAvx512f()) {
+                out = mergeSteps8Avx512(left.pos, right.pos, out, n);
+                n %= 8;
+            }
         }
-        left.pos = lp;
-        right.pos = rp;
-        return out;
+#endif
+        return mergeSteps(left.pos, right.pos, out, n);
     }
 
     std::size_t ways_ = 2;
