@@ -3,7 +3,8 @@
  * Live CPU microbenchmarks (google-benchmark): the in-process CPU
  * baselines (std::sort, LSD radix, PARADIS-style parallel radix,
  * sample sort) and the Bonsai behavioral engine on this machine, on
- * 16-byte records and on 100-byte gensort records.
+ * 16-byte records and on 100-byte gensort records, and one merge
+ * tree on its own: the kernel every stage of the engine runs.
  * These ground the CPU side of the comparisons with measured numbers
  * (the paper-scale CPU figures in Table I come from the publications;
  * see bench_table1).
@@ -12,11 +13,15 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <span>
+#include <vector>
 
 #include "baseline/cpu_sorters.hpp"
 #include "common/gensort.hpp"
 #include "common/random.hpp"
+#include "common/record_buffer.hpp"
 #include "sorter/behavioral.hpp"
+#include "sorter/merge_tree.hpp"
 
 namespace
 {
@@ -106,6 +111,30 @@ BM_BonsaiBehavioral(benchmark::State &state)
     reportRate(state, input.size());
 }
 
+/** One Record MergeTree over ell presorted runs of n / ell records:
+ *  the merge kernel alone, without the presort or the stage plan. */
+void
+BM_MergeTreeRecord(benchmark::State &state)
+{
+    auto input = workload(state.range(0));
+    const auto ell = static_cast<std::size_t>(state.range(1));
+    std::vector<std::span<const Record>> runs;
+    for (std::size_t i = 0; i < ell; ++i) {
+        const auto lo = input.begin() + input.size() * i / ell;
+        const auto hi = input.begin() + input.size() * (i + 1) / ell;
+        std::sort(lo, hi);
+        runs.emplace_back(&*lo, static_cast<std::size_t>(hi - lo));
+    }
+    std::vector<Record> out(input.size());
+    RecordBuffer<Record> arena;
+    for (auto _ : state) {
+        sorter::MergeTree<Record> tree(runs, {}, {}, &arena);
+        tree.merge(out.data());
+        benchmark::DoNotOptimize(out.data());
+    }
+    reportRate(state, input.size());
+}
+
 void
 BM_StdSortGensort(benchmark::State &state)
 {
@@ -147,6 +176,10 @@ BENCHMARK(BM_BonsaiBehavioral)
     ->Args({1 << 22, 256, 1})
     ->Args({1 << 22, 256, 4})
     ->Args({1 << 22, 256, 8});
+BENCHMARK(BM_MergeTreeRecord)
+    ->Args({1 << 20, 2})
+    ->Args({1 << 20, 16})
+    ->Args({1 << 20, 256});
 BENCHMARK(BM_StdSortGensort)->Arg(1 << 20);
 BENCHMARK(BM_BonsaiBehavioralGensort)
     ->Args({1 << 20, 32, 1})
