@@ -34,6 +34,8 @@
  * and io::FileSink, so an input that is not a whole number of records,
  * a failed read or an unwritable output (a full device) ends the
  * command with exit status 1 and one "file_sorter:" line on stderr.
+ * `--help` prints the usage line and exits 0; an argument list that
+ * names no command prints it to stderr and exits 2.
  */
 
 #include <cstdio>
@@ -310,17 +312,16 @@ run(int argc, char **argv)
     if (nargs >= 3 && std::strcmp(args[1], "validate") == 0)
         return cmdValidate(args[2]);
 
-    // No arguments: run the whole workflow on a temporary file as a
-    // self-demonstration.
-    std::printf("usage: file_sorter [--threads N] [--budget-mb N] "
-                "[--checkpoint-dir D] [--resume] "
-                "gen <records> <file> | sort <in> <out> | "
-                "ssdsort <in> <out> | extsort <in> <out> | "
-                "checkpoint-status <dir> | validate <file>\n");
-    std::printf("\nrunning self-demo with 100,000 records...\n");
-    cmdGen(100'000, "/tmp/bonsai_demo.dat");
-    cmdSort("/tmp/bonsai_demo.dat", "/tmp/bonsai_demo.sorted", threads);
-    return cmdValidate("/tmp/bonsai_demo.sorted");
+    // --help asked for the usage line; anything else that names no
+    // command is an error, so a misspelt command cannot succeed.
+    const bool help = nargs == 2 && std::strcmp(args[1], "--help") == 0;
+    std::fprintf(help ? stdout : stderr,
+                 "usage: file_sorter [--threads N] [--budget-mb N] "
+                 "[--checkpoint-dir D] [--resume] "
+                 "gen <records> <file> | sort <in> <out> | "
+                 "ssdsort <in> <out> | extsort <in> <out> | "
+                 "checkpoint-status <dir> | validate <file>\n");
+    return help ? 0 : 2;
 }
 
 } // namespace
