@@ -2,17 +2,25 @@
  * @file
  * Bounded buffer pool for the streaming sorter's batched I/O.
  *
- * The out-of-core merge gives every run cursor and every output
- * writer one batch-sized buffer (b records each, mirroring the
- * hardware data loader's batched reads).  The pool bounds the total
- * buffer bytes — the software analogue of the paper's Equation 10
- * on-chip budget b * ell — and the engine derives its effective merge
- * fan-in from the buffer count, so memory use never exceeds the
- * budget no matter how many runs phase 1 produced.
+ * The pool's unit is a slot of b records (the paper's batch, mirroring
+ * the hardware data loader's batched reads), and it bounds the total
+ * slot bytes — the software analogue of the paper's Equation 10
+ * on-chip budget b * ell.  The engine derives its effective merge
+ * fan-in from the slot count, so memory use never exceeds the budget
+ * no matter how many runs phase 1 produced.  A lease may take k slots
+ * as one contiguous buffer of k * b records: a phase-2 pass that
+ * merges fewer runs than the reservation covers hands its cursors and
+ * writers k-slot buffers and so moves k batches per read or write.
  *
- * A pool whose budget cannot hold even one batch would make the first
- * acquire() block forever; the constructor fails loudly instead (in
- * every build type).
+ * Slots are counted, not buffers: outstanding() and peakOutstanding()
+ * are in slots, acquire(k) blocks while outstanding + k > buffers(),
+ * and the memory the pool keeps (leased plus free buffers) never
+ * exceeds buffers() slots — a free buffer of another size is dropped
+ * when a new one needs its slots.
+ *
+ * A pool whose budget cannot hold even one slot would make the first
+ * acquire() block forever, and so would a request for more slots than
+ * the pool has; both fail loudly instead (in every build type).
  *
  * The pool is a leaf lock in the common/sync.hpp capability scheme:
  * every entry point is BONSAI_EXCLUDES its own mutex and no critical
@@ -28,23 +36,27 @@
 #include <string>
 #include <vector>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "common/contract.hpp"
 #include "common/sync.hpp"
 
 namespace bonsai::io
 {
 
-/** Bounded pool of batch-sized record buffers. */
+/** Bounded pool of record buffers, counted in batch-sized slots. */
 template <typename RecordT>
 class BufferPool
 {
   public:
     /**
-     * @param batch_records Records per buffer (the paper's b, in
+     * @param batch_records Records per slot (the paper's b, in
      *        records).
      * @param budget_bytes Total buffer budget; the pool hands out at
      *        most budget_bytes / (batch_records * sizeof(RecordT))
-     *        buffers.
+     *        slots.
      */
     BufferPool(std::uint64_t batch_records, std::uint64_t budget_bytes)
         : batch_(batch_records)
@@ -66,10 +78,30 @@ class BufferPool
                     " bytes); acquire() would deadlock");
     }
 
-    /** Records per buffer (b). */
+    /**
+     * Frees every buffer and hands the freed pages back to the
+     * system.  Phase-2 buffers are small enough to live in the C
+     * heap, and glibc keeps freed heap pages resident while any live
+     * allocation sits above them; a finished sort would then leave
+     * up to its whole pool resident, on top of which the next sort's
+     * phase 1 maps its chunk buffers.
+     */
+    ~BufferPool()
+    {
+        free_.clear();
+        free_.shrink_to_fit();
+#if defined(__GLIBC__)
+        malloc_trim(0);
+#endif
+    }
+
+    BufferPool(const BufferPool &) = delete;
+    BufferPool &operator=(const BufferPool &) = delete;
+
+    /** Records per slot (b). */
     std::uint64_t batchRecords() const { return batch_; }
 
-    /** Total buffers the budget affords. */
+    /** Total slots the budget affords. */
     std::uint64_t buffers() const { return count_; }
 
     /** Total bytes the pool may hold at once. */
@@ -80,44 +112,78 @@ class BufferPool
     }
 
     /**
-     * Take a buffer of batchRecords() records, blocking while all
-     * buffers are out.  Callers must bound their concurrent holdings
-     * by buffers() (the stream engine derives its fan-in *and* its
-     * phase-2 group concurrency from it), or acquire() deadlocks.
+     * Take a buffer of @p slots * batchRecords() records, blocking
+     * while fewer than @p slots slots are free.  Callers must bound
+     * their concurrent holdings by buffers() slots (the stream engine
+     * derives its fan-in, its phase-2 group concurrency and its
+     * per-pass transfer from it), or acquire() deadlocks; a single
+     * request for more than buffers() slots can never be met and
+     * fails loudly instead.
      */
     std::vector<RecordT>
-    acquire() BONSAI_EXCLUDES(mutex_)
+    acquire(std::uint64_t slots = 1) BONSAI_EXCLUDES(mutex_)
     {
+        if (slots == 0 || slots > count_)
+            contracts::fail(
+                "precondition", "0 < slots <= buffers()", __FILE__,
+                __LINE__,
+                "BufferPool request for " + std::to_string(slots) +
+                    " slot(s) of a " + std::to_string(count_) +
+                    "-slot pool; acquire() would deadlock");
+        const std::uint64_t records = slots * batch_;
+        // Free buffers dropped to make room, destroyed after the
+        // lock is released (declared before it).
+        std::vector<std::vector<RecordT>> dropped;
         ScopedLock lock(mutex_);
-        while (free_.empty() && allocated_ >= count_)
+        while (outstanding_ + slots > count_)
             available_.wait(mutex_);
-        ++outstanding_;
+        outstanding_ += slots;
         peak_ = std::max(peak_, outstanding_);
-        if (!free_.empty()) {
+        const auto fit = std::find_if(
+            free_.begin(), free_.end(),
+            [records](const std::vector<RecordT> &buf) {
+                return buf.size() == records;
+            });
+        if (fit != free_.end()) {
+            std::iter_swap(fit, free_.end() - 1);
             std::vector<RecordT> buf = std::move(free_.back());
             free_.pop_back();
             return buf;
         }
-        ++allocated_;
+        // The free list holds allocated_ - (outstanding_ - slots)
+        // slots and outstanding_ <= count_, so dropping free buffers
+        // always makes room for the new one.
+        while (allocated_ + slots > count_) {
+            allocated_ -= free_.back().size() / batch_;
+            dropped.push_back(std::move(free_.back()));
+            free_.pop_back();
+        }
+        allocated_ += slots;
         lock.unlock();
-        return std::vector<RecordT>(batch_);
+        return std::vector<RecordT>(records);
     }
 
-    /** Return a buffer taken with acquire(). */
+    /** Return a buffer taken with acquire(); its size says how many
+     *  slots it frees. */
     void
     release(std::vector<RecordT> buf) BONSAI_EXCLUDES(mutex_)
     {
+        const std::uint64_t slots = buf.size() / batch_;
         {
             ScopedLock lock(mutex_);
-            BONSAI_REQUIRE(outstanding_ > 0,
+            BONSAI_REQUIRE(slots > 0 && buf.size() % batch_ == 0 &&
+                               slots <= outstanding_,
                            "release without a matching acquire");
-            --outstanding_;
+            outstanding_ -= slots;
             free_.push_back(std::move(buf));
         }
-        available_.notifyOne();
+        // Waiters want different slot counts: wake them all, or a
+        // one-slot waiter could sleep behind a wider one that cannot
+        // proceed yet.
+        available_.notifyAll();
     }
 
-    /** Buffers currently held by callers. */
+    /** Slots currently held by callers. */
     std::uint64_t
     outstanding() const BONSAI_EXCLUDES(mutex_)
     {
@@ -126,10 +192,11 @@ class BufferPool
     }
 
     /**
-     * High-water mark of concurrently held buffers — the concurrent-
+     * High-water mark of concurrently held slots — the concurrent-
      * acquire accounting the parallel phase-2 merge is tested against:
      * it must never exceed buffers(), or the budget derivation
-     * admitted more lanes than the pool can feed.
+     * admitted more lanes or a wider transfer than the pool can
+     * feed.
      */
     std::uint64_t
     peakOutstanding() const BONSAI_EXCLUDES(mutex_)
@@ -145,6 +212,7 @@ class BufferPool
     mutable Mutex mutex_;
     CondVar available_;
     std::vector<std::vector<RecordT>> free_ BONSAI_GUARDED_BY(mutex_);
+    /** Slots of every live buffer, leased or free. */
     std::uint64_t allocated_ BONSAI_GUARDED_BY(mutex_) = 0;
     std::uint64_t outstanding_ BONSAI_GUARDED_BY(mutex_) = 0;
     std::uint64_t peak_ BONSAI_GUARDED_BY(mutex_) = 0;

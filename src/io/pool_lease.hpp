@@ -1,7 +1,8 @@
 /**
  * @file
- * RAII lease of one io::BufferPool buffer — what a RunCursor and a
- * phase-2 merge's output batch hold their buffer through.
+ * RAII lease of one io::BufferPool buffer of k slots (k * b records,
+ * one contiguous buffer) — what a RunCursor and a phase-2 merge's
+ * output batch hold their buffer through.
  *
  * A raw acquire()d std::vector owes the pool a release(); a task that
  * throws between the acquire and the release would leak the pool's
@@ -34,10 +35,10 @@ class PoolLease
     /** An empty lease (no buffer, no pool). */
     PoolLease() = default;
 
-    /** Acquire one buffer from @p pool, blocking while the pool is
-     *  exhausted; released when the lease dies. */
-    explicit PoolLease(BufferPool<RecordT> &pool)
-        : pool_(&pool), buf_(pool.acquire())
+    /** Acquire a buffer of @p slots slots from @p pool, blocking
+     *  while the pool has fewer free; released when the lease dies. */
+    explicit PoolLease(BufferPool<RecordT> &pool, std::uint64_t slots = 1)
+        : pool_(&pool), buf_(pool.acquire(slots))
     {
     }
 
@@ -67,7 +68,7 @@ class PoolLease
     RecordT *data() { return buf_.data(); }
     const RecordT *data() const { return buf_.data(); }
 
-    /** Record capacity of the held buffer (the pool's batch size). */
+    /** Record capacity of the held buffer (slots * batch size). */
     std::uint64_t capacity() const { return buf_.size(); }
 
     /** Return the buffer to its pool early (idempotent). */

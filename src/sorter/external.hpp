@@ -4,9 +4,11 @@
  * — the facade over the decomposed streaming-sort modules:
  *
  *   sorter/stream_stats.hpp   unified telemetry struct
- *   sorter/run_cursor.hpp     batch-reading run cursor (1 pool buffer)
+ *   sorter/run_cursor.hpp     run cursor reading k * b records into
+ *                             one k-slot pool buffer
  *   sorter/merge_tree.hpp     the merge kernel of both phases
- *   sorter/merge_plan.hpp     Equation-10 shape and lane reservation
+ *   sorter/merge_plan.hpp     Equation-10 shape, lane reservation and
+ *                             per-pass transfer size
  *   sorter/splitter.hpp       out-of-core Merge Path boundary search
  *   sorter/phase1_spill.hpp   phase 1 as a two-buffer read/sort/spill
  *                             lockstep
@@ -26,9 +28,11 @@
  * (b * laneBuffers(ell) * W buffers), so resident memory never
  * exceeds it.  Each lane merges a group through one MergeTree whose
  * leaves refill from run cursors, and reads and writes its runs on
- * the thread that merges.  The final pass is splitter-partitioned
- * into positioned sink segments — byte-identical to the serial merge
- * for any thread count, including equal-key floods.
+ * the thread that merges, k batches at a time: each pass sizes k so
+ * that its concurrent groups fill the slots the shape reserves.  The
+ * final pass is splitter-partitioned into positioned sink segments —
+ * byte-identical to the serial merge for any thread count, including
+ * equal-key floods.
  *
  * sortInPlace() is the in-memory adapter and uses no run store: its
  * passes run BehavioralSorter::mergeRuns — the stage loop of the
@@ -294,9 +298,10 @@ class StreamEngine
         stats.batchRecords = opt_.batchRecords;
         ThreadPool pool(opt_.threads);
         stats.bufferPoolBytes = bufs.budgetBytes();
+        const std::uint64_t have =
+            std::min<std::uint64_t>(bufs.buffers(), req.allowance);
         const Phase2Shape shape = phase2Shape(
-            std::min<std::uint64_t>(bufs.buffers(), req.allowance),
-            bufs.budgetBytes(), opt_.phase2Ell, opt_.threads);
+            have, bufs.budgetBytes(), opt_.phase2Ell, opt_.threads);
         stats.effectiveEll = shape.ell;
         stats.concurrentGroups = shape.lanes;
 
@@ -319,7 +324,7 @@ class StreamEngine
                 stats.phase1Chunks = ckpt->chunksDone();
             }
             Phase2Merger<RecordT> merger(bufs, shape.lanes, pool, trap,
-                                         shape.ell);
+                                         shape.ell, have);
             merger.run(front, back, *req.sink, stats, ckpt);
         } catch (...) {
             trap.store(std::current_exception());

@@ -1,12 +1,16 @@
 /**
  * @file
- * Phase-2 merge planning: the Equation-10 buffer-budget shape.
+ * Phase-2 merge planning: the Equation-10 buffer-budget shape and
+ * the per-pass transfer size.
  *
  * The shape derivation is the engine's resource model: a streamed
- * ell-way merge lane reserves laneBuffers(ell) = 2 ell + 2 buffers,
- * so W lanes of fan-in ell fit a pool of b-record buffers when
- * (2 ell + 2) * W <= buffers — the paper's b * ell on-chip buffer
- * bound (Eq. 10) generalized to W concurrent merge units.
+ * ell-way merge lane reserves laneBuffers(ell) = 2 ell + 2 slots, so
+ * W lanes of fan-in ell fit a pool of b-record slots when
+ * (2 ell + 2) * W <= slots — the paper's b * ell on-chip buffer bound
+ * (Eq. 10) generalized to W concurrent merge units.  The shape is
+ * fixed for the whole sort; what a pass does with the reservation is
+ * not: transferSlots() hands each cursor and writer of a pass k slots,
+ * as many as the pass's concurrent groups leave room for.
  */
 
 #ifndef BONSAI_SORTER_MERGE_PLAN_HPP
@@ -22,14 +26,16 @@ namespace bonsai::sorter
 {
 
 /**
- * Pool buffers one phase-2 merge lane of fan-in @p ell reserves:
- * 2 per input run plus 2 for the output.  A lane merging inline
- * holds only ell + 1 (one per cursor, one for its writer), but the
- * reservation stays at 2 ell + 2 on purpose.  It fixes the effective
- * fan-in a budget admits, StagePlan groups runs at a stride that
- * depends on that fan-in, and so the order in which equal keys leave
- * the sort does too: a tighter reservation would admit a wider merge
- * on the same budget and change the output bytes.
+ * Pool slots one phase-2 merge lane of fan-in @p ell reserves: 2 per
+ * input run plus 2 for the output.  A lane merging inline leases one
+ * buffer per cursor and one for its writer, each of k slots, where
+ * transferSlots() picks k per pass so that the pass's leases fit the
+ * slots the shape reserves.  The reservation stays at 2 ell + 2 on
+ * purpose.  It fixes the effective fan-in a budget admits, StagePlan
+ * groups runs at a stride that depends on that fan-in, and so the
+ * order in which equal keys leave the sort does too: a tighter
+ * reservation would admit a wider merge on the same budget and change
+ * the output bytes.
  */
 constexpr std::uint64_t
 laneBuffers(std::uint64_t ell)
@@ -74,6 +80,30 @@ phase2Shape(std::uint64_t have, std::uint64_t budget_bytes,
         1, std::min<std::uint64_t>(threads,
                                    have / laneBuffers(shape.ell))));
     return shape;
+}
+
+/** Bytes at which a phase-2 transfer stops growing: buffered pread
+ *  and pwrite cost little more per byte at 128 KiB than at 1 MiB,
+ *  and larger buffers only cost fresh pages. */
+inline constexpr std::uint64_t kTransferBytes = 128 << 10;
+
+/**
+ * Slots k each cursor and writer of one phase-2 pass leases, so a
+ * transfer moves k * b records.  @p have is the shape's slot count
+ * (the pool's, capped by the sort's allowance), @p concurrent the
+ * groups or final-pass slices the pass merges at once and @p widest
+ * the member count of its widest group: concurrent groups of at most
+ * widest + 1 leases of k slots fit in have.  k is at least 1 (the
+ * shape already fits one slot per lease) and stops growing at
+ * kTransferBytes.
+ */
+constexpr std::uint64_t
+transferSlots(std::uint64_t have, std::uint64_t concurrent,
+              std::uint64_t widest, std::uint64_t batch_bytes)
+{
+    return std::max<std::uint64_t>(
+        1, std::min(have / concurrent / (widest + 1),
+                    kTransferBytes / batch_bytes));
 }
 
 } // namespace bonsai::sorter

@@ -47,6 +47,7 @@
 #include "io/stream.hpp"
 #include "sorter/behavioral.hpp"
 #include "sorter/checkpoint.hpp"
+#include "sorter/merge_plan.hpp"
 #include "sorter/stream_stats.hpp"
 
 namespace bonsai::sorter
@@ -58,7 +59,9 @@ class Phase1Spiller
   public:
     /**
      * Stream chunks of @p chunk records from @p source in reads of at
-     * most @p batch records, sort each in place with @p sorter on
+     * most max(@p batch, kTransferBytes / sizeof(RecordT)) records
+     * (the phase-2 transfer cap; the chunk buffer is the read buffer,
+     * so the size costs no memory), sort each in place with @p sorter on
      * @p compute, and spill the sorted runs to @p store.  Fills the
      * phase-1 fields of @p stats; the primary error of a failing step
      * lands in @p trap and is rethrown from here once both of the
@@ -103,6 +106,8 @@ class Phase1Spiller
             runs = store.runs();
         std::uint64_t offset = start;
         std::uint64_t index = base_index;
+        const std::uint64_t read_records = std::max<std::uint64_t>(
+            batch, kTransferBytes / sizeof(RecordT));
         // Fill @p c with the next chunk (len 0 once the input is
         // exhausted), sizing its buffer on first use.
         const auto load = [&](Chunk &c) {
@@ -115,7 +120,7 @@ class Phase1Spiller
             for (std::uint64_t got = 0; got < c.len;) {
                 const std::uint64_t r = source.read(
                     c.buf.data() + got,
-                    std::min<std::uint64_t>(batch, c.len - got));
+                    std::min<std::uint64_t>(read_records, c.len - got));
                 if (r == 0)
                     contracts::fail(
                         "precondition", "source.read() != 0",
@@ -145,37 +150,43 @@ class Phase1Spiller
                 ckpt->commitChunk(run);
         };
 
-        Chunk a; // loaded, sorted in the coming step
-        Chunk b; // sorted, spilled and then refilled in the coming step
-        load(a);
         std::uint64_t moved = 0;
-        RecordBuffer<RecordT> scratch; // sort scratch, reused by every chunk
-        ThreadPool io(2);
-        while (a.len > 0) {
-            // parallelFor tasks must not throw (a leaked exception
-            // kills a pool worker), so trap the first error and
-            // rethrow it after the join.
-            io.parallelFor(2, [&](std::uint64_t task) {
-                try {
-                    if (task == 0) {
-                        const std::span<RecordT> run(a.buf.data(),
-                                                     a.len);
-                        moved += sorter.sort(run, compute, scratch)
-                                     .recordsMoved;
-                        return;
+        {
+            // The chunk buffers, the sort scratch and the I/O thread
+            // go before the flush, so their teardown is timed as
+            // phase 1 rather than falling between the phases.
+            Chunk a; // loaded, sorted in the coming step
+            Chunk b; // sorted, spilled and then refilled in the coming step
+            load(a);
+            // Sort scratch, reused by every chunk.
+            RecordBuffer<RecordT> scratch;
+            ThreadPool io(2);
+            while (a.len > 0) {
+                // parallelFor tasks must not throw (a leaked exception
+                // kills a pool worker), so trap the first error and
+                // rethrow it after the join.
+                io.parallelFor(2, [&](std::uint64_t task) {
+                    try {
+                        if (task == 0) {
+                            const std::span<RecordT> run(a.buf.data(),
+                                                         a.len);
+                            moved += sorter.sort(run, compute, scratch)
+                                         .recordsMoved;
+                            return;
+                        }
+                        if (b.len > 0)
+                            spill(b);
+                        load(b);
+                    } catch (...) {
+                        trap.store(std::current_exception());
                     }
-                    if (b.len > 0)
-                        spill(b);
-                    load(b);
-                } catch (...) {
-                    trap.store(std::current_exception());
-                }
-            });
-            trap.rethrowIfSet();
-            std::swap(a, b);
+                });
+                trap.rethrowIfSet();
+                std::swap(a, b);
+            }
+            if (b.len > 0)
+                spill(b);
         }
-        if (b.len > 0)
-            spill(b);
 
         stats.phase1RecordsMoved += moved;
         stats.recordsMoved += moved;

@@ -17,12 +17,17 @@
  * in-memory sort's kernel — whose leaves refill from RunCursors, one
  * leased pool buffer per member, and whose root fills one more leased
  * buffer that is written to the store or sink whenever it is full.
- * A one-member group is a one-leaf tree.  Node blocks hold records,
- * never key entries (a leaf batch is overwritten on refill), and come
- * from one arena per merge lane, outside the pool.  Every task reads and
- * writes its runs on its own thread: the buffered store and sink I/O
- * underneath already reads ahead and writes behind, so phase 2 starts
- * no threads of its own.
+ * A one-member group is a one-leaf tree.  Every buffer of a pass has
+ * k slots (k * b records, sorter/merge_plan.hpp transferSlots): the
+ * pass's concurrent groups of members + 1 buffers fill the slots the
+ * Equation-10 shape reserves, so a pass that merges few runs at once
+ * reads and writes in larger pieces.  k changes only the size and the
+ * number of the reads and writes, never the groups or the bytes.
+ * Node blocks hold records, never key entries (a leaf batch is
+ * overwritten on refill), and come from one arena per merge lane,
+ * outside the pool.  Every task reads and writes its runs on its own
+ * thread: the buffered store and sink I/O underneath already reads
+ * ahead and writes behind, so phase 2 starts no threads of its own.
  */
 
 #ifndef BONSAI_SORTER_PHASE2_MERGE_HPP
@@ -45,6 +50,7 @@
 #include "io/run_store.hpp"
 #include "io/stream.hpp"
 #include "sorter/checkpoint.hpp"
+#include "sorter/merge_plan.hpp"
 #include "sorter/merge_tree.hpp"
 #include "sorter/run_cursor.hpp"
 #include "sorter/splitter.hpp"
@@ -65,11 +71,14 @@ class Phase2Merger
      * @param pool  Compute pool the merge tasks are scheduled on.
      * @param trap  Sort-wide first-error latch.
      * @param ell   Effective fan-in (already budget-capped).
+     * @param have  Pool slots the shape was planned against; every
+     *        pass's leases fit in them.
      */
     Phase2Merger(io::BufferPool<RecordT> &bufs, unsigned lanes,
-                 ThreadPool &pool, ErrorTrap &trap, unsigned ell)
+                 ThreadPool &pool, ErrorTrap &trap, unsigned ell,
+                 std::uint64_t have)
         : bufs_(&bufs), lanes_(lanes), pool_(&pool), trap_(&trap),
-          ell_(ell)
+          ell_(ell), have_(have)
     {
     }
 
@@ -138,6 +147,19 @@ class Phase2Merger
         stats.writeStallSeconds += t.writeStall;
     }
 
+    /** Slots per lease of a pass that merges @p concurrent groups
+     *  of at most @p widest members at once; recorded in @p stats. */
+    std::uint64_t
+    passSlots(std::uint64_t concurrent, std::uint64_t widest,
+              StreamStats &stats) const
+    {
+        const std::uint64_t k = transferSlots(
+            have_, concurrent, widest,
+            bufs_->batchRecords() * sizeof(RecordT));
+        stats.passTransferRecords.push_back(k * bufs_->batchRecords());
+        return k;
+    }
+
     /** One non-final pass: up to W tasks on the compute pool, each
      *  merging the next unclaimed group until none is left, so at
      *  most W groups hold pool buffers at once. */
@@ -147,11 +169,16 @@ class Phase2Merger
                  StreamStats &stats)
     {
         std::vector<std::uint64_t> work;
-        for (std::uint64_t g = 0; g < plan.groups(); ++g)
+        std::uint64_t widest = 0;
+        for (std::uint64_t g = 0; g < plan.groups(); ++g) {
             if (!plan.groupRuns(g).empty())
                 work.push_back(g);
+            widest = std::max<std::uint64_t>(widest,
+                                             plan.groupRuns(g).size());
+        }
         const std::size_t width =
             std::min<std::size_t>(lanes_, work.size());
+        const std::uint64_t slots = passSlots(width, widest, stats);
         std::vector<GroupTally> tallies(work.size());
         std::atomic<std::size_t> next{0};
         // parallelFor tasks must not throw (a leaked exception kills a
@@ -166,7 +193,7 @@ class Phase2Merger
                     if (i >= work.size())
                         break;
                     tallies[i] = mergeOneGroup(src, plan, out, work[i],
-                                               dst, arena);
+                                               slots, dst, arena);
                 }
             } catch (...) {
                 trap_->store(std::current_exception());
@@ -182,13 +209,14 @@ class Phase2Merger
     mergeOneGroup(const io::RunStore<RecordT> &src,
                   const StagePlan &plan,
                   const std::vector<RunSpan> &out, std::uint64_t g,
-                  io::RunStore<RecordT> &dst, RecordBuffer<RecordT> &arena)
+                  std::uint64_t slots, io::RunStore<RecordT> &dst,
+                  RecordBuffer<RecordT> &arena)
     {
         const std::string ctx =
             "phase-2 write-back of merge group " + std::to_string(g);
         io::RunStoreSink<RecordT> gsink(dst, out[g].offset,
                                         ctx.c_str());
-        return mergeGroup(src, plan.groupRuns(g), gsink, &arena);
+        return mergeGroup(src, plan.groupRuns(g), gsink, slots, &arena);
     }
 
     /** The final pass (one group, streaming to the sink): cut the
@@ -214,7 +242,9 @@ class Phase2Merger
             slices = 1;
         if (slices <= 1) {
             stats.finalSlices = 1;
-            foldTally(mergeGroup(src, members, sink), stats);
+            foldTally(mergeGroup(src, members, sink,
+                                 passSlots(1, members.size(), stats)),
+                      stats);
             return;
         }
         const std::vector<std::vector<std::uint64_t>> cuts =
@@ -229,6 +259,10 @@ class Phase2Merger
                       "splitter cuts must partition the final group");
         sink.beginSegments(total);
         stats.finalSlices = static_cast<unsigned>(slices);
+        // The splitter's window lease is back: the slices have the
+        // slots to themselves.
+        const std::uint64_t slots =
+            passSlots(slices, members.size(), stats);
         std::vector<GroupTally> tallies(slices);
         pool_->parallelFor(slices, [&](std::uint64_t t) {
             try {
@@ -242,7 +276,7 @@ class Phase2Merger
                         RunSpan{members[j].offset + cuts[t][j],
                                 cuts[t + 1][j] - cuts[t][j]});
                 io::SegmentSink<RecordT> seg(sink, base[t]);
-                tallies[t] = mergeGroup(src, sub, seg);
+                tallies[t] = mergeGroup(src, sub, seg, slots);
             } catch (...) {
                 trap_->store(std::current_exception());
             }
@@ -255,23 +289,23 @@ class Phase2Merger
     /**
      * Stream-merge one group of runs from @p src into @p out: a merge
      * tree whose leaves refill from one RunCursor per member and whose
-     * root fills one leased batch at a time, written whole to @p out.
-     * The group holds members + 1 pool buffers; its node blocks live
-     * in @p arena, or in the tree when that is null (one tree per
-     * final-pass slice).
+     * root fills one leased buffer at a time, written whole to
+     * @p out.  The group holds members + 1 pool buffers of @p slots
+     * slots each; its node blocks live in @p arena, or in the tree
+     * when that is null (one tree per final-pass slice).
      */
     GroupTally
     mergeGroup(const io::RunStore<RecordT> &src,
                const std::vector<RunSpan> &members,
-               io::RecordSink<RecordT> &out,
+               io::RecordSink<RecordT> &out, std::uint64_t slots,
                RecordBuffer<RecordT> *arena = nullptr)
     {
         GroupTally tally;
         std::vector<RunCursor<RecordT>> cursors;
         cursors.reserve(members.size());
         for (const RunSpan &m : members)
-            cursors.emplace_back(src, m, *bufs_);
-        io::PoolLease<RecordT> batch(*bufs_);
+            cursors.emplace_back(src, m, *bufs_, slots);
+        io::PoolLease<RecordT> batch(*bufs_, slots);
         MergeTree<RecordT, RecordT> tree(
             members.size(),
             [&cursors](std::size_t i) { return cursors[i].next(); },
@@ -295,6 +329,7 @@ class Phase2Merger
     ThreadPool *pool_;
     ErrorTrap *trap_;
     unsigned ell_;
+    std::uint64_t have_;
 };
 
 } // namespace bonsai::sorter

@@ -1,8 +1,10 @@
 /**
  * @file
- * Forward-only view of one stored run: batch-sized reads into one
- * leased pool buffer, each read on the merging thread when the merge
- * tree's leaf for the run runs dry (sorter/merge_tree.hpp).
+ * Forward-only view of one stored run: reads of k batches (k * b
+ * records, the phase-2 pass's transfer) into one leased k-slot pool
+ * buffer, each read on the merging thread when the merge tree's leaf
+ * for the run runs dry (sorter/merge_tree.hpp).  The last read of a
+ * run is short when the run is not a multiple of k * b.
  *
  * The read is a plain RunStore::readAt — a buffered pread on a
  * FileRunStore, which the kernel's readahead already overlaps with
@@ -32,17 +34,19 @@ template <typename RecordT>
 class RunCursor
 {
   public:
+    /** Reads of @p slots pool slots' worth of records. */
     RunCursor(const io::RunStore<RecordT> &store, RunSpan span,
-              io::BufferPool<RecordT> &pool)
-        : store_(&store), buf_(pool),
+              io::BufferPool<RecordT> &pool, std::uint64_t slots)
+        : store_(&store), buf_(pool, slots),
           ctx_("streaming run @" + std::to_string(span.offset) + "+" +
                std::to_string(span.length)),
           next_(span.offset), end_(span.offset + span.length)
     {
     }
 
-    /** The run's next batch, read into the leased buffer (so it is
-     *  valid until the next call); empty once the run is consumed. */
+    /** The run's next transfer, read into the leased buffer (so it
+     *  is valid until the next call); empty once the run is
+     *  consumed. */
     std::span<const RecordT>
     next()
     {

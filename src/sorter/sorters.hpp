@@ -393,14 +393,17 @@ class SsdSorter
     }
 
   private:
-    /** Default streaming batch b: the largest batch at which the
-     *  pool holds one full merge lane per requested thread — W lanes
-     *  of fan-in ell need laneBuffers(ell) * W buffers (and never
-     *  fewer than 8).  The pool then admits the planner's fan-in and
-     *  W lanes, so the bytes are those of any smaller b, while every
-     *  streamed transfer moves as much as the budget affords; asking
-     *  for more threads shrinks b instead of silently serializing
-     *  phase 2.  The planner's Equation-10 batch (phase2.batchBytes,
+    /** Default pool slot b: the largest slot at which the pool
+     *  holds one full merge lane per requested thread — W lanes of
+     *  fan-in ell need laneBuffers(ell) * W slots (and never fewer
+     *  than 8).  The pool then admits the planner's fan-in and W
+     *  lanes, so the bytes are those of any smaller b; asking for more
+     *  threads shrinks b instead of silently serializing phase 2.  b
+     *  sizes a slot, not a transfer: each merge pass reads and writes
+     *  k * b records, with k sized per pass from the slots its
+     *  concurrent groups leave idle (merge_plan.hpp transferSlots),
+     *  and phase 1 reads the source in kTransferBytes pieces when b
+     *  is smaller.  The planner's Equation-10 batch (phase2.batchBytes,
      *  the largest b with lambda*b*ell <= C_BRAM) bounds the FPGA's
      *  on-chip buffers, not the host's, so it only labels the report
      *  (StreamStats::modelBatchRecords).  Explicit user batches are

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace bonsai::sorter
 {
@@ -34,7 +35,11 @@ struct StreamStats
     /** Splitter slices the final pass actually merged with (1 =
      *  serial merge). */
     unsigned finalSlices = 0;
-    std::uint64_t batchRecords = 0;    ///< streaming batch size b
+    std::uint64_t batchRecords = 0;    ///< pool slot size b
+    /** Records per read and write of each merge pass this attempt
+     *  ran, in pass order: k * b, with k the pass's slots per lease
+     *  (sorter/merge_plan.hpp transferSlots). */
+    std::vector<std::uint64_t> passTransferRecords;
     /** The planner's Equation-10 batch: the b that the modeled FPGA's
      *  on-chip buffers allow (SsdSorter::sortStream only; 0
      *  elsewhere).  The host streams at batchRecords instead. */

@@ -87,8 +87,13 @@ INSTANTIATE_TEST_SUITE_P(
                       Shape{8, 2}, Shape{8, 8}, Shape{16, 4},
                       Shape{32, 2}, Shape{32, 8}, Shape{2, 32}),
     [](const ::testing::TestParamInfo<Shape> &param_info) {
-        return "p" + std::to_string(param_info.param.p) + "_ell" +
-            std::to_string(param_info.param.ell);
+        // Appended piecewise: GCC 12 flags chained operator+ on
+        // std::string with a -Wrestrict false positive.
+        std::string name = "p";
+        name += std::to_string(param_info.param.p);
+        name += "_ell";
+        name += std::to_string(param_info.param.ell);
+        return name;
     });
 
 TEST(AmtInstance, TwoGroupsSequentially)

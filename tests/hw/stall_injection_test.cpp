@@ -132,8 +132,13 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Shape{1, 2}, Shape{2, 4}, Shape{4, 8},
                       Shape{8, 16}, Shape{16, 4}, Shape{32, 8}),
     [](const ::testing::TestParamInfo<Shape> &param_info) {
-        return "p" + std::to_string(param_info.param.p) + "_ell" +
-            std::to_string(param_info.param.ell);
+        // Appended piecewise: GCC 12 flags chained operator+ on
+        // std::string with a -Wrestrict false positive.
+        std::string name = "p";
+        name += std::to_string(param_info.param.p);
+        name += "_ell";
+        name += std::to_string(param_info.param.ell);
+        return name;
     });
 
 TEST(StallInjection, MergerResumesAfterLongStarvation)

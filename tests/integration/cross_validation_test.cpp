@@ -105,10 +105,16 @@ INSTANTIATE_TEST_SUITE_P(
                       Config{32, 16, 16.0},  // bandwidth-bound
                       Config{4, 16, 32.0}),  // deeply compute-bound
     [](const ::testing::TestParamInfo<Config> &param_info) {
-        return "p" + std::to_string(param_info.param.p) + "_ell" +
-            std::to_string(param_info.param.ell) + "_bw" +
-            std::to_string(
-                   static_cast<int>(param_info.param.bankBytesPerCycle));
+        // Appended piecewise: GCC 12 flags chained operator+ on
+        // std::string with a -Wrestrict false positive.
+        std::string name = "p";
+        name += std::to_string(param_info.param.p);
+        name += "_ell";
+        name += std::to_string(param_info.param.ell);
+        name += "_bw";
+        name += std::to_string(
+            static_cast<int>(param_info.param.bankBytesPerCycle));
+        return name;
     });
 
 } // namespace

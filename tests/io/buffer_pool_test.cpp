@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "common/contract.hpp"
@@ -89,6 +92,148 @@ TEST(BufferPool, ConcurrentAcquiresNeverExceedTheBudget)
     EXPECT_EQ(pool.outstanding(), 0u);
     EXPECT_GE(pool.peakOutstanding(), 1u);
     EXPECT_LE(pool.peakOutstanding(), pool.buffers());
+}
+
+TEST(BufferPool, KSlotLeaseCountsKSlots)
+{
+    // 8 slots of 16 records: a 3-slot and a 5-slot lease are one
+    // contiguous buffer each and together use the whole budget.
+    BufferPool<Record> pool(16, 8 * 16 * sizeof(Record));
+    ASSERT_EQ(pool.buffers(), 8u);
+    std::vector<Record> three = pool.acquire(3);
+    EXPECT_EQ(three.size(), 3u * 16);
+    EXPECT_EQ(pool.outstanding(), 3u);
+    EXPECT_EQ(pool.peakOutstanding(), 3u);
+    std::vector<Record> five = pool.acquire(5);
+    EXPECT_EQ(five.size(), 5u * 16);
+    EXPECT_EQ(pool.outstanding(), 8u);
+    EXPECT_EQ(pool.peakOutstanding(), 8u);
+    pool.release(std::move(three));
+    EXPECT_EQ(pool.outstanding(), 5u);
+    pool.release(std::move(five));
+    EXPECT_EQ(pool.outstanding(), 0u);
+    EXPECT_EQ(pool.peakOutstanding(), 8u);
+}
+
+TEST(BufferPool, KSlotAcquireBlocksWhileTooFewSlotsAreFree)
+{
+    // 3 of 4 slots held: a 2-slot request must wait until a release
+    // leaves outstanding + 2 <= 4.
+    BufferPool<Record> pool(16, 4 * 16 * sizeof(Record));
+    std::vector<std::vector<Record>> held;
+    for (int i = 0; i < 3; ++i)
+        held.push_back(pool.acquire());
+    std::atomic<bool> got{false};
+    std::thread waiter([&] {
+        std::vector<Record> buf = pool.acquire(2);
+        got = true;
+        pool.release(std::move(buf));
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(got.load()) << "acquire(2) went past a full budget";
+    EXPECT_EQ(pool.outstanding(), 3u);
+    pool.release(std::move(held.back()));
+    held.pop_back();
+    waiter.join();
+    EXPECT_TRUE(got.load());
+    EXPECT_LE(pool.peakOutstanding(), pool.buffers());
+    for (auto &buf : held)
+        pool.release(std::move(buf));
+    EXPECT_EQ(pool.outstanding(), 0u);
+}
+
+TEST(BufferPool, ReleaseWakesANarrowWaiterBehindAWideOne)
+{
+    // All 4 slots held; a 3-slot and a 1-slot request wait.  One
+    // released slot satisfies only the 1-slot request, which must
+    // proceed although the 3-slot one cannot.
+    BufferPool<Record> pool(16, 4 * 16 * sizeof(Record));
+    std::vector<std::vector<Record>> held;
+    for (int i = 0; i < 4; ++i)
+        held.push_back(pool.acquire());
+    std::atomic<bool> wide{false};
+    std::atomic<bool> narrow{false};
+    std::thread wide_waiter([&] {
+        std::vector<Record> buf = pool.acquire(3);
+        wide = true;
+        pool.release(std::move(buf));
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    std::thread narrow_waiter([&] {
+        std::vector<Record> buf = pool.acquire(1);
+        narrow = true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        pool.release(std::move(buf));
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    pool.release(std::move(held.back()));
+    held.pop_back();
+    for (int i = 0; i < 200 && !narrow.load(); ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_TRUE(narrow.load()) << "a free slot went unclaimed";
+    for (auto &buf : held)
+        pool.release(std::move(buf));
+    held.clear();
+    narrow_waiter.join();
+    wide_waiter.join();
+    EXPECT_TRUE(wide.load());
+    EXPECT_EQ(pool.outstanding(), 0u);
+}
+
+TEST(BufferPool, FreeBuffersOfAnotherSizeMakeRoomForAWiderLease)
+{
+    // Four 1-slot buffers sit on the free list of a 4-slot pool; a
+    // 4-slot request must be met (their memory gives way), not block
+    // on memory no caller holds.  Its buffer then serves the next
+    // 4-slot request, and 1-slot requests again after that.
+    BufferPool<Record> pool(16, 4 * 16 * sizeof(Record));
+    std::vector<std::vector<Record>> held;
+    for (int i = 0; i < 4; ++i)
+        held.push_back(pool.acquire());
+    for (auto &buf : held)
+        pool.release(std::move(buf));
+    held.clear();
+    for (int round = 0; round < 2; ++round) {
+        std::vector<Record> all = pool.acquire(4);
+        EXPECT_EQ(all.size(), 4u * 16);
+        EXPECT_EQ(pool.outstanding(), 4u);
+        pool.release(std::move(all));
+    }
+    for (int i = 0; i < 4; ++i)
+        held.push_back(pool.acquire());
+    EXPECT_EQ(pool.outstanding(), 4u);
+    for (auto &buf : held)
+        pool.release(std::move(buf));
+    EXPECT_EQ(pool.outstanding(), 0u);
+}
+
+TEST(BufferPool, ConcurrentKSlotAcquiresNeverExceedTheBudget)
+{
+    // Tasks asking for 1, 2 and 3 of 4 slots: every request is met,
+    // and the holdings never pass the budget.
+    BufferPool<Record> pool(16, 4 * 16 * sizeof(Record));
+    ThreadPool workers(8);
+    workers.parallelFor(96, [&pool](std::uint64_t i) {
+        std::vector<Record> buf = pool.acquire(1 + i % 3);
+        buf.back() = Record{1, 1};
+        pool.release(std::move(buf));
+    });
+    EXPECT_EQ(pool.outstanding(), 0u);
+    EXPECT_GE(pool.peakOutstanding(), 3u);
+    EXPECT_LE(pool.peakOutstanding(), pool.buffers());
+}
+
+TEST(BufferPool, RequestBeyondTheBudgetFailsLoudly)
+{
+    // A request for more slots than the pool has can never be met:
+    // it must throw in every build type instead of blocking forever.
+    BufferPool<Record> pool(16, 4 * 16 * sizeof(Record));
+    EXPECT_THROW(pool.acquire(5), ContractViolation);
+    EXPECT_THROW(pool.acquire(0), ContractViolation);
+    EXPECT_EQ(pool.outstanding(), 0u);
+    std::vector<Record> all = pool.acquire(4);
+    EXPECT_EQ(all.size(), 4u * 16);
+    pool.release(std::move(all));
 }
 
 TEST(BufferPool, BudgetSmallerThanOneBatchFailsLoudly)

@@ -174,6 +174,39 @@ TEST(SortService, PeakPoolUsageStaysWithinTheGlobalBudget)
     EXPECT_EQ(results[0].bufferPoolBytes, opt.bufferBudgetBytes);
 }
 
+TEST(SortService, JobTransfersAreSizedFromTheirAllowance)
+{
+    // 64 slots across 2 jobs leave each a 32-slot allowance.  Each
+    // job sizes its per-pass transfers against those 32 slots, as a
+    // solo sort on a private 32-slot pool does, never against the
+    // 64-slot supply its sibling also draws from.
+    const auto opt = serviceOptions(4, 64);
+    JobFixture a(makeRecords(10'000, Distribution::UniformRandom));
+    JobFixture b(makeRecords(10'000, Distribution::FewDistinct));
+    const SortService<Record> service(opt);
+    const std::vector<StreamStats> results =
+        service.run({a.job(), b.job()});
+    ASSERT_EQ(results.size(), 2u);
+
+    const auto solo_opt = serviceOptions(4, 32);
+    JobFixture *jobs[] = {&a, &b};
+    for (std::size_t i = 0; i < 2; ++i) {
+        SCOPED_TRACE(::testing::Message() << "job " << i);
+        JobFixture solo(jobs[i]->input);
+        const StreamEngine<Record> engine(solo_opt);
+        const StreamStats s = engine.sortStream(solo.source, solo.sink,
+                                                solo.front, solo.back);
+        EXPECT_EQ(results[i].effectiveEll, s.effectiveEll);
+        EXPECT_EQ(results[i].concurrentGroups, s.concurrentGroups);
+        EXPECT_EQ(results[i].passTransferRecords, s.passTransferRecords);
+        ASSERT_FALSE(s.passTransferRecords.empty());
+        EXPECT_GT(s.passTransferRecords.back(), opt.batchRecords);
+        EXPECT_LE(s.bufferPoolPeakBytes, s.bufferPoolBytes);
+        EXPECT_EQ(jobs[i]->output, solo.output);
+    }
+    EXPECT_LE(results[0].bufferPoolPeakBytes, opt.bufferBudgetBytes);
+}
+
 TEST(SortService, JobsSplitTheBudgetIntoEqualAllowances)
 {
     // 16 buffers across 2 jobs leave each an 8-buffer allowance:

@@ -12,6 +12,7 @@
 #include "common/random.hpp"
 #include "common/record.hpp"
 #include "gensort_keys.hpp"
+#include "io/buffer_pool.hpp"
 #include "io/run_store.hpp"
 #include "io/stream.hpp"
 #include "sorter/external.hpp"
@@ -363,7 +364,8 @@ TEST(StreamEngine, SerialMultiGroupPassHoldsOneBufferPerRunPlusOne)
     // At one thread the groups of a pass merge one after another, each
     // reading and writing on the merging thread: one buffer per input
     // cursor plus one for the writer, not the 2 ell + 2 the shape
-    // reserves per lane.
+    // reserves per lane.  Each buffer has the pass's k slots, the most
+    // that one group of (members + 1) buffers fits in the 64 slots.
     auto opt = smallOptions();
     opt.threads = 1;
     const StreamEngine<Record> engine(opt);
@@ -372,9 +374,53 @@ TEST(StreamEngine, SerialMultiGroupPassHoldsOneBufferPerRunPlusOne)
     streamSort(engine, data, &stats);
     ASSERT_EQ(stats.mergePasses, 3u); // 30 -> 8 -> 2 -> 1 runs
     EXPECT_EQ(stats.effectiveEll, 4u);
+    // Groups of 4, 4 and 2 runs: k = 64 / 5, 64 / 5 and 64 / 3.
+    const std::uint64_t b = opt.batchRecords;
+    EXPECT_EQ(stats.passTransferRecords,
+              (std::vector<std::uint64_t>{12 * b, 12 * b, 21 * b}));
     EXPECT_EQ(stats.bufferPoolPeakBytes,
-              (stats.effectiveEll + 1) * opt.batchRecords *
-                  sizeof(Record));
+              std::max<std::uint64_t>((stats.effectiveEll + 1) * 12,
+                                      (2 + 1) * 21) *
+                  b * sizeof(Record));
+}
+
+TEST(StreamEngine, TransfersStayWithinTheAllowanceAtEveryLaneCount)
+{
+    // A caller-owned pool four times the allowance: every pass's
+    // k-slot leases, final-pass slices included, must fit in the
+    // allowance the shape was planned against, not in the pool.
+    const auto data = makeRecords(30'000, Distribution::UniformRandom);
+    for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+        auto opt = smallOptions();
+        opt.threads = threads;
+        const StreamEngine<Record> engine(opt);
+        std::vector<Record> want = streamSort(engine, data);
+
+        constexpr std::uint64_t kAllowance = 64;
+        io::BufferPool<Record> pool(opt.batchRecords,
+                                    4 * kAllowance * opt.batchRecords *
+                                        sizeof(Record));
+        io::MemorySource<Record> source{std::span<const Record>(data)};
+        std::vector<Record> out;
+        io::MemorySink<Record> sink(out);
+        io::FileRunStore<Record> front;
+        io::FileRunStore<Record> back;
+        const StreamStats stats = engine.sortStream(SortRequest<Record>{
+            .source = &source, .sink = &sink, .front = &front,
+            .back = &back, .pool = &pool, .allowance = kAllowance});
+        EXPECT_EQ(out, want);
+        EXPECT_EQ(stats.concurrentGroups, threads == 1 ? 1u : 4u);
+        if (threads > 1) {
+            EXPECT_GT(stats.finalSlices, 1u);
+        }
+        ASSERT_EQ(stats.passTransferRecords.size(), stats.mergePasses);
+        for (const std::uint64_t t : stats.passTransferRecords)
+            EXPECT_GT(t, opt.batchRecords) << "a pass left k at 1";
+        EXPECT_GT(pool.peakOutstanding(), 0u);
+        EXPECT_LE(pool.peakOutstanding(), kAllowance);
+        EXPECT_EQ(pool.outstanding(), 0u);
+    }
 }
 
 TEST(StreamEngine, InPlaceAndStreamedReportUnifiedTelemetry)

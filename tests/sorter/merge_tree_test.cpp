@@ -10,7 +10,8 @@
  * borrow one arena for their node blocks must write what trees that
  * own them write, and trees whose leaves stream batches from
  * RunCursors over a memory or file store must write what the
- * in-memory merge writes, at every batch size.
+ * in-memory merge writes, at every batch size and every transfer of
+ * k batches.
  */
 
 #include <gtest/gtest.h>
@@ -113,35 +114,38 @@ treeMerge(const Runs<RecordT> &runs,
 
 /**
  * Lay @p runs end to end in @p store and merge them through a streamed
- * tree whose leaves are RunCursors reading @p batch records at a time,
- * filling output batches of the same size — the shape of a phase-2
- * merge group.
+ * tree whose leaves are RunCursors reading @p slots batches of
+ * @p batch records at a time, filling output buffers of the same size
+ * — the shape of a phase-2 merge group.
  */
 template <typename RecordT>
 std::vector<RecordT>
 streamedMerge(const Runs<RecordT> &runs, io::RunStore<RecordT> &store,
-              std::uint64_t batch)
+              std::uint64_t batch, std::uint64_t slots = 1)
 {
-    io::BufferPool<RecordT> pool(batch, (runs.size() + 1) * batch *
-                                            sizeof(RecordT));
+    io::BufferPool<RecordT> pool(batch, (runs.size() + 1) * slots *
+                                            batch * sizeof(RecordT));
     std::vector<sorter::RunCursor<RecordT>> cursors;
     std::uint64_t offset = 0;
     for (const auto &run : runs) {
         if (!run.empty())
             store.writeAt(offset, run.data(), run.size());
-        cursors.emplace_back(store, RunSpan{offset, run.size()}, pool);
+        cursors.emplace_back(store, RunSpan{offset, run.size()}, pool,
+                             slots);
         offset += run.size();
     }
-    io::PoolLease<RecordT> out_batch(pool);
+    io::PoolLease<RecordT> out_batch(pool, slots);
     sorter::MergeTree<RecordT, RecordT> tree(
         runs.size(),
         [&cursors](std::size_t i) { return cursors[i].next(); });
     std::vector<RecordT> out;
     RecordT *const first = out_batch.data();
-    for (RecordT *last = tree.fill(first, first + batch); last != first;
-         last = tree.fill(first, first + batch))
+    RecordT *const end = first + out_batch.capacity();
+    for (RecordT *last = tree.fill(first, end); last != first;
+         last = tree.fill(first, end))
         out.insert(out.end(), first, last);
-    EXPECT_EQ(pool.outstanding(), runs.size() + 1);
+    EXPECT_EQ(out_batch.capacity(), slots * batch);
+    EXPECT_EQ(pool.outstanding(), (runs.size() + 1) * slots);
     return out;
 }
 
@@ -362,6 +366,40 @@ TYPED_TEST(MergeTreeTyped, StreamedLeavesMatchTheInMemoryMerge)
                 expectSameBytes(streamedMerge(runs, memory, batch), want);
                 io::FileRunStore<TypeParam> file;
                 expectSameBytes(streamedMerge(runs, file, batch), want);
+            }
+        }
+    }
+}
+
+TYPED_TEST(MergeTreeTyped, StreamedLeavesMatchAtEveryTransfer)
+{
+    // Phase 2 leases k slots per cursor and writer, k per pass: the
+    // bytes must not depend on k.  Batch 3 with k in {1, 2, 3, 16}
+    // reads 3, 6, 9 and 48 records at a time, so refills land at
+    // different points of every run and most runs end short.
+    for (const KeySet keys : kKeySets) {
+        for (const std::size_t ways : {1u, 2u, 3u, 5u, 64u}) {
+            // Every fourth member empty, one far longer than the rest.
+            const auto runs =
+                makeRuns<TypeParam>(ways, keys, [](std::size_t i) {
+                    if (i % 4 == 1)
+                        return std::size_t{0};
+                    return i == 2 ? std::size_t{300} : 30 + i * 7 % 23;
+                });
+            const auto want = tournamentMerge(runs);
+            std::uint64_t total = 0;
+            for (const auto &run : runs)
+                total += run.size();
+            for (const std::uint64_t k : {1u, 2u, 3u, 16u}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "keys=" << keys.name
+                             << " ways=" << ways << " k=" << k);
+                std::vector<TypeParam> backing(total);
+                io::MemoryRunStore<TypeParam> memory{
+                    std::span<TypeParam>(backing)};
+                expectSameBytes(streamedMerge(runs, memory, 3, k), want);
+                io::FileRunStore<TypeParam> file;
+                expectSameBytes(streamedMerge(runs, file, 3, k), want);
             }
         }
     }

@@ -73,9 +73,15 @@ INSTANTIATE_TEST_SUITE_P(
                       SimShape{32, 4, 10'000},
                       SimShape{1, 16, 2000}),
     [](const ::testing::TestParamInfo<SimShape> &param_info) {
-        return "p" + std::to_string(param_info.param.p) + "_ell" +
-            std::to_string(param_info.param.ell) + "_n" +
-            std::to_string(param_info.param.n);
+        // Appended piecewise: GCC 12 flags chained operator+ on
+        // std::string with a -Wrestrict false positive.
+        std::string name = "p";
+        name += std::to_string(param_info.param.p);
+        name += "_ell";
+        name += std::to_string(param_info.param.ell);
+        name += "_n";
+        name += std::to_string(param_info.param.n);
+        return name;
     });
 
 TEST(SimSorter, SortsAdversarialDistributions)

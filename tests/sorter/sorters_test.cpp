@@ -349,9 +349,9 @@ TEST(SsdSorter, StreamedShapeAndPoolPeakArePinned)
     // The phase-2 shape of a 1-thread gensort extsort at three CLI
     // budgets.  The admitted fan-in decides the order of equal keys,
     // so the merge kernel must leave every figure here as it is.  The
-    // pool peak is the widest group's cursors plus one output buffer:
-    // merge-tree node blocks come from the lane's own arena, never
-    // from the pool.
+    // pool peak is the widest group's cursors plus one output buffer,
+    // each of that pass's k slots: merge-tree node blocks come from
+    // the lane's own arena, never from the pool.
     struct Pinned
     {
         std::uint64_t budgetMib;
@@ -359,12 +359,14 @@ TEST(SsdSorter, StreamedShapeAndPoolPeakArePinned)
         unsigned lanes;
         unsigned passes;
         std::uint64_t widestGroup;
+        std::uint64_t widestSlots; ///< k of the widest group's pass
     };
     // 67, 17 and 5 phase-1 runs: at 4 MiB a non-final pass merges
     // groups of 34 and 33 runs before the final pass.
     constexpr std::uint64_t kRecords = 700'000;
-    constexpr Pinned kPinned[] = {
-        {4, 64, 1, 2, 34}, {16, 64, 1, 1, 17}, {64, 64, 1, 1, 5}};
+    constexpr Pinned kPinned[] = {{4, 64, 1, 2, 34, 3},
+                                  {16, 64, 1, 1, 17, 4},
+                                  {64, 64, 1, 1, 5, 1}};
     for (const Pinned &pin : kPinned) {
         GeneratedSource source(kRecords);
         OrderCheckingSink sink;
@@ -379,9 +381,64 @@ TEST(SsdSorter, StreamedShapeAndPoolPeakArePinned)
         EXPECT_EQ(s.concurrentGroups, pin.lanes);
         EXPECT_EQ(s.mergePasses, pin.passes);
         EXPECT_EQ(s.bufferPoolPeakBytes,
-                  (pin.widestGroup + 1) * s.batchRecords *
-                      sizeof(GensortRecord));
+                  (pin.widestGroup + 1) * pin.widestSlots *
+                      s.batchRecords * sizeof(GensortRecord));
         EXPECT_EQ(sink.records(), kRecords);
+        EXPECT_TRUE(sink.sorted());
+    }
+}
+
+TEST(SsdSorter, PassTransfersFollowTheSlotRule)
+{
+    // Each pass leases k slots per cursor and writer, k = max(1,
+    // min(have / concurrent / (widest + 1), 128 KiB / slot bytes)),
+    // over the same three CLI budgets as the pinned shape above.  At
+    // 4 MiB (b = 80, 131 slots) the pass over groups of 34 gets k = 3
+    // and the final 2-run pass k = 16, the 128 KiB cap; at 16 MiB
+    // (b = 322, 130 slots) the cap, 4, binds; at 64 MiB (b = 1290,
+    // 130 slots) a slot is already past 128 KiB, so k = 1.
+    struct Pass
+    {
+        std::uint64_t concurrent;
+        std::uint64_t widest;
+    };
+    struct Budget
+    {
+        std::uint64_t budgetMib;
+        std::uint64_t batch;
+        std::uint64_t slots;
+        std::vector<Pass> passes;
+        std::vector<std::uint64_t> transfers;
+    };
+    constexpr std::uint64_t kRecords = 700'000;
+    const Budget kBudgets[] = {
+        {4, 80, 131, {{1, 34}, {1, 2}}, {3 * 80, 16 * 80}},
+        {16, 322, 130, {{1, 17}}, {4 * 322}},
+        {64, 1290, 130, {{1, 5}}, {1290}}};
+    for (const Budget &budget : kBudgets) {
+        SCOPED_TRACE(::testing::Message()
+                     << "budget " << budget.budgetMib << " MiB");
+        GeneratedSource source(kRecords);
+        OrderCheckingSink sink;
+        sorter::SsdSorter::StreamOptions opts;
+        opts.memoryBudgetBytes = budget.budgetMib << 20;
+        const auto s = sorter::SsdSorter()
+                           .sortStream(source, sink, 100, opts)
+                           .stream;
+        EXPECT_EQ(s.batchRecords, budget.batch);
+        EXPECT_EQ(s.bufferPoolBytes,
+                  budget.slots * budget.batch * sizeof(GensortRecord));
+        std::vector<std::uint64_t> rule;
+        for (const Pass &p : budget.passes) {
+            const std::uint64_t fit =
+                budget.slots / p.concurrent / (p.widest + 1);
+            const std::uint64_t cap =
+                (128 << 10) / (budget.batch * sizeof(GensortRecord));
+            rule.push_back(std::max<std::uint64_t>(1, std::min(fit, cap)) *
+                           budget.batch);
+        }
+        EXPECT_EQ(s.passTransferRecords, rule);
+        EXPECT_EQ(s.passTransferRecords, budget.transfers);
         EXPECT_TRUE(sink.sorted());
     }
 }
