@@ -2,8 +2,8 @@
  * @file
  * Thread-scaling ablation for the behavioral sorter (google-benchmark).
  *
- * The headline measurement is the *final merge stage*: a StagePlan of
- * ell sorted runs collapsing into one group — the stage that ran on a
+ * The headline measurement is the *final merge stage*: ell sorted
+ * runs collapsing into one group — the stage that ran on a
  * single core before Merge Path intra-group parallelism, because
  * group-level parallelism has exactly one group to hand out.  On a
  * multi-core host BM_FinalStageMerge at 8 threads should run >= 3x
@@ -29,7 +29,7 @@
 #include "common/thread_pool.hpp"
 #include "sorter/behavioral.hpp"
 #include "sorter/merge_path.hpp"
-#include "sorter/stage_plan.hpp"
+#include "sorter/run_groups.hpp"
 
 namespace
 {
@@ -66,7 +66,8 @@ BM_FinalStageMerge(benchmark::State &state)
     const std::size_t n = static_cast<std::size_t>(state.range(0));
     const unsigned threads = static_cast<unsigned>(state.range(1));
     const std::vector<Record> &src = finalStageInput(n);
-    const sorter::StagePlan plan(finalStageRuns(n), kEll);
+    const std::vector<RunSpan> runs = finalStageRuns(n);
+    const sorter::RunGroups groups(runs, kEll);
     const sorter::BehavioralSorter<Record> sorter(kEll, 16, threads);
     std::vector<Record> dst(n);
 
@@ -75,9 +76,9 @@ BM_FinalStageMerge(benchmark::State &state)
     {
         std::vector<Record> serial(n);
         ThreadPool one(1);
-        sorter.runStage(plan, src, serial, one);
+        sorter.runStage(groups, src, serial, one);
         ThreadPool pool(threads);
-        sorter.runStage(plan, src, dst, pool);
+        sorter.runStage(groups, src, dst, pool);
         if (std::memcmp(serial.data(), dst.data(),
                         n * sizeof(Record)) != 0) {
             state.SkipWithError(
@@ -88,7 +89,7 @@ BM_FinalStageMerge(benchmark::State &state)
 
     ThreadPool pool(threads);
     for (auto _ : state)
-        sorter.runStage(plan, src, dst, pool);
+        sorter.runStage(groups, src, dst, pool);
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations()) * n *
         sizeof(Record));

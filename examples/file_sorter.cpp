@@ -20,7 +20,8 @@
  * two-phase SSD sorter; `extsort` streams them through spill files
  * with resident memory bounded by --budget-mb (default 64), so it
  * sorts files far larger than the budget — its output is byte-for-byte
- * the file `ssdsort` produces.
+ * the file `ssdsort` produces, equal keys included, at every budget
+ * and thread count.
  *
  * With --checkpoint-dir, extsort runs crash-consistently: spills and
  * a durable job manifest live under the given directory, and a rerun

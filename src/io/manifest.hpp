@@ -136,7 +136,11 @@ struct ManifestLoadResult {
     JobManifest manifest; ///< valid only when status == Ok
 };
 
-inline constexpr std::uint32_t kManifestVersion = 1;
+/** Version 2 jobs merge contiguous run groups.  A version-1 job
+ *  merged strided groups, so its journaled passes would resume into
+ *  another order of equal keys: it fails the version check and the
+ *  sort starts fresh. */
+inline constexpr std::uint32_t kManifestVersion = 2;
 inline constexpr char kManifestMagic[8] = {'B', 'O', 'N', 'S',
                                            'A', 'I', 'J', 'M'};
 

@@ -1,11 +1,15 @@
 /**
  * @file
- * Behavioral sorter: executes the AMT's exact multistage merge plan in
- * software (presort into 16-record runs with the bitonic network, then
- * ceil(log_ell(N/16)) stages of ell-way merges per the shared
- * StagePlan).  Produces buffers bit-identical to the cycle simulator
- * at a tiny fraction of the cost — used for GB-scale validation, the
- * large experiment sweeps, and live CPU comparisons.
+ * Behavioral sorter: the AMT's multistage merge in software — presort
+ * into 16-record runs with the bitonic network, then
+ * ceil(log_ell(N/16)) stages of ell-way merges over contiguous run
+ * groups (sorter/run_groups.hpp).  The merges keep equal keys in the
+ * order the presort left them, so the output is each aligned
+ * 16-record block through the network, then the whole stable-sorted.
+ * The cycle simulator merges the paper's strided leaf groups instead:
+ * the two agree on keys, not on the order of equal keys.  Used for
+ * GB-scale validation, the large experiment sweeps, and live CPU
+ * comparisons.
  *
  * Threading model (docs/ARCHITECTURE.md "Software threading model"):
  * one persistent work-stealing ThreadPool lives for the whole sort.
@@ -43,7 +47,7 @@
 #include "sorter/merge_path.hpp"
 #include "sorter/merge_tree.hpp"
 #include "sorter/presort.hpp"
-#include "sorter/stage_plan.hpp"
+#include "sorter/run_groups.hpp"
 
 namespace bonsai::sorter
 {
@@ -149,12 +153,13 @@ class BehavioralSorter
     };
 
     /**
-     * Merge the sorted @p runs of @p src down to one run, one
-     * StagePlan stage at a time, each stage reading one of @p src and
-     * @p dst and writing the other.  The result lands in @p src after
-     * an even number of stages and in @p dst after an odd one; the
-     * returned span says which.  sort() runs it after the presort,
-     * and StreamEngine::sortInPlace runs it as its phase 2.
+     * Merge the sorted, adjacent @p runs of @p src down to one run,
+     * one stage of RunGroups at a time, each stage reading one of
+     * @p src and @p dst and writing the other.  The result lands in
+     * @p src after an even number of stages and in @p dst after an
+     * odd one; the returned span says which.  sort() runs it after
+     * the presort, and StreamEngine::sortInPlace runs it as its
+     * phase 2.
      */
     MergeResult
     mergeRuns(std::vector<RunSpan> runs, std::span<RecordT> src,
@@ -162,31 +167,30 @@ class BehavioralSorter
     {
         BehavioralStats stats;
         while (runs.size() > 1) {
-            StagePlan plan(std::move(runs), ell_);
-            runStage(plan, src, dst, pool);
-            runs = plan.outputRuns();
-            stats.groupsPerStage.push_back(plan.groups());
-            stats.recordsMoved += plan.totalRecords();
+            const RunGroups groups(runs, ell_);
+            runStage(groups, src, dst, pool);
+            stats.groupsPerStage.push_back(groups.count());
+            stats.recordsMoved += groups.totalRecords();
             ++stats.stages;
+            runs = groups.outputs();
             std::swap(src, dst);
         }
         return {src, std::move(stats)};
     }
 
     /**
-     * Execute one merge stage of @p plan from @p src into @p dst on
+     * Execute one merge stage of @p groups from @p src into @p dst on
      * @p pool.  Public so stage-level benchmarks (bench_ablation_
-     * threads) and the SSD sorter's phase-2 merge reuse the exact
-     * scheduling the full sort uses.  Groups write disjoint output
-     * runs and slices write disjoint sub-ranges, so all tasks run
-     * concurrently; the result is byte-identical for any pool width.
+     * threads) reuse the exact scheduling the full sort uses.  Groups
+     * write disjoint output runs and slices write disjoint
+     * sub-ranges, so all tasks run concurrently; the result is
+     * byte-identical for any pool width.
      */
     void
-    runStage(const StagePlan &plan, std::span<const RecordT> src,
+    runStage(const RunGroups &groups, std::span<const RecordT> src,
              std::span<RecordT> dst, ThreadPool &pool) const
     {
-        const std::vector<RunSpan> out = plan.outputRuns();
-        const std::uint64_t stage_total = plan.totalRecords();
+        const std::uint64_t stage_total = groups.totalRecords();
         const unsigned width = pool.threads();
 
         struct SliceTask
@@ -197,15 +201,16 @@ class BehavioralSorter
             RecordT *out;
         };
         std::vector<SliceTask> tasks;
-        tasks.reserve(plan.groups());
-        for (std::uint64_t g = 0; g < plan.groups(); ++g) {
+        tasks.reserve(groups.count());
+        for (std::uint64_t g = 0; g < groups.count(); ++g) {
             std::vector<std::span<const RecordT>> members;
-            for (const RunSpan &run : plan.groupRuns(g))
+            for (const RunSpan &run : groups.members(g))
                 members.emplace_back(src.data() + run.offset,
                                      run.length);
-            RecordT *base = dst.data() + out[g].offset;
+            const RunSpan out = groups.output(g);
+            RecordT *base = dst.data() + out.offset;
             const unsigned slices =
-                sliceCount(out[g].length, stage_total, width);
+                sliceCount(out.length, stage_total, width);
             if (slices <= 1) {
                 tasks.push_back(
                     SliceTask{std::move(members), {}, {}, base});
@@ -217,7 +222,7 @@ class BehavioralSorter
             for (unsigned t = 0; t < slices; ++t) {
                 tasks.push_back(SliceTask{members, bounds[t],
                                           bounds[t + 1], base + rank});
-                rank = out[g].length * (t + 1) / slices;
+                rank = out.length * (t + 1) / slices;
             }
         }
 

@@ -20,8 +20,8 @@
  *    and the journal committed.  The final pass is deliberately NOT
  *    checkpointed: its output goes to the caller's sink, which a
  *    resumed attempt recreates from scratch, so redoing it is always
- *    safe and always byte-identical (StagePlan is deterministic in
- *    the run list and fan-in).
+ *    safe and always byte-identical: the sort's output is a function
+ *    of its input alone.
  *
  * Resume validation is paranoid by design: manifest CRC + version +
  * parameter echo (io/manifest.hpp), then every recorded run's extent

@@ -39,11 +39,12 @@
  * Merge Path sliced, thread-parallel kernel — over the caller's
  * vector and one scratch vector.  The streamed sort always merges
  * through the Phase2Merger, whether it spills to memory or file
- * stores.  Both merge through MergeTree and emit the identical
- * record sequence (the per-group augmented (key, run index,
- * position) order), so a streamed sort is byte-identical to the
- * in-memory sort of the same input whenever the buffer budget admits
- * the planned fan-in.
+ * stores.  Both merge contiguous run groups (sorter/run_groups.hpp)
+ * through MergeTree, whose merges are stable, and chunks are whole
+ * presort runs, so every sort emits one record sequence: each aligned
+ * presortRun block of the input through the presort network, then
+ * the whole stable-sorted.  The budget, chunk size, fan-in, batch,
+ * thread count, store and resume change the work, never the bytes.
  *
  * The streamed sort has one entry point, sortStream(const
  * SortRequest&), and a request varies it along two axes:
@@ -121,7 +122,9 @@ class StreamEngine
         unsigned phase1Ell = 16;  ///< chunk-sort merge fan-in
         unsigned phase2Ell = 16;  ///< run-merge fan-in (pre-budget)
         std::uint64_t presortRun = 16;
-        std::uint64_t chunkRecords = 0; ///< 0 = one chunk
+        /** Records per phase-1 chunk, 0 = one chunk; rounded down
+         *  to whole presort runs when it holds at least one. */
+        std::uint64_t chunkRecords = 0;
         std::uint64_t batchRecords = 1 << 14;   ///< b, in records
         std::uint64_t bufferBudgetBytes = 64ULL << 20;
         unsigned threads = 1;
@@ -379,12 +382,20 @@ class StreamEngine
     }
 
   private:
+    /** Records per phase-1 chunk: chunkRecords, rounded down to
+     *  whole presort runs when it holds one, so every chunk's presort
+     *  blocks are aligned blocks of the input. */
     std::uint64_t
     chunkLength(std::uint64_t total) const
     {
         if (opt_.chunkRecords == 0)
             return total;
-        return std::min<std::uint64_t>(opt_.chunkRecords, total);
+        const std::uint64_t run =
+            std::max<std::uint64_t>(opt_.presortRun, 1);
+        std::uint64_t chunk = opt_.chunkRecords;
+        if (chunk >= run)
+            chunk -= chunk % run;
+        return std::min<std::uint64_t>(chunk, total);
     }
 
     /** The parameter echo a job manifest carries: everything chunk

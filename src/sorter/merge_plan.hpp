@@ -30,12 +30,7 @@ namespace bonsai::sorter
  * input run plus 2 for the output.  A lane merging inline leases one
  * buffer per cursor and one for its writer, each of k slots, where
  * transferSlots() picks k per pass so that the pass's leases fit the
- * slots the shape reserves.  The reservation stays at 2 ell + 2 on
- * purpose.  It fixes the effective fan-in a budget admits, StagePlan
- * groups runs at a stride that depends on that fan-in, and so the
- * order in which equal keys leave the sort does too: a tighter
- * reservation would admit a wider merge on the same budget and change
- * the output bytes.
+ * slots the shape reserves.
  */
 constexpr std::uint64_t
 laneBuffers(std::uint64_t ell)

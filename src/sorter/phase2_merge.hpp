@@ -5,8 +5,9 @@
  * single run streams into the sink instead.
  *
  * Parallel structure (TopSort-style merge units):
- *  - non-final passes merge independent groups on up to W compute
- *    tasks, each taking the next group from a shared counter;
+ *  - non-final passes merge the pass's contiguous run groups
+ *    (sorter/run_groups.hpp) on up to W compute tasks, each taking
+ *    the next group from a shared counter;
  *  - the final pass is cut into W key-space slices along splitters
  *    (sorter/splitter.hpp), each slice merging its own sub-runs and
  *    landing in the sink as a positioned segment at its exact output
@@ -37,6 +38,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -53,8 +55,8 @@
 #include "sorter/merge_plan.hpp"
 #include "sorter/merge_tree.hpp"
 #include "sorter/run_cursor.hpp"
+#include "sorter/run_groups.hpp"
 #include "sorter/splitter.hpp"
-#include "sorter/stage_plan.hpp"
 #include "sorter/stream_stats.hpp"
 
 namespace bonsai::sorter
@@ -87,9 +89,10 @@ class Phase2Merger
      *
      *  With a @p ckpt the pass sequence is re-entrant: it starts from
      *  whichever store the journal says holds the live runs (passes a
-     *  previous attempt completed are never redone — StagePlan is
-     *  deterministic in the run list, so the remaining sequence is
-     *  identical), and every completed non-final pass is committed.
+     *  previous attempt completed are never redone — the groups are a
+     *  function of the run list and the fan-in, so the remaining
+     *  sequence is identical), and every completed non-final pass is
+     *  committed.
      *  The final pass is not journaled: its output lands in the
      *  caller's sink, which a resumed attempt recreates, so it is
      *  simply redone. */
@@ -104,14 +107,14 @@ class Phase2Merger
         for (;;) {
             io::RunStore<RecordT> *src = stores[srcIdx];
             io::RunStore<RecordT> *dst = stores[1 - srcIdx];
-            const StagePlan plan(src->runs(), ell_);
-            if (plan.groups() == 1) {
-                finalPass(*src, plan.groupRuns(0), sink, stats);
+            const RunGroups groups(src->runs(), ell_);
+            if (groups.count() == 1) {
+                finalPass(*src, groups.members(0), sink, stats);
                 ++stats.mergePasses;
                 break;
             }
-            const std::vector<RunSpan> out = plan.outputRuns();
-            nonFinalPass(*src, *dst, plan, out, stats);
+            nonFinalPass(*src, *dst, groups, stats);
+            const std::vector<RunSpan> out = groups.outputs();
             // Durability point: the next pass reads these runs back
             // assuming they reached the device.
             dst->flush("phase-2 merge pass flush");
@@ -165,21 +168,13 @@ class Phase2Merger
      *  most W groups hold pool buffers at once. */
     void
     nonFinalPass(io::RunStore<RecordT> &src, io::RunStore<RecordT> &dst,
-                 const StagePlan &plan, const std::vector<RunSpan> &out,
-                 StreamStats &stats)
+                 const RunGroups &groups, StreamStats &stats)
     {
-        std::vector<std::uint64_t> work;
-        std::uint64_t widest = 0;
-        for (std::uint64_t g = 0; g < plan.groups(); ++g) {
-            if (!plan.groupRuns(g).empty())
-                work.push_back(g);
-            widest = std::max<std::uint64_t>(widest,
-                                             plan.groupRuns(g).size());
-        }
         const std::size_t width =
-            std::min<std::size_t>(lanes_, work.size());
-        const std::uint64_t slots = passSlots(width, widest, stats);
-        std::vector<GroupTally> tallies(work.size());
+            std::min<std::size_t>(lanes_, groups.count());
+        const std::uint64_t slots =
+            passSlots(width, groups.widest(), stats);
+        std::vector<GroupTally> tallies(groups.count());
         std::atomic<std::size_t> next{0};
         // parallelFor tasks must not throw (a leaked exception kills a
         // pool worker), so trap the first error and rethrow it after
@@ -189,11 +184,11 @@ class Phase2Merger
             try {
                 RecordBuffer<RecordT> arena;
                 for (;;) {
-                    const std::size_t i = next.fetch_add(1);
-                    if (i >= work.size())
+                    const std::size_t g = next.fetch_add(1);
+                    if (g >= groups.count())
                         break;
-                    tallies[i] = mergeOneGroup(src, plan, out, work[i],
-                                               slots, dst, arena);
+                    tallies[g] =
+                        mergeOneGroup(src, groups, g, slots, dst, arena);
                 }
             } catch (...) {
                 trap_->store(std::current_exception());
@@ -204,19 +199,18 @@ class Phase2Merger
             foldTally(t, stats);
     }
 
-    /** Merge group @p g of @p plan into its output run in @p dst. */
+    /** Merge group @p g of @p groups into its output run in @p dst. */
     GroupTally
     mergeOneGroup(const io::RunStore<RecordT> &src,
-                  const StagePlan &plan,
-                  const std::vector<RunSpan> &out, std::uint64_t g,
+                  const RunGroups &groups, std::uint64_t g,
                   std::uint64_t slots, io::RunStore<RecordT> &dst,
                   RecordBuffer<RecordT> &arena)
     {
         const std::string ctx =
             "phase-2 write-back of merge group " + std::to_string(g);
-        io::RunStoreSink<RecordT> gsink(dst, out[g].offset,
+        io::RunStoreSink<RecordT> gsink(dst, groups.output(g).offset,
                                         ctx.c_str());
-        return mergeGroup(src, plan.groupRuns(g), gsink, slots, &arena);
+        return mergeGroup(src, groups.members(g), gsink, slots, &arena);
     }
 
     /** The final pass (one group, streaming to the sink): cut the
@@ -227,7 +221,7 @@ class Phase2Merger
      *  is small or the sink cannot take positioned writes. */
     void
     finalPass(const io::RunStore<RecordT> &src,
-              const std::vector<RunSpan> &members,
+              std::span<const RunSpan> members,
               io::RecordSink<RecordT> &sink, StreamStats &stats)
     {
         std::uint64_t total = 0;
@@ -296,7 +290,7 @@ class Phase2Merger
      */
     GroupTally
     mergeGroup(const io::RunStore<RecordT> &src,
-               const std::vector<RunSpan> &members,
+               std::span<const RunSpan> members,
                io::RecordSink<RecordT> &out, std::uint64_t slots,
                RecordBuffer<RecordT> *arena = nullptr)
     {

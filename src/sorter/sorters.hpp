@@ -19,9 +19,14 @@
  * boundary (Section V-B) and return a zeroed report for empty and
  * single-record inputs instead of invoking the optimizer.
  *
- * Note: like the hardware (whose compare-and-exchange units compare
- * keys only), these sorters are NOT stable — records with equal keys
- * may emerge in any relative order.
+ * Tie order: like the hardware's compare-and-exchange units, the
+ * presort network (16-record blocks unless the configuration drops
+ * the presorter) compares keys only and is NOT stable, so it may swap
+ * equal keys within its block.  Every merge after it is stable.  The
+ * output is therefore a function of the input alone: each aligned
+ * presort block through the network, then the whole stable-sorted —
+ * for every budget, chunk size, fan-in and thread count, in memory
+ * and streamed alike.
  */
 
 #ifndef BONSAI_SORTER_SORTERS_HPP
@@ -239,15 +244,6 @@ class SsdSorter
          *  trees, of records (at least 32 a block) in phase 2's
          *  streamed trees — a few hundred KiB per lane. */
         std::uint64_t memoryBudgetBytes = 0;
-        /** Streaming batch size b, in records: every phase-1 chunk
-         *  read, run-cursor refill, output batch and splitter window
-         *  moves b records.  0 = the largest b at which the phase-2
-         *  pool (a quarter of the budget) holds laneBuffers(ell)
-         *  buffers per thread at the planner's fan-in.  An explicit
-         *  b is taken as-is: one too large leaves the pool too few
-         *  buffers for that fan-in, and a narrower merge changes the
-         *  order of equal keys. */
-        std::uint64_t batchRecords = 0;
         /** Spill directory for run files ("" = $TMPDIR or /tmp). */
         std::string spillDir;
         /** Job directory for crash-consistent checkpointing ("" =
@@ -306,8 +302,8 @@ class SsdSorter
      * True out-of-core sort: stream @p source through spill files into
      * @p sink with resident memory bounded by the options' budget,
      * independent of the dataset size.  The emitted record sequence is
-     * identical to the in-memory path's for the same input whenever
-     * keys are distinct (both follow the same augmented merge order).
+     * identical to the in-memory path's for the same input, ties
+     * included.
      */
     template <typename RecordT>
     SsdReport
@@ -363,10 +359,8 @@ class SsdSorter
         eng.presortRun = arch_.presortRunLength;
         eng.chunkRecords = chunk_records;
         eng.bufferBudgetBytes = budget / 4;
-        eng.batchRecords = opts.batchRecords != 0
-            ? opts.batchRecords
-            : defaultBatchRecords<RecordT>(*plan, eng.bufferBudgetBytes,
-                                           threads_);
+        eng.batchRecords = defaultBatchRecords<RecordT>(
+            *plan, eng.bufferBudgetBytes, threads_);
         eng.threads = threads_;
 
         SortRequest<RecordT> req{.source = &source, .sink = &sink};
@@ -393,21 +387,19 @@ class SsdSorter
     }
 
   private:
-    /** Default pool slot b: the largest slot at which the pool
-     *  holds one full merge lane per requested thread — W lanes of
-     *  fan-in ell need laneBuffers(ell) * W slots (and never fewer
-     *  than 8).  The pool then admits the planner's fan-in and W
-     *  lanes, so the bytes are those of any smaller b; asking for more
-     *  threads shrinks b instead of silently serializing phase 2.  b
-     *  sizes a slot, not a transfer: each merge pass reads and writes
+    /** Pool slot b: the largest slot at which the pool holds one
+     *  full merge lane per requested thread — W lanes of fan-in ell
+     *  need laneBuffers(ell) * W slots (and never fewer than 8).  The
+     *  pool then admits the planner's fan-in on W lanes; asking for
+     *  more threads shrinks b instead of silently serializing phase 2.
+     *  b sizes a slot, not a transfer: each merge pass reads and writes
      *  k * b records, with k sized per pass from the slots its
      *  concurrent groups leave idle (merge_plan.hpp transferSlots),
      *  and phase 1 reads the source in kTransferBytes pieces when b
      *  is smaller.  The planner's Equation-10 batch (phase2.batchBytes,
      *  the largest b with lambda*b*ell <= C_BRAM) bounds the FPGA's
      *  on-chip buffers, not the host's, so it only labels the report
-     *  (StreamStats::modelBatchRecords).  Explicit user batches are
-     *  taken as-is and fail loudly if the pool cannot hold one. */
+     *  (StreamStats::modelBatchRecords). */
     template <typename RecordT>
     static std::uint64_t
     defaultBatchRecords(const core::SsdPlan &plan,

@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/run.hpp"
@@ -90,7 +91,7 @@ storedRunBoundary(const io::RunStore<RecordT> &src, const RunSpan &m,
 template <typename RecordT>
 std::vector<std::vector<std::uint64_t>>
 finalSliceCuts(const io::RunStore<RecordT> &src,
-               const std::vector<RunSpan> &members, unsigned slices,
+               std::span<const RunSpan> members, unsigned slices,
                io::BufferPool<RecordT> &bufs)
 {
     struct Sample

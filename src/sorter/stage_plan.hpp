@@ -1,20 +1,23 @@
 /**
  * @file
- * Stage planning shared by the behavioral engine and the cycle
- * simulator, so both produce bit-identical intermediate buffers.
+ * The simulator's leaf layout: how SimSorter and PipelineSimSorter
+ * feed one merge stage to the cycle-level AMT.
  *
  * A merge stage consumes R sorted runs and produces G = ceil(R / ell)
  * runs.  To keep every leaf's reads sequential (batched DRAM access,
  * Section V-A), runs are assigned to leaves in contiguous blocks of G:
  * leaf j owns runs [j*G, (j+1)*G), and merge group g takes the g-th
- * run of every leaf.  Output run g is written sequentially.
+ * run of every leaf.  Output run g is written sequentially.  The host
+ * sorters merge contiguous run groups instead (sorter/run_groups.hpp),
+ * so they agree with the simulator on keys but not on the order of
+ * equal keys.
  */
 
 #ifndef BONSAI_SORTER_STAGE_PLAN_HPP
 #define BONSAI_SORTER_STAGE_PLAN_HPP
 
-#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/contract.hpp"
@@ -44,21 +47,7 @@ class StagePlan
             groups_ = 1;
     }
 
-    /** Largest member count of any merge group in this stage — the
-     *  fan-in the streaming merge must budget cursor buffers for. */
-    std::uint64_t
-    maxGroupFanIn() const
-    {
-        std::uint64_t widest = 0;
-        for (std::uint64_t g = 0; g < groups_; ++g)
-            widest = std::max<std::uint64_t>(widest,
-                                             groupRuns(g).size());
-        return widest;
-    }
-
     std::uint64_t groups() const { return groups_; }
-    unsigned ell() const { return ell_; }
-    const std::vector<RunSpan> &inputRuns() const { return runs_; }
 
     /**
      * Runs owned by leaf @p j.  With several groups, leaf j owns the

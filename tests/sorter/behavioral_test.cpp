@@ -11,11 +11,9 @@
 #include "common/record_buffer.hpp"
 #include "common/thread_pool.hpp"
 #include "gensort_keys.hpp"
-#include "hw/bitonic.hpp"
 #include "model/perf_model.hpp"
+#include "oracle_sort.hpp"
 #include "sorter/behavioral.hpp"
-#include "sorter/merge_tree.hpp"
-#include "sorter/stage_plan.hpp"
 
 namespace bonsai
 {
@@ -224,39 +222,6 @@ TEST(Behavioral, EveryStageParityEndsInTheCallersRange)
     }
 }
 
-/**
- * The sorter spelled out with the reference parts: presort each run
- * with hw::bitonicSortNetwork (std::sort on a tail that is not a
- * power of two), then merge each StagePlan group with one MergeTree.
- */
-std::vector<Record>
-referenceSort(std::vector<Record> data, unsigned ell, std::uint64_t run)
-{
-    std::vector<RunSpan> runs = chunkRuns(data.size(), run);
-    for (const RunSpan &r : runs) {
-        const std::span<Record> block(data.data() + r.offset, r.length);
-        if (hw::isPow2(block.size()))
-            hw::bitonicSortNetwork(block);
-        else
-            std::sort(block.begin(), block.end());
-    }
-    std::vector<Record> other(data.size());
-    while (runs.size() > 1) {
-        const sorter::StagePlan plan(std::move(runs), ell);
-        const std::vector<RunSpan> out = plan.outputRuns();
-        for (std::uint64_t g = 0; g < plan.groups(); ++g) {
-            std::vector<std::span<const Record>> members;
-            for (const RunSpan &r : plan.groupRuns(g))
-                members.emplace_back(data.data() + r.offset, r.length);
-            sorter::MergeTree<Record>(members).merge(other.data() +
-                                                     out[g].offset);
-        }
-        runs = out;
-        data.swap(other);
-    }
-    return data;
-}
-
 TEST(Behavioral, PresortRunLengthsMatchTheReferenceSort)
 {
     for (const std::uint64_t run : {1u, 8u, 16u, 32u}) {
@@ -264,7 +229,7 @@ TEST(Behavioral, PresortRunLengthsMatchTheReferenceSort)
             for (const Distribution dist :
                  {Distribution::FewDistinct, Distribution::UniformRandom}) {
                 const auto input = makeRecords(n, dist, run + n);
-                const auto want = referenceSort(input, 16, run);
+                const auto want = oracleSort(input, run);
                 for (const unsigned threads : {1u, 4u}) {
                     auto got = input;
                     sorter::BehavioralSorter<Record>(16, run, threads)
@@ -279,56 +244,39 @@ TEST(Behavioral, PresortRunLengthsMatchTheReferenceSort)
     }
 }
 
-/** Order-dependent FNV-1a digest over every record's key and value. */
-std::uint64_t
-orderedDigest(std::span<const Record> recs)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const Record &r : recs) {
-        for (const std::uint64_t word : {r.key, r.value}) {
-            h ^= word;
-            h *= 0x100000001b3ULL;
-        }
-    }
-    return h;
-}
-
 class BehavioralGolden
     : public ::testing::TestWithParam<std::tuple<unsigned, unsigned>>
 {
 };
 
 /** Sort @p input through the vector and the span overloads at
- *  fan-in @p ell on @p threads threads; both must give @p golden. */
+ *  fan-in @p ell on @p threads threads; both must give the oracle. */
 void
-expectDigest(const std::vector<Record> &input, unsigned ell,
-             unsigned threads, std::uint64_t golden)
+expectOracle(const std::vector<Record> &input, unsigned ell,
+             unsigned threads)
 {
+    const std::vector<Record> want = oracleSort(input);
     auto data = input;
     sorter::BehavioralSorter<Record>(ell, 16, threads).sort(data);
-    EXPECT_EQ(orderedDigest(data), golden);
+    EXPECT_EQ(data, want);
 
     data = input;
     ThreadPool pool(threads);
     sorter::BehavioralSorter<Record>(ell, 16, threads)
         .sort(std::span<Record>(data), pool);
-    EXPECT_EQ(orderedDigest(data), golden);
+    EXPECT_EQ(data, want);
 }
 
-/** The sorted bytes of a FewDistinct input are pinned per fan-in.
- *  Each merge stage keeps the (key, input index, position) order, so
- *  the digest is the same for every thread count and Merge Path
- *  slicing; it differs between fan-ins only because a stage's groups
- *  take strided runs (StagePlan::groupRuns).  A merge kernel that
- *  reorders ties changes it. */
+/** The sorted bytes of a FewDistinct input are the oracle's at every
+ *  fan-in and thread count: each merge stage takes contiguous run
+ *  groups and keeps the (key, input index, position) order, so equal
+ *  keys leave in the order the presort left them.  A merge kernel or
+ *  a grouping that reorders ties fails it. */
 TEST_P(BehavioralGolden, FewDistinctDigestIsPinned)
 {
     const auto [ell, threads] = GetParam();
-    const std::uint64_t golden = ell == 2 ? 682775178126978180ULL
-        : ell == 16                       ? 4815198268905582772ULL
-                                          : 1357850893837343016ULL;
-    expectDigest(makeRecords(200'003, Distribution::FewDistinct, 29), ell,
-                 threads, golden);
+    expectOracle(makeRecords(200'003, Distribution::FewDistinct, 29), ell,
+                 threads);
 }
 
 /** As above over 16 keys that straddle 2^63 (2^63 - 7 .. 2^63 + 8),
@@ -337,13 +285,10 @@ TEST_P(BehavioralGolden, FewDistinctDigestIsPinned)
 TEST_P(BehavioralGolden, FewDistinctKeysAcross2To63DigestIsPinned)
 {
     const auto [ell, threads] = GetParam();
-    const std::uint64_t golden = ell == 2 ? 7449966820395869071ULL
-        : ell == 16                       ? 11213799219694727531ULL
-                                          : 1385614997471880327ULL;
     auto input = makeRecords(200'003, Distribution::FewDistinct, 31);
     for (Record &r : input)
         r.key += (std::uint64_t{1} << 63) - 8;
-    expectDigest(input, ell, threads, golden);
+    expectOracle(input, ell, threads);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -356,59 +301,47 @@ class BehavioralGensortGolden
 {
 };
 
-/** Sort @p keys gensort records at fan-in @p ell on @p threads
- *  threads through the vector and the scratch-reusing span overloads;
- *  both must give @p golden. */
+/** Sort gensort records of key set @p keys at fan-in @p ell on
+ *  @p threads threads through the vector and the scratch-reusing span
+ *  overloads; both must give the oracle's bytes. */
 void
-expectGensortDigest(GensortKeys keys, unsigned ell, unsigned threads,
-                    std::uint64_t golden)
+expectGensortOracle(GensortKeys keys, unsigned ell, unsigned threads)
 {
     // 2500 16-record presort runs and a 3-record tail.
     const auto input = makeGensortKeys(40'003, keys, 43);
+    const std::uint64_t want = gensortDigest(oracleSort(input));
     const sorter::BehavioralSorter<GensortRecord> sorter(ell, 16, threads);
     auto data = input;
     sorter.sort(data);
-    EXPECT_EQ(gensortDigest(data), golden);
+    EXPECT_EQ(gensortDigest(data), want);
 
     data = input;
     ThreadPool pool(threads);
     RecordBuffer<GensortRecord> scratch;
     sorter.sort(std::span<GensortRecord>(data), pool, scratch);
-    EXPECT_EQ(gensortDigest(data), golden);
+    EXPECT_EQ(gensortDigest(data), want);
 }
 
 /** The sorted bytes of gensort inputs whose keys tie in part or in
- *  whole are pinned per fan-in, as BehavioralGolden pins 16-byte
- *  records: a presorter or merger that orders equal keys differently,
- *  or that decides a tie in bytes 0-7 wrongly, changes them. */
+ *  whole are the oracle's at every fan-in, as BehavioralGolden checks
+ *  16-byte records: a presorter or merger that orders equal keys
+ *  differently, or that decides a tie in bytes 0-7 wrongly, fails. */
 TEST_P(BehavioralGensortGolden, PrefixTieDigestIsPinned)
 {
     const auto [ell, threads] = GetParam();
-    const std::uint64_t golden = ell == 2 ? 9179823644286079317ULL
-        : ell == 16                       ? 7206167243650969549ULL
-        : ell == 32                       ? 5457992635155414221ULL
-                                          : 3497153801170366481ULL;
-    expectGensortDigest(GensortKeys::PrefixTie, ell, threads, golden);
+    expectGensortOracle(GensortKeys::PrefixTie, ell, threads);
 }
 
 TEST_P(BehavioralGensortGolden, FewDistinctDigestIsPinned)
 {
     const auto [ell, threads] = GetParam();
-    const std::uint64_t golden = ell == 2 ? 8369482270337021871ULL
-        : ell == 16                       ? 11332744970936572323ULL
-        : ell == 32                       ? 10488976153090843103ULL
-                                          : 10066596983541885079ULL;
-    expectGensortDigest(GensortKeys::FewDistinct, ell, threads, golden);
+    expectGensortOracle(GensortKeys::FewDistinct, ell, threads);
 }
 
 TEST_P(BehavioralGensortGolden, AllEqualDigestIsPinned)
 {
     const auto [ell, threads] = GetParam();
-    const std::uint64_t golden = ell == 2 ? 9309053775678813040ULL
-        : ell == 16                       ? 7272777421245380816ULL
-        : ell == 32                       ? 14258742878139646896ULL
-                                          : 6545505146240465520ULL;
-    expectGensortDigest(GensortKeys::AllEqual, ell, threads, golden);
+    expectGensortOracle(GensortKeys::AllEqual, ell, threads);
 }
 
 INSTANTIATE_TEST_SUITE_P(

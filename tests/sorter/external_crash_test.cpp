@@ -41,9 +41,11 @@ namespace bonsai::sorter
 namespace
 {
 
-/** Same geometry as the fault tests: 24 chunks of 1000 records,
- *  4-way merges — two non-final passes (24 -> 6 -> 2) plus the final
- *  2-way splitter pass, so every journaled phase has crash points. */
+/** Same geometry as the fault tests: 1000-record chunks (992 once
+ *  rounded down to whole presort runs), so 25 chunks of a 24'000-
+ *  record input, and 4-way merges — two non-final passes
+ *  (25 -> 7 -> 2) plus the final 2-way splitter pass, so every
+ *  journaled phase has crash points. */
 StreamEngine<Record>::Options
 crashOptions(unsigned threads)
 {
@@ -180,7 +182,7 @@ TEST(StreamEngineCrash, UninterruptedDurableRunMatchesClassicSort)
         // journaled.
         ASSERT_GE(stats.mergePasses, 2u);
         EXPECT_EQ(stats.manifestCommits,
-                  24u + (stats.mergePasses - 1));
+                  25u + (stats.mergePasses - 1));
         EXPECT_EQ(stats.resumedChunks, 0u);
         EXPECT_EQ(stats.resumedPasses, 0u);
         EXPECT_EQ(stats.resumeFallback, "");
@@ -203,10 +205,10 @@ TEST(StreamEngineCrash, ResumingACompletedJobSkipsAllJournaledWork)
     const auto out = durableSort(data, 4, job.str(),
                                  ResumePolicy::ResumeStrict, &stats);
     EXPECT_EQ(out, reference);
-    EXPECT_EQ(stats.resumedChunks, 24u);
+    EXPECT_EQ(stats.resumedChunks, 25u);
     EXPECT_GT(stats.resumedPasses, 0u);
     EXPECT_EQ(stats.manifestCommits, 0u);
-    EXPECT_EQ(stats.phase1Chunks, 24u);
+    EXPECT_EQ(stats.phase1Chunks, 25u);
 }
 
 TEST(StreamEngineCrash, CrashSweepResumesByteIdentically)

@@ -3,10 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bonsai.hpp"
@@ -14,7 +14,9 @@
 #include "common/contract.hpp"
 #include "common/gensort.hpp"
 #include "common/random.hpp"
+#include "gensort_keys.hpp"
 #include "io/stream.hpp"
+#include "oracle_sort.hpp"
 #include "sorter/behavioral.hpp"
 #include "sorter/sorters.hpp"
 
@@ -193,7 +195,10 @@ TEST(SsdSorter, Phase1MovesMatchInPlaceChunkSorts)
     auto reference = data;
     const auto report = sorter.sort(data, 4);
     ASSERT_GT(report.plan.chunkRecords, 0u);
-    const std::uint64_t chunk = report.plan.chunkRecords;
+    // The engine rounds the plan's chunk down to whole 16-record
+    // presort runs.
+    const std::uint64_t chunk =
+        report.plan.chunkRecords - report.plan.chunkRecords % 16;
     ASSERT_EQ(report.stream.phase1Chunks,
               (reference.size() + chunk - 1) / chunk);
     ASSERT_GT(report.stream.phase1Chunks, 1u);
@@ -246,25 +251,91 @@ TEST(SsdSorter, StreamedSortMatchesInMemorySort)
               report.stream.bufferPoolBytes);
 }
 
-/** Gensort keys as generated, or overwritten so that many tie. */
-enum class Keys
+/** Order-dependent FNV-1a digest over every byte of @p recs. */
+template <typename RecordT>
+std::uint64_t
+bytesDigest(std::span<const RecordT> recs)
 {
-    Uniform,
-    /** Five keys, equal on their first 8 bytes. */
-    FewDistinct,
-    AllEqual
-};
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const std::byte b : std::as_bytes(recs)) {
+        h ^= static_cast<std::uint64_t>(b);
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/** Digest of @p input sorted by SsdSorter::sortStream on memory
+ *  endpoints at @p budget_mib MiB on @p threads threads. */
+template <typename RecordT>
+std::uint64_t
+streamedDigest(const std::vector<RecordT> &input, std::uint64_t budget_mib,
+               unsigned threads)
+{
+    io::MemorySource<RecordT> source{std::span<const RecordT>(input)};
+    std::vector<RecordT> out;
+    out.reserve(input.size());
+    io::MemorySink<RecordT> sink(out);
+    sorter::SsdSorter sorter;
+    sorter.setThreads(threads);
+    sorter::SsdSorter::StreamOptions opts;
+    opts.memoryBudgetBytes = budget_mib << 20;
+    sorter.sortStream(source, sink, sizeof(RecordT), opts);
+    return bytesDigest<RecordT>(out);
+}
+
+/** Every streamed budget and the in-memory sort(), on one thread and
+ *  on four, must give the bytes of oracleSort(@p input). */
+template <typename RecordT>
+void
+expectOracleAtEveryBudget(const std::vector<RecordT> &input)
+{
+    const std::uint64_t want = bytesDigest<RecordT>(oracleSort(input));
+    for (const unsigned threads : {1u, 4u}) {
+        for (const std::uint64_t budget_mib : {4u, 16u, 64u}) {
+            EXPECT_EQ(streamedDigest(input, budget_mib, threads), want)
+                << "sortStream at " << budget_mib << " MiB, " << threads
+                << " thread(s)";
+        }
+        auto data = input;
+        sorter::SsdSorter sorter;
+        sorter.setThreads(threads);
+        sorter.sort(data, sizeof(RecordT));
+        EXPECT_EQ(bytesDigest<RecordT>(data), want)
+            << "sort(), " << threads << " thread(s)";
+    }
+}
+
+TEST(SsdSorter, TiedKeysGiveTheOracleAtEveryBudget)
+{
+    // The budget sets the chunk, the batch and the fan-in, yet the
+    // order of equal keys must not move: every path gives the
+    // presorted input stable-sorted.  Payloads carry the input index,
+    // so ties stay distinguishable.  600'000 Records make 10, 3 and 1
+    // chunk(s) at 4, 16 and 64 MiB; 200'000 gensort records 20, 5
+    // and 2.
+    SplitMix64 rng(5);
+    std::vector<Record> recs(600'000);
+    for (std::uint64_t i = 0; i < recs.size(); ++i)
+        recs[i] = Record{1 + rng.nextBounded(5), i};
+    {
+        SCOPED_TRACE("5-key Records");
+        expectOracleAtEveryBudget(recs);
+    }
+    for (const GensortKeys keys :
+         {GensortKeys::FewDistinct, GensortKeys::PrefixTie,
+          GensortKeys::AllEqual}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "gensort keys " << static_cast<int>(keys));
+        expectOracleAtEveryBudget(makeGensortKeys(200'000, keys, 61));
+    }
+}
 
 /** Gensort records [0, n) of seed 2020, generated as they are read,
- *  so a large input costs no memory.  The 90 value bytes stay as
- *  generated, so records with equal keys remain distinguishable. */
+ *  so a large input costs no memory. */
 class GeneratedSource : public io::RecordSource<GensortRecord>
 {
   public:
-    explicit GeneratedSource(std::uint64_t n, Keys keys = Keys::Uniform)
-        : n_(n), keys_(keys)
-    {
-    }
+    explicit GeneratedSource(std::uint64_t n) : n_(n) {}
 
     std::uint64_t totalRecords() const override { return n_; }
 
@@ -274,15 +345,6 @@ class GeneratedSource : public io::RecordSource<GensortRecord>
         const std::uint64_t k = std::min(max, n_ - next_);
         const auto recs = gen_.generate(next_, k);
         std::copy(recs.begin(), recs.end(), dst);
-        if (keys_ != Keys::Uniform) {
-            for (std::uint64_t i = 0; i < k; ++i) {
-                auto &key = dst[i].bytes;
-                std::fill(key.begin(), key.begin() + 9, 'K');
-                key[9] = keys_ == Keys::AllEqual
-                    ? 'K'
-                    : static_cast<std::uint8_t>('0' + key[9] % 5);
-            }
-        }
         next_ += k;
         return k;
     }
@@ -290,35 +352,7 @@ class GeneratedSource : public io::RecordSource<GensortRecord>
   private:
     GensortGenerator gen_{2020};
     std::uint64_t n_;
-    Keys keys_;
     std::uint64_t next_ = 0;
-};
-
-/** An order-sensitive digest of the records written (an FNV-1a
- *  fold of per-record byte hashes), so two outputs compare byte for
- *  byte without being kept. */
-class DigestSink : public io::RecordSink<GensortRecord>
-{
-  public:
-    void
-    write(const GensortRecord *src, std::uint64_t count) override
-    {
-        for (std::uint64_t i = 0; i < count; ++i) {
-            const std::string_view bytes(
-                reinterpret_cast<const char *>(src[i].bytes.data()),
-                GensortRecord::kBytes);
-            digest_ = (digest_ ^ std::hash<std::string_view>{}(bytes)) *
-                0x100000001B3ULL;
-        }
-        records_ += count;
-    }
-
-    std::uint64_t digest() const { return digest_; }
-    std::uint64_t records() const { return records_; }
-
-  private:
-    std::uint64_t digest_ = 0xCBF29CE484222325ULL;
-    std::uint64_t records_ = 0;
 };
 
 /** Keeps only a count and whether the records came in order. */
@@ -450,123 +484,26 @@ poolBytes(std::uint64_t budget_mib)
     return (budget_mib << 20) / 4;
 }
 
-/** The plan SsdSorter::sortStream makes for @p n gensort records:
- *  its chunk is the pool's worth of records. */
-core::SsdPlan
-streamPlan(std::uint64_t n, std::uint64_t budget_mib)
-{
-    const std::uint64_t chunk =
-        std::min(poolBytes(budget_mib) / sizeof(GensortRecord), n);
-    return *core::planSsdSort({n, GensortRecord::kBytes}, core::awsF1(),
-                              {}, {}, chunk * GensortRecord::kBytes);
-}
-
-/** The largest b at which laneBuffers(ell) buffers per thread fit
- *  the pool. */
-std::uint64_t
-hostBatch(const core::SsdPlan &plan, std::uint64_t budget_mib,
-          unsigned threads)
-{
-    return poolBytes(budget_mib) /
-        (sorter::laneBuffers(plan.phase2.config.ell) * threads *
-         sizeof(GensortRecord));
-}
-
-/** The planner's Equation-10 batch (the F1's 4 KiB of BRAM per
- *  leaf), capped by what the pool holds. */
-std::uint64_t
-f1Batch(const core::SsdPlan &plan, std::uint64_t budget_mib,
-        unsigned threads)
-{
-    return std::min(plan.phase2.batchBytes / GensortRecord::kBytes,
-                    hostBatch(plan, budget_mib, threads));
-}
-
 struct StreamedSort
 {
     sorter::StreamStats stats;
     core::SsdPlan plan;
-    std::uint64_t digest = 0;
 };
 
 StreamedSort
-streamGensort(std::uint64_t n, Keys keys, std::uint64_t budget_mib,
-              unsigned threads, std::uint64_t batch)
+streamGensort(std::uint64_t n, std::uint64_t budget_mib, unsigned threads)
 {
-    GeneratedSource source(n, keys);
-    DigestSink sink;
+    GeneratedSource source(n);
+    OrderCheckingSink sink;
     sorter::SsdSorter sorter;
     sorter.setThreads(threads);
     sorter::SsdSorter::StreamOptions opts;
     opts.memoryBudgetBytes = budget_mib << 20;
-    opts.batchRecords = batch;
     const auto report =
         sorter.sortStream(source, sink, GensortRecord::kBytes, opts);
     EXPECT_EQ(sink.records(), n);
-    return {report.stream, report.plan, sink.digest()};
-}
-
-TEST(SsdSorter, HostBatchMatchesTheF1BatchByteForByte)
-{
-    // b sizes every streamed transfer, but the bytes depend only on
-    // the admitted fan-in: the F1's Equation-10 batch and the largest
-    // batch the pool holds must emit the same sequence, ties
-    // included, through the same phase-2 shape.  67 phase-1 runs at
-    // 4 MiB (a non-final pass), 3 at 16 MiB and 2 at 64 MiB.
-    struct Case
-    {
-        std::uint64_t budgetMib;
-        std::uint64_t records;
-    };
-    constexpr Case kCases[] = {
-        {4, 700'000}, {16, 105'000}, {64, 210'000}};
-    for (const Case &c : kCases) {
-        const core::SsdPlan plan = streamPlan(c.records, c.budgetMib);
-        for (const unsigned threads : {1u, 2u, 4u}) {
-            const std::uint64_t f1 = f1Batch(plan, c.budgetMib, threads);
-            const std::uint64_t host =
-                hostBatch(plan, c.budgetMib, threads);
-            for (const Keys keys :
-                 {Keys::Uniform, Keys::FewDistinct, Keys::AllEqual}) {
-                // Where the pool caps both at the same b (4 MiB at
-                // 2 and 4 threads) there is nothing to compare.
-                if (host == f1)
-                    continue;
-                SCOPED_TRACE(::testing::Message()
-                             << "budget " << c.budgetMib << " MiB, "
-                             << threads << " thread(s), keys "
-                             << static_cast<int>(keys) << ", b " << f1
-                             << " vs " << host);
-                const StreamedSort a = streamGensort(
-                    c.records, keys, c.budgetMib, threads, f1);
-                EXPECT_EQ(a.plan.phase2.batchBytes,
-                          plan.phase2.batchBytes);
-                EXPECT_EQ(a.plan.phase2.config.ell,
-                          plan.phase2.config.ell);
-                EXPECT_EQ(a.stats.batchRecords, f1);
-                const StreamedSort b = streamGensort(
-                    c.records, keys, c.budgetMib, threads, host);
-                EXPECT_EQ(b.stats.batchRecords, host);
-                EXPECT_EQ(b.digest, a.digest);
-                EXPECT_EQ(b.stats.effectiveEll, a.stats.effectiveEll);
-                EXPECT_EQ(b.stats.concurrentGroups,
-                          a.stats.concurrentGroups);
-                EXPECT_EQ(b.stats.mergePasses, a.stats.mergePasses);
-                EXPECT_EQ(b.stats.finalSlices, a.stats.finalSlices);
-            }
-        }
-    }
-    // The default b is the host batch.
-    const StreamedSort host =
-        streamGensort(210'000, Keys::FewDistinct, 64, 1, 0);
-    EXPECT_EQ(host.stats.batchRecords, hostBatch(host.plan, 64, 1));
-    const StreamedSort f1 = streamGensort(
-        210'000, Keys::FewDistinct, 64, 1, f1Batch(host.plan, 64, 1));
-    EXPECT_EQ(host.digest, f1.digest);
-    EXPECT_EQ(host.stats.effectiveEll, f1.stats.effectiveEll);
-    EXPECT_EQ(host.stats.concurrentGroups, f1.stats.concurrentGroups);
-    EXPECT_EQ(host.stats.mergePasses, f1.stats.mergePasses);
-    EXPECT_EQ(host.stats.finalSlices, f1.stats.finalSlices);
+    EXPECT_TRUE(sink.sorted());
+    return {report.stream, report.plan};
 }
 
 TEST(SsdSorter, DefaultBatchIsTheLargestThePoolHolds)
@@ -582,8 +519,8 @@ TEST(SsdSorter, DefaultBatchIsTheLargestThePoolHolds)
             SCOPED_TRACE(::testing::Message()
                          << "budget " << budget_mib << " MiB, "
                          << threads << " thread(s)");
-            const StreamedSort sort = streamGensort(
-                kRecords, Keys::Uniform, budget_mib, threads, 0);
+            const StreamedSort sort =
+                streamGensort(kRecords, budget_mib, threads);
             const sorter::StreamStats &s = sort.stats;
             const std::uint64_t lane_bytes =
                 sorter::laneBuffers(sort.plan.phase2.config.ell) *
