@@ -181,8 +181,14 @@ BENCHMARK(BM_MergeTreeRecord)
     ->Args({1 << 20, 16})
     ->Args({1 << 20, 256});
 BENCHMARK(BM_StdSortGensort)->Arg(1 << 20);
+// {chunk, fan-in, threads}: the phase-1 chunks of extsort-1pass
+// (167,760 records, fan-in 32) and extsort-multipass (10,480, 16),
+// then 1M records on 1 and 4 threads.
 BENCHMARK(BM_BonsaiBehavioralGensort)
+    ->Args({167760, 32, 1})
+    ->Args({10480, 16, 1})
     ->Args({1 << 20, 32, 1})
+    ->Args({1 << 20, 32, 4})
     ->Args({1 << 20, 64, 1});
 
 } // namespace

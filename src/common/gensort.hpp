@@ -7,7 +7,11 @@
  * index so that a (10-byte key, 6-byte value) pair fits a 16-byte AMT
  * record (Section VI-A).  We reproduce that flow: generate 100-byte
  * records, hash the payload to 48 bits, and pack into Record128
- * (80-bit key in two limbs, 48-bit value).
+ * (80-bit key in two limbs, 48-bit value).  The in-memory sort takes
+ * the same trick further: it moves each record's KeyEntry — the
+ * 10-byte key and the record's 48-bit index (keyEntry) — through the
+ * presort and every merge stage, and the record itself once, by
+ * index, at the end.
  */
 
 #ifndef BONSAI_COMMON_GENSORT_HPP
@@ -63,9 +67,8 @@ struct GensortRecord
     }
 };
 
-/** Key bytes 0-7 as a big-endian word: a monotone prefix of the key
- *  order (KeyPrefixed), so the in-memory sort moves 16-byte KeyEntry
- *  tags, not 100-byte records. */
+/** Key bytes 0-7 as a big-endian word: word 0 of the record's
+ *  KeyEntry, and what decides a comparison unless it ties. */
 inline std::uint64_t
 keyPrefix(const GensortRecord &rec)
 {
@@ -74,6 +77,16 @@ keyPrefix(const GensortRecord &rec)
     if constexpr (std::endian::native == std::endian::little)
         word = __builtin_bswap64(word);
     return word;
+}
+
+/** @p rec as the 16-byte entry the in-memory sort moves (EntryKeyed):
+ *  its 10-byte key and @p index, which must fit in 48 bits. */
+inline KeyEntry
+keyEntry(const GensortRecord &rec, std::uint64_t index)
+{
+    const std::uint64_t tail =
+        std::uint64_t{rec.bytes[8]} << 8 | rec.bytes[9];
+    return {keyPrefix(rec), tail << KeyEntry::kIndexBits | index};
 }
 
 /** FNV-1a hash of a byte range, truncated to 48 bits (the paper's

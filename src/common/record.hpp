@@ -14,6 +14,12 @@
  * The paper reserves the value zero; we do the same: the all-zero record
  * is the terminal record and must not appear in user data (the bundled
  * generators never produce it).
+ *
+ * KeyEntry is the host sort's stand-in for a record whose key is wider
+ * than one word (a gensort record): the 10-byte key and a 48-bit
+ * index in 16 bytes, the paper's 10-byte key and 6-byte index.  It is
+ * not a record — it has no terminal — but the in-memory sort moves it
+ * through the same kernels.
  */
 
 #ifndef BONSAI_COMMON_RECORD_HPP
@@ -180,38 +186,47 @@ struct WideRecord
 };
 
 /**
- * A record type with a monotone 64-bit key prefix, found by ADL:
- * keyPrefix(a) < keyPrefix(b) implies a < b, and a < b implies
- * keyPrefix(a) <= keyPrefix(b).  The in-memory sort kernels move a
- * KeyEntry per record of such a type instead of the record itself.
+ * The 16-byte item the in-memory sort moves in place of a record with
+ * a 10-byte key (a gensort record): the paper's 10-byte key and 6-byte
+ * index (Section VI-A).  Word 0 is key bytes 0-7 as a big-endian word;
+ * word 1 holds key bytes 8-9 in its top 16 bits and the record's
+ * 48-bit index below them.  Entries compare on the 80-bit key alone,
+ * never on the index, so they order exactly as the records they name
+ * do, ties included, and no comparison dereferences a record.
  */
-template <typename RecordT>
-concept KeyPrefixed = requires(const RecordT &r) {
-    { keyPrefix(r) } -> std::same_as<std::uint64_t>;
-};
-
-/** A KeyPrefixed record's key prefix and address: 16 bytes that
- *  order exactly as the records they point to. */
-template <typename RecordT>
 struct KeyEntry
 {
-    std::uint64_t prefix;
-    const RecordT *rec;
+    static constexpr unsigned kIndexBits = 48;
+    static constexpr std::uint64_t kMaxIndex =
+        (std::uint64_t{1} << kIndexBits) - 1;
 
-    static KeyEntry
-    of(const RecordT &r)
-    {
-        return {keyPrefix(r), &r};
-    }
+    std::uint64_t key = 0;  ///< key bytes 0-7, big-endian
+    std::uint64_t tail = 0; ///< key bytes 8-9, then the index
 
-    /** *a.rec < *b.rec: the prefixes decide unless they tie. */
-    friend bool
+    /** Key bytes 8-9, big-endian. */
+    constexpr std::uint64_t keyTail() const { return tail >> kIndexBits; }
+
+    /** The record's index. */
+    constexpr std::uint64_t index() const { return tail & kMaxIndex; }
+
+    /** One 128-bit compare of the 80-bit keys, with no branch. */
+    friend constexpr bool
     operator<(const KeyEntry &a, const KeyEntry &b)
     {
-        if (a.prefix != b.prefix) [[likely]]
-            return a.prefix < b.prefix;
-        return *a.rec < *b.rec;
+        using Key80 = unsigned __int128;
+        return (Key80{a.key} << 16 | a.keyTail()) <
+               (Key80{b.key} << 16 | b.keyTail());
     }
+};
+
+/**
+ * A record type the in-memory sort moves as KeyEntry items, found by
+ * ADL: keyEntry(r, i) is r's key with index i, and entries order as
+ * their records do.
+ */
+template <typename RecordT>
+concept EntryKeyed = requires(const RecordT &r, std::uint64_t index) {
+    { keyEntry(r, index) } -> std::same_as<KeyEntry>;
 };
 
 } // namespace bonsai

@@ -14,21 +14,32 @@
  * Threading model (docs/ARCHITECTURE.md "Software threading model"):
  * one persistent work-stealing ThreadPool lives for the whole sort.
  * The presort runs as pool tasks over blocks of runs (sorter/presort.hpp:
- * the network in AVX-512 registers for 16-byte records, on key tags
- * for gensort records, else hw::bitonicSortNetwork).  Every merge stage is flattened into a
+ * the network in AVX-512 registers for 16-byte records, else
+ * hw::bitonicSortNetwork).  Every merge stage is flattened into a
  * list of (group, slice) merge tasks: small groups are one task each,
  * large groups are cut into disjoint Merge Path slices, so both the
  * many-small-group early stages and the single-group final stage
  * saturate all cores.  The tasks run on min(width, tasks) lanes that
  * take them from a shared counter; each task merges with its own
- * MergeTree (stable branch-free 2-way mergers) whose node blocks —
- * 16-byte key entries for gensort records — live in its lane's arena.  Output is byte-identical for every thread
+ * MergeTree (stable branch-free 2-way mergers) whose node blocks live
+ * in its lane's arena.  Output is byte-identical for every thread
  * count because slices follow the (key, input index, position) total
  * order the merge tree emits.
  *
- * Buffers: the presort writes into whichever of the caller's range
- * and the scratch makes the stage ping-pong end in the caller's
- * range, so a sort never copies its result back.
+ * Entries: a range of EntryKeyed records (gensort records) is sorted
+ * as 16-byte KeyEntry items — each record's 10-byte key and 48-bit
+ * index — from the presort to the last stage, then each record moves
+ * once: one gather by index into the scratch, one sequential copy back
+ * into the caller's range.  The presort, the entry build and the
+ * gather are pool tasks.  Entries order as their records do, ties
+ * included, so the bytes are those of a sort that moves the records.
+ *
+ * Buffers: a sort of records the trees move themselves presorts into
+ * whichever of the caller's range and the scratch makes the stage
+ * ping-pong end in the caller's range, so it never copies its result
+ * back.  A sort by entries holds both entry arrays inside the scratch,
+ * the last stage's at its far end, where the gather into the scratch
+ * reaches an entry only after reading it; it allocates nothing more.
  */
 
 #ifndef BONSAI_SORTER_BEHAVIORAL_HPP
@@ -36,11 +47,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <new>
 #include <span>
 #include <vector>
 
 #include "common/contract.hpp"
+#include "common/record.hpp"
 #include "common/record_buffer.hpp"
 #include "common/run.hpp"
 #include "common/thread_pool.hpp"
@@ -125,7 +140,8 @@ class BehavioralSorter
      * As above, with caller-owned @p scratch that grows to the range
      * on demand and is never zero-filled, so a caller sorting many
      * chunks allocates it once.  The presort writes into whichever of
-     * @p data and @p scratch makes the stage ping-pong end in @p data.
+     * @p data and @p scratch makes the stage ping-pong end in @p data;
+     * a sort by entries gathers into @p scratch and copies back.
      */
     BehavioralStats
     sort(std::span<RecordT> data, ThreadPool &pool,
@@ -134,15 +150,22 @@ class BehavioralSorter
         if (data.size() <= 1)
             return {};
         std::vector<RunSpan> runs = chunkRuns(data.size(), presortRun_);
-        const bool odd = stageCount(runs.size()) % 2 == 1;
         const std::span<RecordT> other = scratch.first(data.size());
-        std::span<RecordT> src = odd ? other : data;
-        std::span<RecordT> dst = odd ? data : other;
-        presortRuns<RecordT>(data, src, presortRun_, pool);
-        MergeResult merged = mergeRuns(std::move(runs), src, dst, pool);
-        BONSAI_ENSURE(merged.out.data() == data.data(),
-                      "the last stage writes the caller's range");
-        return std::move(merged.stats);
+        if constexpr (EntryKeyed<RecordT>) {
+            BehavioralStats stats =
+                sortByEntries(data, std::move(runs), other, true, pool);
+            copyInParallel(other, data, pool);
+            return stats;
+        } else {
+            const bool odd = stageCount(runs.size()) % 2 == 1;
+            std::span<RecordT> src = odd ? other : data;
+            std::span<RecordT> dst = odd ? data : other;
+            presortRuns<RecordT>(data, src, presortRun_, pool);
+            MergeResult merged = mergeRuns(std::move(runs), src, dst, pool);
+            BONSAI_ENSURE(merged.out.data() == data.data(),
+                          "the last stage writes the caller's range");
+            return std::move(merged.stats);
+        }
     }
 
     /** Where mergeRuns left its result, and what it cost. */
@@ -157,14 +180,22 @@ class BehavioralSorter
      * one stage of RunGroups at a time, each stage reading one of
      * @p src and @p dst and writing the other.  The result lands in
      * @p src after an even number of stages and in @p dst after an
-     * odd one; the returned span says which.  sort() runs it after
-     * the presort, and StreamEngine::sortInPlace runs it as its
-     * phase 2.
+     * odd one; the returned span says which.  EntryKeyed records merge
+     * as entries in @p dst and land in @p dst, gathered from @p src.
+     * sort() runs it after the presort, and StreamEngine::sortInPlace
+     * runs it as its phase 2.
      */
     MergeResult
     mergeRuns(std::vector<RunSpan> runs, std::span<RecordT> src,
               std::span<RecordT> dst, ThreadPool &pool) const
     {
+        if constexpr (EntryKeyed<RecordT>) {
+            if (runs.size() > 1) {
+                BehavioralStats stats =
+                    sortByEntries(src, std::move(runs), dst, false, pool);
+                return {dst, std::move(stats)};
+            }
+        }
         BehavioralStats stats;
         while (runs.size() > 1) {
             const RunGroups groups(runs, ell_);
@@ -233,7 +264,7 @@ class BehavioralSorter
             std::min<std::size_t>(width, tasks.size());
         std::atomic<std::size_t> next{0};
         pool.parallelFor(lanes, [&](std::uint64_t) {
-            RecordBuffer<typename MergeTree<RecordT>::Block> arena;
+            RecordBuffer<RecordT> arena;
             for (std::size_t i = next.fetch_add(1); i < tasks.size();
                  i = next.fetch_add(1)) {
                 const SliceTask &task = tasks[i];
@@ -253,6 +284,117 @@ class BehavioralSorter
         for (; runs > 1; runs = (runs + ell_ - 1) / ell_)
             ++stages;
         return stages;
+    }
+
+    /**
+     * Sort @p records into @p out by entries: the entries of the
+     * records — presorted in runs of presortRun_ when @p presort, else
+     * the entries of the already sorted @p runs — merge stage by stage
+     * between two arrays inside @p out, then each record moves once,
+     * by index, from @p records to @p out.  @p records is only read.
+     */
+    BehavioralStats
+    sortByEntries(std::span<const RecordT> records, std::vector<RunSpan> runs,
+                  std::span<RecordT> out, bool presort, ThreadPool &pool) const
+    {
+        static_assert(sizeof(RecordT) >= 2 * sizeof(KeyEntry),
+                      "two entry arrays fit in the records' bytes");
+        const std::uint64_t n = records.size();
+        BONSAI_REQUIRE(out.size() == n, "one output slot per record");
+        // A byte array begun over out's storage implicitly creates the
+        // entries the arrays hold; the gather's memcpy creates the
+        // records after them.
+        std::byte *const base = ::new (static_cast<void *>(out.data()))
+            std::byte[sizeof(RecordT) * n];
+        // The front array starts at the first 16-byte boundary of out;
+        // the back array, where the last stage writes, at the last one
+        // at or below byte (sizeof(RecordT) - 16) * n.  Record i of
+        // the gather then ends at or below back[i + 1], so a forward
+        // gather reads every entry before it overwrites it.
+        constexpr std::uint64_t kAlign = 2 * alignof(KeyEntry);
+        constexpr std::uint64_t kLag = sizeof(RecordT) - sizeof(KeyEntry);
+        const auto address = reinterpret_cast<std::uintptr_t>(base);
+        const std::uint64_t front_at = (kAlign - address % kAlign) % kAlign;
+        const std::uint64_t back_at = kLag * n - (address + kLag * n) % kAlign;
+        BONSAI_INVARIANT(front_at + sizeof(KeyEntry) * n <= back_at &&
+                             back_at + sizeof(KeyEntry) * n <=
+                                 sizeof(RecordT) * n &&
+                             back_at + kLag >= kLag * n,
+                         "the entry arrays lie inside the scratch, the "
+                         "last stage's behind every record the gather "
+                         "writes before it reads them");
+        const std::span<KeyEntry> front(
+            std::launder(reinterpret_cast<KeyEntry *>(base + front_at)), n);
+        const std::span<KeyEntry> back(
+            std::launder(reinterpret_cast<KeyEntry *>(base + back_at)), n);
+
+        const bool odd = stageCount(runs.size()) % 2 == 1;
+        const std::span<KeyEntry> first = odd ? front : back;
+        presortEntries(records, first, presort ? presortRun_ : 1, pool);
+        auto merged = BehavioralSorter<KeyEntry>(ell_, 1, threads_)
+                          .mergeRuns(std::move(runs), first,
+                                     odd ? back : front, pool);
+        BONSAI_ENSURE(merged.out.data() == back.data(),
+                      "the last stage writes the back entry array");
+        gatherByEntries(records, back, out, pool);
+        return std::move(merged.stats);
+    }
+
+    /**
+     * out[i] = records[entries[i].index()] for every i, where
+     * @p entries lies inside @p out's bytes as sortByEntries places
+     * it.  Pool tasks gather a wave of records at a time, each wave
+     * ending below the first entry it leaves unread; the last few
+     * records, where a wave would be short, go on this thread, in
+     * order.
+     */
+    static void
+    gatherByEntries(std::span<const RecordT> records,
+                    std::span<const KeyEntry> entries,
+                    std::span<RecordT> out, ThreadPool &pool)
+    {
+        const std::uint64_t n = out.size();
+        const auto gather = [&](std::uint64_t lo, std::uint64_t hi) {
+            for (std::uint64_t i = lo; i < hi; ++i) {
+                const std::uint64_t from = entries[i].index();
+                std::memcpy(&out[i], &records[from], sizeof(RecordT));
+            }
+        };
+        // Bytes from out's start to entries[0].
+        const auto lead = static_cast<std::uint64_t>(
+            reinterpret_cast<const std::byte *>(entries.data()) -
+            reinterpret_cast<const std::byte *>(out.data()));
+        constexpr std::uint64_t kLag = sizeof(RecordT) - sizeof(KeyEntry);
+        std::uint64_t done = 0;
+        for (;;) {
+            // Records [done, done + wave) end at or below
+            // entries[done], the first entry still to read.
+            const std::uint64_t wave = (lead - kLag * done) / sizeof(RecordT);
+            const std::uint64_t tasks = wave / kMinSliceRecords;
+            if (pool.threads() <= 1 || tasks < 2)
+                break;
+            pool.parallelFor(tasks, [&](std::uint64_t t) {
+                gather(done + wave * t / tasks, done + wave * (t + 1) / tasks);
+            });
+            done += wave;
+        }
+        gather(done, n);
+    }
+
+    /** Copy @p from into @p to, as pool tasks over disjoint slices. */
+    static void
+    copyInParallel(std::span<const RecordT> from, std::span<RecordT> to,
+                   ThreadPool &pool)
+    {
+        const std::uint64_t n = from.size();
+        const std::uint64_t tasks =
+            std::clamp<std::uint64_t>(n / kMinSliceRecords, 1, pool.threads());
+        pool.parallelFor(tasks, [&](std::uint64_t t) {
+            const std::uint64_t lo = n * t / tasks;
+            const std::uint64_t hi = n * (t + 1) / tasks;
+            std::memcpy(to.data() + lo, from.data() + lo,
+                        (hi - lo) * sizeof(RecordT));
+        });
     }
 
     /**

@@ -24,9 +24,9 @@
  * Equation-10 shape reserves, so a pass that merges few runs at once
  * reads and writes in larger pieces.  k changes only the size and the
  * number of the reads and writes, never the groups or the bytes.
- * Node blocks hold records, never key entries (a leaf batch is
- * overwritten on refill), and come from one arena per merge lane,
- * outside the pool.  Every task reads and writes its runs on its own
+ * Trees merge the records themselves, not key entries (a leaf batch
+ * is overwritten on refill), and node blocks come from one arena per
+ * merge lane, outside the pool.  Every task reads and writes its runs on its own
  * thread: the buffered store and sink I/O underneath already reads
  * ahead and writes behind, so phase 2 starts no threads of its own.
  */
@@ -300,7 +300,7 @@ class Phase2Merger
         for (const RunSpan &m : members)
             cursors.emplace_back(src, m, *bufs_, slots);
         io::PoolLease<RecordT> batch(*bufs_, slots);
-        MergeTree<RecordT, RecordT> tree(
+        MergeTree<RecordT> tree(
             members.size(),
             [&cursors](std::size_t i) { return cursors[i].next(); },
             arena);

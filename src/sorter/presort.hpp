@@ -6,8 +6,8 @@
  *
  * hw::bitonicSortNetwork is the reference: it runs the network's
  * compare-exchange sequence one pair at a time, and it is the
- * presorter for every record type, run length and CPU but two.  For
- * 16-record runs of 16-byte Records on a CPU with AVX-512F, the same
+ * presorter for every item type, run length and CPU but two.  For
+ * 16-item runs of 16-byte Records on a CPU with AVX-512F, the same
  * sequence runs in registers instead: the 16 keys in two zmm, the 16
  * values in two zmm, and each of the network's ten stages is a
  * constant permute to the partner lane, an unsigned strict-less
@@ -15,10 +15,16 @@
  * network would swap the pair, which is only on strict less, so ties
  * never swap.  The network is not stable; running the same sequence
  * with the same swap rule is what reproduces the reference's order
- * of equal keys, byte for byte.  16-record runs of a KeyPrefixed
- * type (gensort records) run the same sequence and swap rule on
- * 16-byte KeyEntry tags instead of the records, then gather each
- * record once.
+ * of equal keys, byte for byte.
+ *
+ * A range of EntryKeyed records (gensort records) presorts as
+ * KeyEntry items: each run of entries is built from its records and
+ * sorted, and the records are not touched.  A 16-entry run whose 16
+ * key words all differ takes the same register network, on the key
+ * word alone: with no tie on it, every compare decides as on the whole
+ * key.  A run with a tie there takes hw::bitonicSortNetwork on the
+ * entries, which compare on the whole key and so swap exactly the
+ * pairs the record network swaps.
  *
  * The presorter reads from one buffer and may write into another, so
  * a sorter can place the presorted runs wherever its merge stages
@@ -31,8 +37,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <new>
 #include <span>
 #include <type_traits>
 
@@ -48,10 +52,6 @@ namespace bonsai::sorter
 #if BONSAI_AVX512
 namespace presort_detail
 {
-
-static_assert(sizeof(Record) == 16 && offsetof(Record, key) == 0 &&
-                  offsetof(Record, value) == 8,
-              "a Record is one key word then one value word");
 
 /**
  * Bit j is set when lane j of a 16-lane network stage takes its
@@ -121,15 +121,20 @@ stage(__m512i (&k)[2], __m512i (&v)[2])
 } // namespace presort_detail
 
 /**
- * hw::bitonicSortNetwork over the 16 records at @p in, written to
- * @p out (which may be @p in), in AVX-512F registers.  Call only when
- * haveAvx512f().
+ * hw::bitonicSortNetwork over the 16 items at @p in, written to
+ * @p out (which may be @p in), in AVX-512F registers, ordered on
+ * their first word alone: a Record's key, or a KeyEntry's key word
+ * when no two of the 16 tie on it.  Call only when haveAvx512f().
  */
+template <typename T>
+    requires std::is_same_v<T, Record> || std::is_same_v<T, KeyEntry>
 __attribute__((target("avx512f"))) inline void
-bitonicSort16Avx512(const Record *in, Record *out)
+bitonicSort16Avx512(const T *in, T *out)
 {
+    static_assert(sizeof(T) == 16 && std::is_standard_layout_v<T>,
+                  "an item is an order word then a second word");
     using presort_detail::stage;
-    // Records 0-3, 4-7, 8-11 and 12-15, as key, value, key, ... words.
+    // Items 0-3, 4-7, 8-11 and 12-15, as key, value, key, ... words.
     const __m512i r0 = _mm512_loadu_si512(in);
     const __m512i r1 = _mm512_loadu_si512(in + 4);
     const __m512i r2 = _mm512_loadu_si512(in + 8);
@@ -162,69 +167,28 @@ bitonicSort16Avx512(const Record *in, Record *out)
 }
 #endif // BONSAI_AVX512
 
-/** The presorter's run length: the paper's 16-record network. */
-inline constexpr std::size_t kEntryRun = 16;
-
 /**
- * hw::bitonicSortNetwork over kEntryRun records at @p in, written to
- * @p out (which may be @p in), on the records' KeyEntry tags: the same
- * compare-exchange sequence with the same strict-less swap rule, on
- * tags that order as the records do, so it swaps exactly the pairs
- * the record network swaps.  A swap is a masked exchange of the two
- * tags' words, not a branch; then each record moves once, by gather.
+ * Sort the @p n items at @p run in place as hw::bitonicSortNetwork
+ * does: the network on a power-of-two run, std::sort on a shorter
+ * tail.
  */
-template <KeyPrefixed RecordT>
+template <typename T>
 void
-presortByEntries(const RecordT *in, RecordT *out)
+networkSort(T *run, std::size_t n)
 {
-    // An in-place gather would overwrite records that tags still
-    // point to, so it gathers from a copy.
-    alignas(RecordT) std::byte copy[kEntryRun * sizeof(RecordT)];
-    if (in == out) {
-        std::memcpy(copy, in, sizeof copy);
-        in = std::launder(reinterpret_cast<const RecordT *>(copy));
-    }
-    std::uint64_t prefix[kEntryRun];
-    std::uintptr_t rec[kEntryRun];
-    for (std::size_t i = 0; i < kEntryRun; ++i) {
-        prefix[i] = keyPrefix(in[i]);
-        rec[i] = reinterpret_cast<std::uintptr_t>(in + i);
-    }
-    const auto entry = [&](std::size_t i) {
-        return KeyEntry<RecordT>{prefix[i],
-                                 reinterpret_cast<const RecordT *>(rec[i])};
-    };
-    for (std::size_t block = 2; block <= kEntryRun; block *= 2) {
-        for (std::size_t stride = block / 2; stride >= 1; stride /= 2) {
-            for (std::size_t i = 0; i < kEntryRun; ++i) {
-                if ((i & stride) != 0)
-                    continue;
-                const std::size_t j = i + stride;
-                // Ascending pairs swap when the high tag is strictly
-                // less, descending ones when the low tag is.
-                const bool swap = (i & block) == 0 ? entry(j) < entry(i)
-                                                   : entry(i) < entry(j);
-                const std::uint64_t mask =
-                    std::uint64_t{0} - std::uint64_t{swap};
-                const std::uint64_t dp = (prefix[i] ^ prefix[j]) & mask;
-                const std::uintptr_t dr = (rec[i] ^ rec[j]) & mask;
-                prefix[i] ^= dp;
-                prefix[j] ^= dp;
-                rec[i] ^= dr;
-                rec[j] ^= dr;
-            }
-        }
-    }
-    for (std::size_t i = 0; i < kEntryRun; ++i)
-        out[i] = *reinterpret_cast<const RecordT *>(rec[i]);
+    const std::span<T> items(run, n);
+    if (hw::isPow2(n))
+        hw::bitonicSortNetwork(items);
+    else
+        std::sort(items.begin(), items.end());
 }
 
 /**
  * Presort the @p n records at @p in into @p out (which may be @p in):
  * the bitonic network on a power-of-two run, std::sort on a shorter
- * tail.  A 16-record run takes the register network when it is of
- * Records and the CPU has it, and the tag network when its type is
- * KeyPrefixed; every other run copies and calls hw::bitonicSortNetwork.
+ * tail.  A 16-record run of Records takes the register network when
+ * the CPU has it; every other run copies and calls
+ * hw::bitonicSortNetwork.
  */
 template <typename RecordT>
 void
@@ -238,19 +202,58 @@ presortBlock(const RecordT *in, RecordT *out, std::size_t n)
         }
     }
 #endif
-    if constexpr (KeyPrefixed<RecordT>) {
-        if (n == kEntryRun) {
-            presortByEntries(in, out);
-            return;
-        }
-    }
     if (in != out)
         std::copy(in, in + n, out);
-    const std::span<RecordT> run(out, n);
-    if (hw::isPow2(n))
-        hw::bitonicSortNetwork(run);
-    else
-        std::sort(run.begin(), run.end());
+    networkSort(out, n);
+}
+
+/**
+ * The entries of the @p n records at @p in, the first named by index
+ * @p first, written to @p out and sorted as hw::bitonicSortNetwork
+ * sorts them.  A 16-entry run whose key words all differ takes the
+ * register network; the result is the same either way.
+ */
+template <EntryKeyed RecordT>
+void
+presortEntryBlock(const RecordT *in, std::uint64_t first, KeyEntry *out,
+                  std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = keyEntry(in[i], first + i);
+#if BONSAI_AVX512
+    if (n == 16 && haveAvx512f()) {
+        bitonicSort16Avx512(out, out);
+        // Sorted, the key words hold a tie only between neighbours.
+        bool tie = false;
+        for (std::size_t i = 1; i < 16; ++i)
+            tie |= out[i].key == out[i - 1].key;
+        if (!tie)
+            return;
+        for (std::size_t i = 0; i < n; ++i)
+            out[i] = keyEntry(in[i], first + i);
+    }
+#endif
+    networkSort(out, n);
+}
+
+/**
+ * Call @p block(lo, len) for each run [lo, lo + len) of @p run items
+ * of [0, @p n) (the last may be shorter), a few thousand runs to a
+ * ThreadPool task on @p pool, which keeps the task count small next
+ * to the run count.
+ */
+template <typename Block>
+void
+forEachRun(std::uint64_t n, std::uint64_t run, ThreadPool &pool,
+           Block &&block)
+{
+    const std::uint64_t task_items = run * 2048;
+    const std::uint64_t tasks = (n + task_items - 1) / task_items;
+    pool.parallelFor(tasks, [&](std::uint64_t t) {
+        const std::uint64_t stop = std::min(n, (t + 1) * task_items);
+        for (std::uint64_t lo = t * task_items; lo < stop; lo += run)
+            block(lo, std::min(run, stop - lo));
+    });
 }
 
 /**
@@ -266,24 +269,35 @@ presortRuns(std::span<const RecordT> in, std::span<RecordT> out,
 {
     BONSAI_REQUIRE(in.size() == out.size(),
                    "the presort writes every record it reads");
-    const std::uint64_t n = in.size();
     if (run <= 1) {
         if (in.data() != out.data())
             std::copy(in.begin(), in.end(), out.begin());
         return;
     }
-    // A few thousand runs per task keeps the task count small next to
-    // the run count.
-    constexpr std::uint64_t kRunsPerTask = 2048;
-    const std::uint64_t task_records = run * kRunsPerTask;
-    const std::uint64_t tasks = (n + task_records - 1) / task_records;
-    pool.parallelFor(tasks, [&](std::uint64_t t) {
-        const std::uint64_t stop = std::min(n, (t + 1) * task_records);
-        for (std::uint64_t lo = t * task_records; lo < stop; lo += run) {
-            presortBlock(in.data() + lo, out.data() + lo,
-                         std::min(run, stop - lo));
-        }
+    forEachRun(in.size(), run, pool, [&](std::uint64_t lo, std::uint64_t len) {
+        presortBlock(in.data() + lo, out.data() + lo, len);
     });
+}
+
+/**
+ * The KeyEntry items of @p in, record i named by index i, written to
+ * @p out (one per record) in sorted runs of @p run entries (the last
+ * may be shorter), as presortRuns sorts records; the runs are
+ * ThreadPool tasks on @p pool.  A run of one entry is only built.
+ */
+template <EntryKeyed RecordT>
+void
+presortEntries(std::span<const RecordT> in, std::span<KeyEntry> out,
+               std::uint64_t run, ThreadPool &pool)
+{
+    BONSAI_REQUIRE(in.size() == out.size(), "one entry per record");
+    BONSAI_REQUIRE(in.size() <= KeyEntry::kMaxIndex + 1,
+                   "every record index fits an entry");
+    forEachRun(in.size(), std::max<std::uint64_t>(run, 1), pool,
+               [&](std::uint64_t lo, std::uint64_t len) {
+                   presortEntryBlock(in.data() + lo, lo, out.data() + lo,
+                                     len);
+               });
 }
 
 } // namespace bonsai::sorter

@@ -239,10 +239,11 @@ class SsdSorter
         /** Total resident-memory budget: two streaming chunk buffers
          *  plus sort scratch in phase 1, the batch buffer pool in
          *  phase 2.  0 = 256 MiB.  The merge trees' node-block arenas
-         *  sit outside the pool: one per merge lane, (ell - 2) 2 KiB
-         *  blocks — of 16-byte key entries in phase 1's gensort
-         *  trees, of records (at least 32 a block) in phase 2's
-         *  streamed trees — a few hundred KiB per lane. */
+         *  sit outside the pool: one per merge lane, (ways - 2) 2 KiB
+         *  blocks, ways being the fan-in rounded up to a power of
+         *  two — of 16-byte key entries in phase 1's gensort trees,
+         *  of records (at least 32 a block) in phase 2's streamed
+         *  trees — a few hundred KiB per lane. */
         std::uint64_t memoryBudgetBytes = 0;
         /** Spill directory for run files ("" = $TMPDIR or /tmp). */
         std::string spillDir;

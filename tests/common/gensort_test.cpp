@@ -197,7 +197,6 @@ TEST(Gensort, KeyPrefixIsMonotone)
     // prefix(a) < prefix(b) implies a < b, and a < b implies
     // prefix(a) <= prefix(b), over random pairs and pairs whose keys
     // tie in bytes 0-7 or differ only in byte 7 or bytes 8-9.
-    static_assert(KeyPrefixed<GensortRecord>);
     SplitMix64 rng(13);
     for (int i = 0; i < 20'000; ++i) {
         GensortRecord a = randomRecord(rng);
@@ -219,6 +218,75 @@ TEST(Gensort, KeyPrefixIsMonotone)
     for (std::size_t j = 0; j < 8; ++j)
         r.bytes[j] = static_cast<std::uint8_t>(0x10 + j);
     EXPECT_EQ(keyPrefix(r), 0x1011121314151617ULL); // big-endian
+}
+
+/** Entries of @p a and @p b, named by the distinct @p ia and @p ib,
+ *  must order as the records do, both ways round. */
+void
+expectEntryOrderMatches(const GensortRecord &a, const GensortRecord &b,
+                        std::uint64_t ia, std::uint64_t ib)
+{
+    const KeyEntry ea = keyEntry(a, ia);
+    const KeyEntry eb = keyEntry(b, ib);
+    ASSERT_EQ(ea < eb, a < b) << "indexes " << ia << ", " << ib;
+    ASSERT_EQ(eb < ea, b < a) << "indexes " << ia << ", " << ib;
+}
+
+TEST(Gensort, EntriesOrderAsTheirRecords)
+{
+    // Random pairs whose keys share a random-length lead; pairs that
+    // differ only in byte 8 or only in byte 9, on both sides of
+    // 0x7f/0x80; and equal keys, which must compare equal whatever
+    // their indexes — the smaller index on either side, the largest
+    // index included.
+    static_assert(EntryKeyed<GensortRecord>);
+    static_assert(sizeof(KeyEntry) == 16);
+    SplitMix64 rng(14);
+    const std::uint64_t far = KeyEntry::kMaxIndex;
+    for (int i = 0; i < 20'000; ++i) {
+        const GensortRecord a = randomRecord(rng);
+        GensortRecord b = randomRecord(rng);
+        std::memcpy(b.bytes.data(), a.bytes.data(),
+                    rng.nextBounded(GensortRecord::kKeyBytes));
+        const std::uint64_t ia = rng.next() & far;
+        expectEntryOrderMatches(a, b, ia, ia ^ 1);
+        expectEntryOrderMatches(a, b, far - ia, ia);
+    }
+    for (const std::size_t pos : {8u, 9u}) {
+        for (const auto &[lo, hi] :
+             {std::pair<int, int>{0x00, 0x01}, {0x7f, 0x80}, {0xfe, 0xff}}) {
+            GensortRecord a = randomRecord(rng);
+            GensortRecord b = a;
+            a.bytes[pos] = static_cast<std::uint8_t>(lo);
+            b.bytes[pos] = static_cast<std::uint8_t>(hi);
+            // The larger key carries the smaller index, and back.
+            expectEntryOrderMatches(a, b, far, 0);
+            expectEntryOrderMatches(a, b, 0, far);
+            ASSERT_TRUE(keyEntry(a, far) < keyEntry(b, 0)) << pos;
+        }
+    }
+    for (int i = 0; i < 1000; ++i) {
+        const GensortRecord a = randomRecord(rng);
+        GensortRecord b = randomRecord(rng);
+        std::memcpy(b.bytes.data(), a.bytes.data(),
+                    GensortRecord::kKeyBytes);
+        const std::uint64_t ia = rng.next() & far;
+        const std::uint64_t ib = rng.next() & far;
+        EXPECT_FALSE(keyEntry(a, ia) < keyEntry(b, ib)) << i;
+        EXPECT_FALSE(keyEntry(b, ib) < keyEntry(a, ia)) << i;
+    }
+}
+
+TEST(Gensort, EntryLayoutIsKeyWordThenTailAboveIndex)
+{
+    GensortRecord r;
+    for (std::size_t j = 0; j < GensortRecord::kKeyBytes; ++j)
+        r.bytes[j] = static_cast<std::uint8_t>(0x10 + j);
+    const KeyEntry e = keyEntry(r, 0x123456789ABCULL);
+    EXPECT_EQ(e.key, 0x1011121314151617ULL);
+    EXPECT_EQ(e.tail, 0x1819123456789ABCULL);
+    EXPECT_EQ(e.keyTail(), 0x1819u);
+    EXPECT_EQ(e.index(), 0x123456789ABCULL);
 }
 
 TEST(Gensort, KeysLookUniform)

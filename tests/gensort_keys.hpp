@@ -26,6 +26,7 @@ enum class GensortKeys
     PrefixTie,   ///< bytes 0-7 equal; bytes 8-9 take 4096 values
     FewDistinct, ///< 16 keys, four to each 8-byte prefix
     AllEqual,    ///< one key
+    TailOnly,    ///< bytes 0-7 equal; bytes 8-9 take all 65536 values
 };
 
 /** @p n records of key set @p keys. */
@@ -51,6 +52,14 @@ makeGensortKeys(std::size_t n, GensortKeys keys, std::uint64_t seed)
             const std::uint64_t k = rng.nextBounded(16);
             b[0] = static_cast<std::uint8_t>(1 + k / 4);
             b[9] = static_cast<std::uint8_t>(k % 4);
+            break;
+          }
+          case GensortKeys::TailOnly: {
+            for (std::size_t j = 0; j < 8; ++j)
+                b[j] = 0x5A;
+            const std::uint64_t tail = rng.nextBounded(65536);
+            b[8] = static_cast<std::uint8_t>(tail >> 8);
+            b[9] = static_cast<std::uint8_t>(tail);
             break;
           }
           default:

@@ -12,9 +12,13 @@
  * (oracle_sort.hpp: the presorted input, stable-sorted), keep the
  * buffer pool's peak within the budget, and return every pool buffer.
  *
- * The gensort slice sorts 100-byte records, whose in-memory merge
- * trees carry key entries and whose streamed ones carry records: both
- * must emit the oracle's bytes.
+ * The gensort slice sorts 100-byte records, which the in-memory sort
+ * moves as key entries and the streamed merges as records: both must
+ * emit the oracle's bytes.
+ *
+ * The long seeded sweep (DISABLED_LongSeededSweep) runs the same grid
+ * over many seeds outside tier-1; CI runs it with
+ * --gtest_also_run_disabled_tests, and each case names its seed.
  *
  * The fault seeds put a hard EIO on one spill store from a seeded
  * read or write attempt on: the sort must fail with exactly one
@@ -235,11 +239,13 @@ runCase(const Case &o, const std::vector<Record> &input,
 }
 
 /** @p o as given (one thread, memory stores, plain sortStream), then
- *  on every path with a seeded thread count and store. */
+ *  on every path with a seeded thread count and store; the input's
+ *  keys come from @p data_seed. */
 void
-sweep(const Case &o, SplitMix64 &rng, std::uint64_t &case_id)
+sweep(const Case &o, SplitMix64 &rng, std::uint64_t &case_id,
+      std::uint64_t data_seed = 7)
 {
-    const std::vector<Record> input = makeRecords(o.n, o.dist, 7);
+    const std::vector<Record> input = makeRecords(o.n, o.dist, data_seed);
     const std::vector<Record> expected = oracleSort(input);
     runCase(o, input, expected, case_id++);
     for (const Path path : {Path::Plain, Path::Durable, Path::Service,
@@ -381,6 +387,66 @@ TEST(StreamEngineFuzz, MultiPassInputsAgreeAcrossPathsAndStores)
         Case o = multiPassSet(d, 2 * d % 3);
         o.budgetBuffers = kFullyBooked;
         sweep(o, rng, case_id);
+    }
+}
+
+/** Seeds of the long sweep. */
+constexpr std::uint64_t kLongSweepSeeds = 16;
+
+/**
+ * The long seeded sweep, outside tier-1: for every seed, the
+ * multi-pass grid on that seed's keys, thread counts and stores; then
+ * the gensort slice on every key set, TailOnly included, with the
+ * last chunk ending in every presort tail 0-15, on 1 and 4 threads
+ * and seeded fan-ins, batches and stores.
+ */
+TEST(StreamEngineFuzz, DISABLED_LongSeededSweep)
+{
+    for (std::uint64_t seed = 1; seed <= kLongSweepSeeds; ++seed) {
+        SCOPED_TRACE(::testing::Message() << "sweep seed " << seed);
+        SplitMix64 rng(0x5EED5EED + seed);
+        std::uint64_t case_id = 100'000 * seed;
+        for (std::size_t d = 0; d < 3; ++d)
+            for (std::size_t b = 0; b < 3; ++b)
+                sweep(multiPassSet(d, b), rng, case_id, seed);
+        for (std::size_t d = 0; d < 3; ++d) {
+            Case o = multiPassSet(d, 2 * d % 3);
+            o.budgetBuffers = kFullyBooked;
+            sweep(o, rng, case_id, seed);
+        }
+        for (const GensortKeys keys :
+             {GensortKeys::Uniform, GensortKeys::PrefixTie,
+              GensortKeys::FewDistinct, GensortKeys::AllEqual,
+              GensortKeys::TailOnly}) {
+            for (std::size_t tail = 0; tail < 16; ++tail) {
+                for (const unsigned threads : {1u, 4u}) {
+                    const std::size_t n = 16 * (20 + rng.nextBounded(120)) + tail;
+                    StreamEngine<GensortRecord>::Options opt;
+                    opt.phase1Ell = kPhase1Ells[rng.nextBounded(3)];
+                    opt.phase2Ell = kElls[rng.nextBounded(3)];
+                    opt.chunkRecords = 16 * (1 + rng.nextBounded(n / 64 + 1));
+                    opt.batchRecords = kBatches[rng.nextBounded(3)];
+                    opt.threads = threads;
+                    opt.bufferBudgetBytes = laneBuffers(opt.phase2Ell) *
+                                            threads * opt.batchRecords *
+                                            sizeof(GensortRecord);
+                    const Store store =
+                        rng.nextBounded(2) ? Store::File : Store::Memory;
+                    expectGensortOracle(
+                        StreamEngine<GensortRecord>(opt),
+                        makeGensortKeys(n, keys, seed * 1000 + tail), store,
+                        "n=" + std::to_string(n) + " keys=" +
+                            std::to_string(static_cast<int>(keys)) +
+                            " chunk=" + std::to_string(opt.chunkRecords) +
+                            " batch=" + std::to_string(opt.batchRecords) +
+                            " ell=" + std::to_string(opt.phase2Ell) +
+                            " phase1_ell=" + std::to_string(opt.phase1Ell) +
+                            " threads=" + std::to_string(threads) +
+                            " store=" +
+                            std::to_string(static_cast<int>(store)));
+                }
+            }
+        }
     }
 }
 

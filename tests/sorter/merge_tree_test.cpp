@@ -5,13 +5,13 @@
  * pops over the same inputs — the (key, input index, position) order
  * — for every fan-in, member shape, key distribution (prefix ties
  * included) and record width, and Merge Path slices of it must
- * concatenate to the whole merge.  Trees whose blocks hold key
- * entries must write what trees of record blocks write, trees that
- * borrow one arena for their node blocks must write what trees that
- * own them write, and trees whose leaves stream batches from
- * RunCursors over a memory or file store must write what the
- * in-memory merge writes, at every batch size and every transfer of
- * k batches.
+ * concatenate to the whole merge.  Trees of the key entries of
+ * gensort runs must write, once gathered, what trees of the records
+ * write, trees that borrow one arena for their node blocks must write
+ * what trees that own them write, and trees whose leaves stream
+ * batches from RunCursors over a memory or file store must write what
+ * the in-memory merge writes, at every batch size and every transfer
+ * of k batches.
  */
 
 #include <gtest/gtest.h>
@@ -94,19 +94,15 @@ tournamentMerge(const Runs<RecordT> &runs,
     return out;
 }
 
-/** What an in-memory tree's node blocks hold. */
 template <typename RecordT>
-using BlockOf = typename sorter::MergeTree<RecordT>::Block;
-
-template <typename RecordT, typename BlockT = BlockOf<RecordT>>
 std::vector<RecordT>
 treeMerge(const Runs<RecordT> &runs,
           const std::vector<std::uint64_t> &begin = {},
           const std::vector<std::uint64_t> &end = {},
-          RecordBuffer<BlockT> *arena = nullptr)
+          RecordBuffer<RecordT> *arena = nullptr)
 {
     const auto spans = spansOf(runs);
-    sorter::MergeTree<RecordT, BlockT> tree(spans, begin, end, arena);
+    sorter::MergeTree<RecordT> tree(spans, begin, end, arena);
     std::vector<RecordT> out(tree.size());
     EXPECT_EQ(tree.merge(out.data()), out.data() + out.size());
     return out;
@@ -135,7 +131,7 @@ streamedMerge(const Runs<RecordT> &runs, io::RunStore<RecordT> &store,
         offset += run.size();
     }
     io::PoolLease<RecordT> out_batch(pool, slots);
-    sorter::MergeTree<RecordT, RecordT> tree(
+    sorter::MergeTree<RecordT> tree(
         runs.size(),
         [&cursors](std::size_t i) { return cursors[i].next(); });
     std::vector<RecordT> out;
@@ -408,40 +404,14 @@ TYPED_TEST(MergeTreeTyped, StreamedLeavesMatchAtEveryTransfer)
 TYPED_TEST(MergeTreeTyped, BlocksAreTwoKibibytesButAtLeast32Records)
 {
     constexpr std::size_t want =
-        std::max<std::size_t>(32, 2048 / sizeof(BlockOf<TypeParam>));
+        std::max<std::size_t>(32, 2048 / sizeof(TypeParam));
     EXPECT_EQ(sorter::MergeTree<TypeParam>::kBlockRecords, want);
     EXPECT_EQ(sorter::MergeTree<Record>::kBlockRecords, 128u);
     EXPECT_EQ(sorter::MergeTree<Record128>::kBlockRecords, 85u);
-    // Gensort trees hold 16-byte entries in memory, records when
-    // streamed.
-    EXPECT_EQ(sorter::MergeTree<GensortRecord>::kBlockRecords, 128u);
-    EXPECT_EQ((sorter::MergeTree<GensortRecord, GensortRecord>::
-                   kBlockRecords),
-              32u);
-}
-
-TYPED_TEST(MergeTreeTyped, EntryBlocksMatchRecordBlocks)
-{
-    // Same trees, whole and sliced, with node blocks of records: an
-    // entry tree must make every decision the record tree makes.
-    for (const KeySet keys : kKeySets) {
-        for (const std::size_t ways : kFanIns) {
-            const auto runs = makeRuns<TypeParam>(
-                ways, keys, [](std::size_t i) { return 50 + i * 9 % 31; });
-            SCOPED_TRACE(::testing::Message()
-                         << "keys=" << keys.name << " ways=" << ways);
-            expectSameBytes(treeMerge(runs),
-                            treeMerge<TypeParam, TypeParam>(runs));
-            const sorter::MergePath<TypeParam> path(spansOf(runs));
-            const auto bounds = path.partition(3);
-            for (unsigned t = 0; t < 3; ++t) {
-                expectSameBytes(
-                    treeMerge(runs, bounds[t], bounds[t + 1]),
-                    treeMerge<TypeParam, TypeParam>(runs, bounds[t],
-                                                    bounds[t + 1]));
-            }
-        }
-    }
+    // Gensort records sort in memory as 16-byte entries; a tree of
+    // the records themselves holds 32 a block.
+    EXPECT_EQ(sorter::MergeTree<KeyEntry>::kBlockRecords, 128u);
+    EXPECT_EQ(sorter::MergeTree<GensortRecord>::kBlockRecords, 32u);
 }
 
 TYPED_TEST(MergeTreeTyped, TreesSharingAnArenaMatchTreesOwningBlocks)
@@ -449,7 +419,7 @@ TYPED_TEST(MergeTreeTyped, TreesSharingAnArenaMatchTreesOwningBlocks)
     // Trees built in turn on one arena — wide, narrow, then wider, so
     // the arena both shrinks in use and regrows — write the bytes of
     // trees that own their blocks.
-    RecordBuffer<BlockOf<TypeParam>> arena;
+    RecordBuffer<TypeParam> arena;
     for (const KeySet keys : kKeySets) {
         for (const std::size_t ways : {128u, 5u, 256u, 2u, 16u}) {
             const auto runs = makeRuns<TypeParam>(
@@ -468,6 +438,63 @@ TYPED_TEST(MergeTreeTyped, TreesSharingAnArenaMatchTreesOwningBlocks)
                 sliced.insert(sliced.end(), slice.begin(), slice.end());
             }
             expectSameBytes(sliced, owned);
+        }
+    }
+}
+
+/** The key entries of @p runs laid end to end, record i of the
+ *  concatenation named by index i. */
+Runs<KeyEntry>
+entriesOf(const Runs<GensortRecord> &runs)
+{
+    Runs<KeyEntry> entries;
+    std::uint64_t index = 0;
+    for (const auto &run : runs) {
+        entries.emplace_back();
+        for (const GensortRecord &r : run)
+            entries.back().push_back(keyEntry(r, index++));
+    }
+    return entries;
+}
+
+/** The records @p entries name, in entry order. */
+std::vector<GensortRecord>
+gather(const std::vector<KeyEntry> &entries,
+       const Runs<GensortRecord> &runs)
+{
+    std::vector<GensortRecord> all;
+    for (const auto &run : runs)
+        all.insert(all.end(), run.begin(), run.end());
+    std::vector<GensortRecord> out;
+    for (const KeyEntry &e : entries)
+        out.push_back(all[e.index()]);
+    return out;
+}
+
+TEST(MergeTreeEntries, EntryTreesMatchRecordTrees)
+{
+    // Entries order as their records do and never on their index, so
+    // a tree of entries, whole or cut into Merge Path slices, makes
+    // every decision a tree of the records makes.
+    for (const KeySet keys : kKeySets) {
+        for (const std::size_t ways : kFanIns) {
+            const auto runs = makeRuns<GensortRecord>(
+                ways, keys, [](std::size_t i) { return 50 + i * 9 % 31; });
+            const auto entries = entriesOf(runs);
+            SCOPED_TRACE(::testing::Message()
+                         << "keys=" << keys.name << " ways=" << ways);
+            expectSameBytes(gather(treeMerge(entries), runs),
+                            treeMerge(runs));
+            const sorter::MergePath<GensortRecord> path(spansOf(runs));
+            const sorter::MergePath<KeyEntry> entry_path(spansOf(entries));
+            const auto bounds = path.partition(3);
+            ASSERT_EQ(entry_path.partition(3), bounds);
+            for (unsigned t = 0; t < 3; ++t) {
+                expectSameBytes(
+                    gather(treeMerge(entries, bounds[t], bounds[t + 1]),
+                           runs),
+                    treeMerge(runs, bounds[t], bounds[t + 1]));
+            }
         }
     }
 }

@@ -5,6 +5,9 @@
  * byte, what hw::bitonicSortNetwork writes on the same run — the
  * register network included, since the network is not stable and only
  * the same compare-exchange sequence gives the same order of ties.
+ * The entry presort of gensort records must write the entries
+ * hw::bitonicSortNetwork writes, whose records, gathered, are the
+ * record network's runs.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +15,7 @@
 #include <algorithm>
 #include <cstring>
 #include <initializer_list>
+#include <random>
 #include <span>
 #include <vector>
 
@@ -187,14 +191,26 @@ TEST(Presort, OtherRecordTypesAndLengthsTakeTheNetwork)
     expectFallbackMatches(gensort, {2, 8, 16, 32, 64});
 }
 
+/** The records @p entries name in @p recs, in entry order. */
+std::vector<GensortRecord>
+gathered(std::span<const KeyEntry> entries,
+         std::span<const GensortRecord> recs)
+{
+    std::vector<GensortRecord> out;
+    for (const KeyEntry &e : entries)
+        out.push_back(recs[e.index()]);
+    return out;
+}
+
 TEST(Presort, GensortRunsOfSixteenSortTheirTags)
 {
-    // Keys that tie in bytes 0-7 (the tags' prefixes tie, so the
-    // records decide), in all ten bytes, and in none: the tag network
-    // must swap exactly the pairs the record network swaps, in place
-    // and out of place.
+    // Keys that tie in bytes 0-7 (the entries' key words tie, so the
+    // tails decide), in all ten bytes, and in none: the entry runs,
+    // gathered, must be the record network's runs, for every thread
+    // count and for the tails of a range that is not whole runs.
     SplitMix64 rng(17);
-    std::vector<GensortRecord> recs = GensortGenerator(6).generate(0, 16 * 96);
+    std::vector<GensortRecord> recs =
+        GensortGenerator(6).generate(0, 16 * 96 + 8);
     for (std::size_t i = 0; i < recs.size(); ++i) {
         if (i < 16 * 64)
             std::fill_n(recs[i].bytes.data(), 8, std::uint8_t{0x42});
@@ -202,16 +218,89 @@ TEST(Presort, GensortRunsOfSixteenSortTheirTags)
             recs[i].bytes[8] = recs[i].bytes[9] =
                 static_cast<std::uint8_t>(rng.nextBounded(2));
     }
-    for (std::size_t lo = 0; lo < recs.size(); lo += 16) {
-        SCOPED_TRACE(::testing::Message() << "block at " << lo);
-        const std::span<const GensortRecord> block(recs.data() + lo, 16);
-        const std::vector<GensortRecord> want = networkSorted(block);
-        std::vector<GensortRecord> out(16);
-        sorter::presortBlock(block.data(), out.data(), 16);
-        expectSameBytes<GensortRecord>(out, want);
-        std::vector<GensortRecord> in_place(block.begin(), block.end());
-        sorter::presortBlock(in_place.data(), in_place.data(), 16);
-        expectSameBytes<GensortRecord>(in_place, want);
+    for (const std::size_t n : {recs.size() - 1, recs.size()}) {
+        const std::span<const GensortRecord> input(recs.data(), n);
+        std::vector<GensortRecord> want(input.begin(), input.end());
+        for (std::size_t lo = 0; lo < n; lo += 16) {
+            const std::span<GensortRecord> block(
+                want.data() + lo, std::min<std::size_t>(16, n - lo));
+            if (hw::isPow2(block.size()))
+                hw::bitonicSortNetwork(block);
+            else
+                std::sort(block.begin(), block.end());
+        }
+        for (const unsigned threads : {1u, 4u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "n=" << n << " threads=" << threads);
+            ThreadPool pool(threads);
+            std::vector<KeyEntry> entries(n);
+            sorter::presortEntries(input, std::span<KeyEntry>(entries), 16,
+                                   pool);
+            expectSameBytes<GensortRecord>(gathered(entries, input), want);
+        }
+    }
+}
+
+/** Sixteen entries: key word i % @p words (so ties when words < 16),
+ *  a tail of i % @p tails, index i. */
+std::vector<KeyEntry>
+entryRun(std::size_t words, std::size_t tails, SplitMix64 &rng)
+{
+    std::vector<KeyEntry> run(16);
+    const std::uint64_t base = rng.next() | std::uint64_t{1} << 63;
+    for (std::size_t i = 0; i < 16; ++i) {
+        run[i].key = base - (i * 7 + 3) % 16 % words;
+        run[i].tail = ((i * 5 + 1) % 16 % tails) << KeyEntry::kIndexBits | i;
+    }
+    std::shuffle(run.begin(), run.end(), std::mt19937_64(rng.next()));
+    for (std::size_t i = 0; i < 16; ++i)
+        run[i].tail = (run[i].tail & ~KeyEntry::kMaxIndex) | i;
+    return run;
+}
+
+TEST(Presort, EntryRunsMatchTheEntryNetworkWhateverTheirTies)
+{
+    // Runs of 16 entries whose key words all differ (the register
+    // network's case), tie in pairs or in fours, or all tie, with
+    // tails that differ, tie or are all equal: the presort must write
+    // what hw::bitonicSortNetwork writes on the entries, indexes
+    // included, and the register network alone must match it where
+    // the key words all differ.
+    SplitMix64 rng(23);
+    for (const std::size_t words : {16u, 15u, 8u, 4u, 1u}) {
+        for (const std::size_t tails : {16u, 3u, 1u}) {
+            for (int rep = 0; rep < 50; ++rep) {
+                SCOPED_TRACE(::testing::Message() << "words=" << words
+                                                  << " tails=" << tails
+                                                  << " rep=" << rep);
+                const std::vector<KeyEntry> run = entryRun(words, tails, rng);
+                std::vector<KeyEntry> want = run;
+                hw::bitonicSortNetwork(std::span<KeyEntry>(want));
+                // Records whose entries are exactly the run's.
+                std::vector<GensortRecord> recs(16);
+                for (std::size_t i = 0; i < 16; ++i) {
+                    const KeyEntry &e = run[i];
+                    for (int b = 0; b < 8; ++b)
+                        recs[i].bytes[b] =
+                            static_cast<std::uint8_t>(e.key >> (56 - 8 * b));
+                    recs[i].bytes[8] =
+                        static_cast<std::uint8_t>(e.keyTail() >> 8);
+                    recs[i].bytes[9] = static_cast<std::uint8_t>(e.keyTail());
+                }
+                std::vector<KeyEntry> got(16);
+                sorter::presortEntryBlock(recs.data(), 0, got.data(), 16);
+                expectSameBytes<KeyEntry>(got, want);
+#if BONSAI_AVX512
+                if (words == 16 && haveAvx512f()) {
+                    std::vector<KeyEntry> reg(16);
+                    sorter::bitonicSort16Avx512(run.data(), reg.data());
+                    expectSameBytes<KeyEntry>(reg, want);
+                }
+#endif
+                if (::testing::Test::HasFailure())
+                    return;
+            }
+        }
     }
 }
 
