@@ -207,6 +207,10 @@ cmdExtSort(const char *in_path, const char *out_path, unsigned threads,
                     s.ioEintrRetries == 1 ? "y" : "ies",
                     static_cast<unsigned long long>(s.ioShortTransfers),
                     static_cast<unsigned long long>(s.secondaryErrors));
+    if (s.ioWriteBackKicks > 0)
+        std::printf("write-behind: %llu kick(s) in %.1f ms\n",
+                    static_cast<unsigned long long>(s.ioWriteBackKicks),
+                    s.ioWriteBackSeconds * 1e3);
     if (!checkpoint_dir.empty()) {
         // The output is durable (FileSink::finish synced file and
         // directory); the checkpoint has served its purpose.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <stdexcept>
 #include <system_error>
@@ -39,7 +40,7 @@ throwErrno(const std::string &what, const std::string &path)
  * suffix (used for EOF, which is not a syscall failure).
  */
 [[noreturn]] void
-throwIoError(const char *what, const std::string &path,
+throwIoError(const std::string &what, const std::string &path,
              std::uint64_t offset, std::uint64_t remaining,
              std::uint64_t total, const char *context, int err)
 {
@@ -323,30 +324,38 @@ ByteFile::writeAt(std::uint64_t offset, const void *src,
         offset += static_cast<std::uint64_t>(put);
         count -= static_cast<std::uint64_t>(put);
     }
+    writeBehind(total, context);
 }
 
 void
 ByteFile::sync(const char *context)
 {
+    retryWholeFile(FaultOp::Kind::Sync, ::fdatasync, "fdatasync",
+                   context);
+}
+
+void
+ByteFile::retryWholeFile(FaultOp::Kind kind, int (*call)(int),
+                         const char *name, const char *context)
+{
     unsigned failures = 0;
     unsigned eintrRun = 0;
     for (;;) {
-        const FaultAction act =
-            consultPolicy({FaultOp::Kind::Sync, 0, 0});
+        const FaultAction act = consultPolicy({kind, 0, 0});
         int rc = -1;
         if (act.failWith != 0)
             errno = act.failWith;
         else
-            rc = ::fdatasync(fd_);
+            rc = call(fd_);
         if (rc == 0)
             return;
         const int err = errno;
         if (err == EINTR) {
             counters_->eintr.fetch_add(1, std::memory_order_relaxed);
             if (++eintrRun > retry_.eintrLimit)
-                throwIoError(
-                    "fdatasync interrupted past the EINTR retry limit",
-                    path_, 0, 0, 0, context, err);
+                throwIoError(std::string(name) +
+                                 " interrupted past the EINTR retry limit",
+                             path_, 0, 0, 0, context, err);
             continue;
         }
         if (transientErrno(err) && failures < retry_.maxAttempts) {
@@ -356,8 +365,41 @@ ByteFile::sync(const char *context)
             backoffSleep(failures, retry_.backoffBaseMicros);
             continue;
         }
-        throwIoError("fdatasync failed", path_, 0, 0, 0, context, err);
+        throwIoError(std::string(name) + " failed", path_, 0, 0, 0,
+                     context, err);
     }
+}
+
+void
+ByteFile::writeBehind(std::uint64_t bytes, const char *context)
+{
+#if defined(__linux__)
+    std::atomic<std::uint64_t> &since = counters_->sinceKick;
+    if (since.fetch_add(bytes) + bytes < kWriteBehindBytes)
+        return;
+    // Of the writers that crossed the threshold together, the one that
+    // takes the count kicks.  The kick covers the whole file, so the
+    // bytes the others added since are not left behind.
+    if (since.exchange(0) < kWriteBehindBytes)
+        return;
+    const auto start = std::chrono::steady_clock::now();
+    retryWholeFile(
+        FaultOp::Kind::WriteBack,
+        [](int fd) {
+            return ::sync_file_range(fd, 0, 0, SYNC_FILE_RANGE_WRITE);
+        },
+        "sync_file_range (write-behind)", context);
+    counters_->kicks.fetch_add(1, std::memory_order_relaxed);
+    counters_->kickNanos.fetch_add(
+        static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - start)
+                .count()),
+        std::memory_order_relaxed);
+#else
+    (void)bytes;
+    (void)context;
+#endif
 }
 
 IoRetryStats
@@ -369,6 +411,11 @@ ByteFile::retryStats() const
     out.eintrRetries = counters_->eintr.load(std::memory_order_relaxed);
     out.shortTransfers =
         counters_->shortTransfers.load(std::memory_order_relaxed);
+    out.writeBackKicks = counters_->kicks.load(std::memory_order_relaxed);
+    out.writeBackSeconds =
+        static_cast<double>(
+            counters_->kickNanos.load(std::memory_order_relaxed)) *
+        1e-9;
     return out;
 }
 

@@ -21,6 +21,11 @@
  *  - short transfers: every Kth attempt is truncated to a
  *    seed-derived fraction of the requested bytes.
  *
+ * Syncs and write-behind kicks keep attempt counters of their own and
+ * take only their own plan fields (a fixed errno on every attempt, a
+ * crash index), so adding either never renumbers the read and write
+ * attempts that the classes above and the crash sweep index.
+ *
  * All counters are relaxed atomics; the injector is shared by the
  * phase-1 stages and the concurrent merge tasks of a StreamEngine.
  */
@@ -67,17 +72,23 @@ struct FaultPlan {
     /** Nonzero: every sync attempt fails with this errno. */
     int failSyncWith = 0;
 
+    /** Nonzero: every write-behind kick attempt fails with this
+     *  errno. */
+    int failWriteBackWith = 0;
+
     /**
      * CrashPoints: _exit(137) — SIGKILL's exit code, no destructors,
-     * no flushes — the instant the 1-based read / write / sync
-     * attempt counter reaches this index (0 = off).  The crash-injection
-     * harness forks the sort, installs an injector with one of these
-     * set, and sweeps the index across the attempt sequence to model a
-     * process killed at every interesting I/O boundary.
+     * no flushes — the instant the 1-based read / write / sync /
+     * write-behind attempt counter reaches this index (0 = off).  The
+     * crash-injection harness forks the sort, installs an injector
+     * with one of these set, and sweeps the index across the attempt
+     * sequence to model a process killed at every interesting I/O
+     * boundary.
      */
     std::uint64_t crashOnReadAttempt = 0;
     std::uint64_t crashOnWriteAttempt = 0;
     std::uint64_t crashOnSyncAttempt = 0;
+    std::uint64_t crashOnWriteBackAttempt = 0;
 };
 
 /** Deterministic FaultPolicy; see the file comment for semantics. */
@@ -88,21 +99,15 @@ class FaultInjector final : public FaultPolicy
 
     FaultAction onAttempt(const FaultOp &op) override
     {
+        if (op.kind == FaultOp::Kind::Sync)
+            return wholeFile(syncAttempts_, plan_.crashOnSyncAttempt,
+                             plan_.failSyncWith, injectedSyncFailures_);
+        if (op.kind == FaultOp::Kind::WriteBack)
+            return wholeFile(writeBackAttempts_,
+                             plan_.crashOnWriteBackAttempt,
+                             plan_.failWriteBackWith,
+                             injectedWriteBackFailures_);
         FaultAction act;
-        if (op.kind == FaultOp::Kind::Sync) {
-            const std::uint64_t idx =
-                1 + syncAttempts_.fetch_add(
-                        1, std::memory_order_relaxed);
-            if (plan_.crashOnSyncAttempt != 0 &&
-                idx == plan_.crashOnSyncAttempt)
-                ::_exit(137);
-            if (plan_.failSyncWith != 0) {
-                injectedSyncFailures_.fetch_add(
-                    1, std::memory_order_relaxed);
-                act.failWith = plan_.failSyncWith;
-            }
-            return act;
-        }
         const bool isRead = op.kind == FaultOp::Kind::Read;
         const std::uint64_t idx =
             1 + (isRead ? readAttempts_ : writeAttempts_)
@@ -163,6 +168,10 @@ class FaultInjector final : public FaultPolicy
     {
         return injectedSyncFailures_.load(std::memory_order_relaxed);
     }
+    std::uint64_t injectedWriteBackFailures() const
+    {
+        return injectedWriteBackFailures_.load(std::memory_order_relaxed);
+    }
 
     /** Attempt totals, for sizing a crash-point sweep: a counting run
      *  with no faults reports how many attempts of each kind one sort
@@ -179,8 +188,30 @@ class FaultInjector final : public FaultPolicy
     {
         return syncAttempts_.load(std::memory_order_relaxed);
     }
+    std::uint64_t writeBackAttempts() const
+    {
+        return writeBackAttempts_.load(std::memory_order_relaxed);
+    }
 
   private:
+    /** A sync or write-behind attempt: its own counter, crash index
+     *  and fixed errno. */
+    static FaultAction wholeFile(std::atomic<std::uint64_t> &attempts,
+                                 std::uint64_t crashAt, int failWith,
+                                 std::atomic<std::uint64_t> &injected)
+    {
+        const std::uint64_t idx =
+            1 + attempts.fetch_add(1, std::memory_order_relaxed);
+        if (crashAt != 0 && idx == crashAt)
+            ::_exit(137);
+        FaultAction act;
+        if (failWith != 0) {
+            injected.fetch_add(1, std::memory_order_relaxed);
+            act.failWith = failWith;
+        }
+        return act;
+    }
+
     /** splitmix64 finalizer: cheap, stateless, well mixed. */
     static std::uint64_t mix(std::uint64_t z)
     {
@@ -194,11 +225,13 @@ class FaultInjector final : public FaultPolicy
     std::atomic<std::uint64_t> readAttempts_{0};
     std::atomic<std::uint64_t> writeAttempts_{0};
     std::atomic<std::uint64_t> syncAttempts_{0};
+    std::atomic<std::uint64_t> writeBackAttempts_{0};
     std::atomic<std::uint64_t> injectedShort_{0};
     std::atomic<std::uint64_t> injectedEintr_{0};
     std::atomic<std::uint64_t> injectedEio_{0};
     std::atomic<std::uint64_t> injectedEnospc_{0};
     std::atomic<std::uint64_t> injectedSyncFailures_{0};
+    std::atomic<std::uint64_t> injectedWriteBackFailures_{0};
 };
 
 } // namespace bonsai::io

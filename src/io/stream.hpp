@@ -110,6 +110,10 @@ class RecordSink
     {
     }
 
+    /** Retry and write-behind counters of the device behind the sink
+     *  (none for sinks that write no file). */
+    virtual IoRetryStats retryStats() const { return {}; }
+
     /**
      * Sinks that can accept positioned (random-access) writes within a
      * pre-declared window return true.  The parallel final merge pass
@@ -362,6 +366,8 @@ class FileSink : public RecordSink<RecordT>
     }
 
     std::uint64_t recordsWritten() const { return pos_; }
+
+    IoRetryStats retryStats() const override { return file_.retryStats(); }
 
     /** Inject faults into the output file (tests; nullptr = off). */
     void

@@ -123,7 +123,7 @@ class StreamEngine
         unsigned phase2Ell = 16;  ///< run-merge fan-in (pre-budget)
         std::uint64_t presortRun = 16;
         /** Records per phase-1 chunk, 0 = one chunk; rounded down
-         *  to whole presort runs when it holds at least one. */
+         *  to whole presort runs, and up to one run when shorter. */
         std::uint64_t chunkRecords = 0;
         std::uint64_t batchRecords = 1 << 14;   ///< b, in records
         std::uint64_t bufferBudgetBytes = 64ULL << 20;
@@ -344,6 +344,9 @@ class StreamEngine
         stats.ioTransientRetries = retries.transientRetries;
         stats.ioEintrRetries = retries.eintrRetries;
         stats.ioShortTransfers = retries.shortTransfers;
+        retries += req.sink->retryStats();
+        stats.ioWriteBackKicks = retries.writeBackKicks;
+        stats.ioWriteBackSeconds = retries.writeBackSeconds;
         stats.secondaryErrors = trap.secondaryCount();
         if (ckpt != nullptr) {
             stats.resumedChunks = ckpt->resumedChunks();
@@ -382,9 +385,9 @@ class StreamEngine
     }
 
   private:
-    /** Records per phase-1 chunk: chunkRecords, rounded down to
-     *  whole presort runs when it holds one, so every chunk's presort
-     *  blocks are aligned blocks of the input. */
+    /** Records per phase-1 chunk: chunkRecords rounded down to
+     *  whole presort runs, and up to one run when shorter, so every
+     *  chunk's presort blocks are aligned blocks of the input. */
     std::uint64_t
     chunkLength(std::uint64_t total) const
     {
@@ -392,9 +395,8 @@ class StreamEngine
             return total;
         const std::uint64_t run =
             std::max<std::uint64_t>(opt_.presortRun, 1);
-        std::uint64_t chunk = opt_.chunkRecords;
-        if (chunk >= run)
-            chunk -= chunk % run;
+        const std::uint64_t chunk =
+            std::max(opt_.chunkRecords - opt_.chunkRecords % run, run);
         return std::min<std::uint64_t>(chunk, total);
     }
 

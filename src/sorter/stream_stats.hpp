@@ -58,10 +58,14 @@ struct StreamStats
     double readStallSeconds = 0.0;
     double writeStallSeconds = 0.0;
     /** Spill-store I/O hardening counters (front + back stores; the
-     *  output sink's own device is not visible to the engine). */
+     *  output sink's retries are not counted). */
     std::uint64_t ioTransientRetries = 0; ///< EIO/EAGAIN retried
     std::uint64_t ioEintrRetries = 0;     ///< interrupted, retried
     std::uint64_t ioShortTransfers = 0;   ///< partial, resumed
+    /** Write-behind kicks (io/byte_io.hpp) and the seconds spent in
+     *  them, over both spill stores and the output sink. */
+    std::uint64_t ioWriteBackKicks = 0;
+    double ioWriteBackSeconds = 0.0;
     /** Errors suppressed behind the first (propagated) one. */
     std::uint64_t secondaryErrors = 0;
     /** Crash-consistency telemetry (checkpointed sorts only; all

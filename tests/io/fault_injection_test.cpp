@@ -353,5 +353,126 @@ TEST(FaultInjection, CrashPointKillsTheProcessAtTheExactAttempt)
     EXPECT_EQ(file.sizeBytes(), 512u);
 }
 
+/** Fails the first @p eio write-behind attempts with EIO, then
+ *  @p eintr with EINTR; passes everything else. */
+class FlakyKicks final : public FaultPolicy
+{
+  public:
+    FlakyKicks(unsigned eio, unsigned eintr) : eio_(eio), eintr_(eintr) {}
+
+    FaultAction
+    onAttempt(const FaultOp &op) override
+    {
+        FaultAction act;
+        if (op.kind != FaultOp::Kind::WriteBack)
+            return act;
+        if (eio_ > 0) {
+            --eio_;
+            act.failWith = EIO;
+        } else if (eintr_ > 0) {
+            --eintr_;
+            act.failWith = EINTR;
+        }
+        return act;
+    }
+
+  private:
+    unsigned eio_;
+    unsigned eintr_;
+};
+
+TEST(FaultInjection, WriteBehindKicksOncePerThreshold)
+{
+    // Nine 1 MiB writes cross the 4 MiB threshold twice: two kicks,
+    // counted apart from the nine write attempts.
+    if (!ByteFile::kWriteBehind)
+        GTEST_SKIP() << "no write-behind kick on this platform";
+    static_assert(ByteFile::kWriteBehindBytes == 4ULL << 20);
+    ByteFile file = ByteFile::createTemp();
+    auto injector = std::make_shared<FaultInjector>(FaultPlan{});
+    file.setFaultPolicy(injector);
+    const auto bytes = patternBytes(1 << 20);
+    for (std::uint64_t i = 0; i < 9; ++i)
+        file.writeAt(i << 20, bytes.data(), bytes.size());
+
+    EXPECT_EQ(injector->writeAttempts(), 9u);
+    EXPECT_EQ(injector->writeBackAttempts(), 2u);
+    EXPECT_EQ(injector->syncAttempts(), 0u);
+    EXPECT_EQ(file.retryStats().writeBackKicks, 2u);
+    EXPECT_GE(file.retryStats().writeBackSeconds, 0.0);
+}
+
+TEST(FaultInjection, TransientKickFailuresAreRetried)
+{
+    // The kick runs through the pwrite retry loop: EIO with backoff,
+    // EINTR at once, and the write succeeds once the kick does.
+    if (!ByteFile::kWriteBehind)
+        GTEST_SKIP() << "no write-behind kick on this platform";
+    ByteFile file = ByteFile::createTemp();
+    file.setRetryPolicy(fastRetries());
+    file.setFaultPolicy(std::make_shared<FlakyKicks>(2, 3));
+    const auto bytes = patternBytes(ByteFile::kWriteBehindBytes);
+    file.writeAt(0, bytes.data(), bytes.size());
+
+    const IoRetryStats stats = file.retryStats();
+    EXPECT_EQ(stats.transientRetries, 2u);
+    EXPECT_EQ(stats.eintrRetries, 3u);
+    EXPECT_EQ(stats.writeBackKicks, 1u);
+    std::vector<unsigned char> got(bytes.size());
+    file.readAt(0, got.data(), got.size());
+    EXPECT_EQ(got, bytes);
+}
+
+TEST(FaultInjection, FailedKickThrowsWithFileContextAndErrno)
+{
+    if (!ByteFile::kWriteBehind)
+        GTEST_SKIP() << "no write-behind kick on this platform";
+    TempPath out("failed_kick.bin");
+    ByteFile file = ByteFile::create(out.str());
+    FaultPlan plan;
+    plan.failWriteBackWith = ENOSPC;
+    auto injector = std::make_shared<FaultInjector>(plan);
+    file.setFaultPolicy(injector);
+    const auto bytes = patternBytes(ByteFile::kWriteBehindBytes);
+
+    const std::string msg = messageOf([&] {
+        file.writeAt(0, bytes.data(), bytes.size(), "writing run 7");
+    });
+    EXPECT_NE(msg.find("sync_file_range (write-behind) failed"),
+              std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find(out.str()), std::string::npos) << msg;
+    EXPECT_NE(msg.find("while writing run 7"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("No space left on device"), std::string::npos) << msg;
+    // ENOSPC is permanent: one attempt, no retry.
+    EXPECT_EQ(injector->injectedWriteBackFailures(), 1u);
+    EXPECT_EQ(file.retryStats().transientRetries, 0u);
+}
+
+TEST(FaultInjection, CrashPointOnTheKickFollowsItsWrite)
+{
+    // crashOnWriteBackAttempt kills the process inside the first
+    // kick, which runs after the write that crossed the threshold.
+    if (!ByteFile::kWriteBehind)
+        GTEST_SKIP() << "no write-behind kick on this platform";
+    TempPath spill("crash_kick.bin");
+    const auto bytes = patternBytes(ByteFile::kWriteBehindBytes);
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        ByteFile file = ByteFile::create(spill.str());
+        FaultPlan plan;
+        plan.crashOnWriteBackAttempt = 1;
+        file.setFaultPolicy(std::make_shared<FaultInjector>(plan));
+        file.writeAt(0, bytes.data(), bytes.size());
+        ::_exit(0); // not reached: the kick crashed
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 137);
+    EXPECT_EQ(ByteFile::openRead(spill.str()).sizeBytes(), bytes.size());
+}
+
 } // namespace
 } // namespace bonsai::io

@@ -291,6 +291,72 @@ TEST(StreamEngineCrash, CrashSweepResumesByteIdentically)
     }
 }
 
+TEST(StreamEngineCrash, CrashInAWriteBehindKickResumesByteIdentically)
+{
+    // The sweep's 24,000 records never fill a write-behind kick;
+    // 400,000 records in 20 chunks of 20,000 pass 6.4 MB through each
+    // spill file.  A crash inside the first kick (phase 1) and inside
+    // the last (the second non-final pass) resumes to the bytes of
+    // the uninterrupted run.
+    if (!io::ByteFile::kWriteBehind)
+        GTEST_SKIP() << "no write-behind kick on this platform";
+    StreamEngine<Record>::Options opt = crashOptions(1);
+    opt.chunkRecords = 20'000;
+    const auto data = makeRecords(400'000, Distribution::UniformRandom);
+    const auto sortOnce = [&](const std::string &dir,
+                              std::shared_ptr<io::FaultPolicy> faults,
+                              StreamStats *stats) {
+        io::MemorySource<Record> source{std::span<const Record>(data)};
+        std::vector<Record> out;
+        io::MemorySink<Record> sink(out);
+        DurableOptions durable;
+        durable.dir = dir;
+        durable.policy = ResumePolicy::ResumeOrFresh;
+        durable.faultPolicy = std::move(faults);
+        durable.retryPolicy = fastRetries();
+        const StreamStats s = StreamEngine<Record>(opt).sortStream(
+            {.source = &source, .sink = &sink, .durable = durable});
+        if (stats)
+            *stats = s;
+        return out;
+    };
+
+    JobDir counting("crash_kick_counting_job/");
+    auto counter = std::make_shared<io::FaultInjector>(io::FaultPlan{});
+    const auto reference = sortOnce(counting.str(), counter, nullptr);
+    const std::uint64_t kicks = counter->writeBackAttempts();
+    ASSERT_GE(kicks, 2u);
+
+    for (const std::uint64_t at : {std::uint64_t{1}, kicks}) {
+        SCOPED_TRACE("crash in kick " + std::to_string(at) + " of " +
+                     std::to_string(kicks));
+        JobDir job("crash_kick_job_" + std::to_string(at) + "/");
+        const pid_t pid = ::fork();
+        ASSERT_GE(pid, 0);
+        if (pid == 0) {
+            io::FaultPlan plan;
+            plan.crashOnWriteBackAttempt = at;
+            try {
+                sortOnce(job.str(), std::make_shared<io::FaultInjector>(plan),
+                         nullptr);
+                ::_exit(42); // the crash point was never reached
+            } catch (...) {
+                ::_exit(99); // a crash seam must kill, not throw
+            }
+        }
+        int status = 0;
+        ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+        ASSERT_TRUE(WIFEXITED(status));
+        EXPECT_EQ(WEXITSTATUS(status), 137);
+
+        StreamStats stats;
+        EXPECT_EQ(sortOnce(job.str(), nullptr, &stats), reference);
+        if (at == kicks) { // phase 1 was journaled before that kick
+            EXPECT_EQ(stats.resumedChunks, 20u);
+        }
+    }
+}
+
 TEST(StreamEngineCrash, CorruptManifestFallsBackFreshButLoudly)
 {
     const auto data = makeRecords(24'000, Distribution::UniformRandom);

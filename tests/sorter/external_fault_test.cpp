@@ -17,6 +17,7 @@
 #include <stdexcept>
 #include <string>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include "common/contract.hpp"
@@ -258,6 +259,135 @@ TEST(StreamEngineFaults, SinkEnospcDuringTheFinalPassUnwindsCleanly)
         EXPECT_NE(msg.find("pwrite failed"), std::string::npos) << msg;
         EXPECT_EQ(engine.lastPoolOutstanding(), 0u)
             << "buffer pool leaked buffers during the unwind";
+    }
+}
+
+/** The write-behind shape: 400,000 records (6.4 MB) in 20 chunks of
+ *  20,000 and 4-way merges, so two non-final passes run before the
+ *  final one, and the spill stores and the sink each take more than
+ *  ByteFile::kWriteBehindBytes. */
+StreamEngine<Record>::Options
+writeBehindOptions(unsigned threads)
+{
+    StreamEngine<Record>::Options opt = faultOptions(threads);
+    opt.chunkRecords = 20'000;
+    return opt;
+}
+
+/** Which file of a write-behind sort an injector is installed on. */
+enum class KickTarget { Front, Back, Sink };
+
+/** Injectors (null = none) for the front store, the back store and
+ *  the file sink of a streamed sort; run() sorts and returns the
+ *  error text, or "" when the sort succeeded. */
+struct InjectedSort {
+    std::shared_ptr<io::FaultInjector> front, back, sink;
+
+    std::string
+    run(const StreamEngine<Record> &engine, const std::vector<Record> &data,
+        const std::string &out_path)
+    {
+        io::FileRunStore<Record> frontStore;
+        io::FileRunStore<Record> backStore;
+        io::FileSink<Record> fileSink(io::ByteFile::create(out_path));
+        frontStore.setFaultPolicy(front);
+        backStore.setFaultPolicy(back);
+        fileSink.setFaultPolicy(sink);
+        for (io::FileRunStore<Record> *store : {&frontStore, &backStore})
+            store->setRetryPolicy(fastRetries());
+        fileSink.setRetryPolicy(fastRetries());
+        io::MemorySource<Record> source{std::span<const Record>(data)};
+        try {
+            engine.sortStream(source, fileSink, frontStore, backStore);
+        } catch (const std::runtime_error &e) {
+            return e.what();
+        }
+        return "";
+    }
+};
+
+TEST(StreamEngineFaults, WriteBehindKeepsWriteAndSyncAttemptCounts)
+{
+    // The kick is its own fault kind: it must not renumber the write
+    // and sync attempts that eioOnWriteAttempt, crashOnWriteAttempt
+    // and the crash sweep index.  These are the counts of the sort
+    // without write-behind.
+    struct Counts {
+        std::uint64_t frontWrites, frontSyncs, backWrites, backSyncs,
+            sinkWrites, sinkSyncs;
+    };
+    const auto data = makeRecords(400'000, Distribution::UniformRandom);
+    for (const auto &[threads, want] :
+         {std::pair{1u, Counts{217, 2, 265, 1, 149, 1}},
+          std::pair{4u, Counts{412, 2, 1045, 1, 627, 1}}}) {
+        SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+        const auto counting = [] {
+            return std::make_shared<io::FaultInjector>(io::FaultPlan{});
+        };
+        InjectedSort sort{counting(), counting(), counting()};
+        const StreamEngine<Record> engine(writeBehindOptions(threads));
+        ASSERT_EQ(sort.run(engine, data,
+                           ::testing::TempDir() + "bonsai_kick_counts.bin"),
+                  "");
+        EXPECT_EQ(sort.front->writeAttempts(), want.frontWrites);
+        EXPECT_EQ(sort.front->syncAttempts(), want.frontSyncs);
+        EXPECT_EQ(sort.back->writeAttempts(), want.backWrites);
+        EXPECT_EQ(sort.back->syncAttempts(), want.backSyncs);
+        EXPECT_EQ(sort.sink->writeAttempts(), want.sinkWrites);
+        EXPECT_EQ(sort.sink->syncAttempts(), want.sinkSyncs);
+        if (io::ByteFile::kWriteBehind) {
+            EXPECT_GT(sort.front->writeBackAttempts(), 0u);
+            EXPECT_GT(sort.back->writeBackAttempts(), 0u);
+            EXPECT_GT(sort.sink->writeBackAttempts(), 0u);
+        }
+    }
+}
+
+TEST(StreamEngineFaults, FailedWriteBehindKickUnwindsCleanly)
+{
+    // A kick that fails past the retry limit (EIO) or at once
+    // (ENOSPC), on a spill store or on the sink: one error naming
+    // the kick and what was being written, every pool buffer back.
+    if (!io::ByteFile::kWriteBehind)
+        GTEST_SKIP() << "no write-behind kick on this platform";
+    const auto data = makeRecords(400'000, Distribution::UniformRandom);
+    for (const KickTarget target :
+         {KickTarget::Front, KickTarget::Back, KickTarget::Sink}) {
+        for (const int err : {EIO, ENOSPC}) {
+            for (const unsigned threads : {1u, 4u}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "target=" << static_cast<int>(target)
+                             << " errno=" << err << " threads=" << threads);
+                io::FaultPlan failing;
+                failing.failWriteBackWith = err;
+                auto injector = std::make_shared<io::FaultInjector>(failing);
+                InjectedSort sort;
+                (target == KickTarget::Front  ? sort.front
+                 : target == KickTarget::Back ? sort.back
+                                              : sort.sink) = injector;
+
+                const StreamEngine<Record> engine(writeBehindOptions(threads));
+                const std::string msg = sort.run(
+                    engine, data,
+                    ::testing::TempDir() + "bonsai_kick_fault.bin");
+                ASSERT_FALSE(msg.empty()) << "the failed kick was swallowed";
+                EXPECT_EQ(engine.lastPoolOutstanding(), 0u)
+                    << "buffer pool leaked buffers during the unwind";
+                EXPECT_NE(msg.find("sync_file_range (write-behind) failed"),
+                          std::string::npos)
+                    << msg;
+                // At 4 threads the final pass writes splitter slices.
+                const char *context = target == KickTarget::Front
+                    ? "phase-1 spill"
+                    : target == KickTarget::Back ? "merge group"
+                    : threads == 1               ? "sequential output write"
+                                                 : "final-pass segment write";
+                EXPECT_NE(msg.find(context), std::string::npos) << msg;
+                // EIO is retried to the limit, ENOSPC is not retried.
+                EXPECT_GE(injector->injectedWriteBackFailures(),
+                          err == EIO ? fastRetries().maxAttempts + 1 : 1u);
+            }
+        }
     }
 }
 

@@ -427,6 +427,46 @@ TEST(StreamEngine, InPlaceAndStreamedReportUnifiedTelemetry)
     EXPECT_GT(mem.finalSlices, 0u);
 }
 
+TEST(StreamEngine, WriteBehindKicksAreReported)
+{
+    // 400,000 records (6.4 MB) pass through each spill store and the
+    // file sink, each past ByteFile::kWriteBehindBytes: the kicks are
+    // counted.  Memory stores and a memory sink write no file.
+    const auto data = makeRecords(400'000, Distribution::UniformRandom);
+    const StreamEngine<Record> engine(smallOptions());
+
+    io::MemorySource<Record> fileSource{std::span<const Record>(data)};
+    io::FileSink<Record> fileSink(io::ByteFile::create(
+        ::testing::TempDir() + "bonsai_write_behind_stats.bin"));
+    io::FileRunStore<Record> front;
+    io::FileRunStore<Record> back;
+    const StreamStats onFiles =
+        engine.sortStream(fileSource, fileSink, front, back);
+    if (io::ByteFile::kWriteBehind) {
+        EXPECT_GE(onFiles.ioWriteBackKicks, 1u);
+        EXPECT_GE(fileSink.retryStats().writeBackKicks, 1u);
+        EXPECT_EQ(onFiles.ioWriteBackKicks,
+                  front.retryStats().writeBackKicks +
+                      back.retryStats().writeBackKicks +
+                      fileSink.retryStats().writeBackKicks);
+    } else {
+        EXPECT_EQ(onFiles.ioWriteBackKicks, 0u);
+    }
+    EXPECT_GE(onFiles.ioWriteBackSeconds, 0.0);
+
+    std::vector<Record> frontMem(data.size());
+    std::vector<Record> backMem(data.size());
+    io::MemoryRunStore<Record> frontStore(frontMem);
+    io::MemoryRunStore<Record> backStore(backMem);
+    io::MemorySource<Record> memSource{std::span<const Record>(data)};
+    std::vector<Record> out;
+    io::MemorySink<Record> memSink(out);
+    const StreamStats inMemory =
+        engine.sortStream(memSource, memSink, frontStore, backStore);
+    EXPECT_EQ(inMemory.ioWriteBackKicks, 0u);
+    EXPECT_EQ(inMemory.ioWriteBackSeconds, 0.0);
+}
+
 TEST(StreamEngine, EmptySourceProducesEmptyOutput)
 {
     const StreamEngine<Record> engine(smallOptions());

@@ -27,6 +27,8 @@
 #include "common/record_buffer.hpp"
 #include "common/thread_pool.hpp"
 #include "gensort_keys.hpp"
+#include "io/run_store.hpp"
+#include "io/stream.hpp"
 #include "oracle_sort.hpp"
 #include "sorter/behavioral.hpp"
 #include "sorter/external.hpp"
@@ -149,6 +151,48 @@ TEST(GensortSorterRuns, EveryPresortRunLengthGivesTheOracle)
             }
         }
     }
+}
+
+TEST(GensortShortChunks, ChunksShorterThanOneRunGiveTheOracle)
+{
+    // A chunk of fewer records than one presort run would cut the
+    // presort's aligned blocks; the engine rounds it up to one run.
+    // Counted failures, not ASSERTs, so a regression reports its size.
+    unsigned failures = 0;
+    for (std::uint64_t chunk = 1; chunk < 16; ++chunk) {
+        for (const GensortKeys keys :
+             {GensortKeys::FewDistinct, GensortKeys::AllEqual}) {
+            for (const std::size_t n : {4u, 16u, 40u}) {
+                for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << "chunk=" << chunk
+                                 << " keys=" << keyName(keys) << " n=" << n
+                                 << " seed=" << seed);
+                    const auto input = makeGensortKeys(n, keys, seed);
+                    const auto want = oracleSort(input);
+                    sorter::StreamEngine<GensortRecord>::Options opt;
+                    opt.chunkRecords = chunk;
+                    opt.batchRecords = 8;
+                    opt.bufferBudgetBytes = 1 << 20;
+                    const sorter::StreamEngine<GensortRecord> engine(opt);
+
+                    auto got = input;
+                    engine.sortInPlace(got);
+                    failures += !sameBytes(got, want);
+
+                    std::vector<GensortRecord> front(n), back(n);
+                    io::MemoryRunStore<GensortRecord> frontStore(front);
+                    io::MemoryRunStore<GensortRecord> backStore(back);
+                    io::MemorySource<GensortRecord> source(input);
+                    got.clear();
+                    io::MemorySink<GensortRecord> sink(got);
+                    engine.sortStream(source, sink, frontStore, backStore);
+                    failures += !sameBytes(got, want);
+                }
+            }
+        }
+    }
+    EXPECT_EQ(failures, 0u) << "of 3600 sorts";
 }
 
 INSTANTIATE_TEST_SUITE_P(
