@@ -344,6 +344,7 @@ class StreamEngine
         stats.ioTransientRetries = retries.transientRetries;
         stats.ioEintrRetries = retries.eintrRetries;
         stats.ioShortTransfers = retries.shortTransfers;
+        // The sink's write-behind kicks count too; its retries do not.
         retries += req.sink->retryStats();
         stats.ioWriteBackKicks = retries.writeBackKicks;
         stats.ioWriteBackSeconds = retries.writeBackSeconds;

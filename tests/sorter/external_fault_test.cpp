@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -297,12 +298,14 @@ struct InjectedSort {
             store->setRetryPolicy(fastRetries());
         fileSink.setRetryPolicy(fastRetries());
         io::MemorySource<Record> source{std::span<const Record>(data)};
+        std::string error;
         try {
             engine.sortStream(source, fileSink, frontStore, backStore);
         } catch (const std::runtime_error &e) {
-            return e.what();
+            error = e.what();
         }
-        return "";
+        std::remove(out_path.c_str());
+        return error;
     }
 };
 

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <span>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -436,8 +438,9 @@ TEST(StreamEngine, WriteBehindKicksAreReported)
     const StreamEngine<Record> engine(smallOptions());
 
     io::MemorySource<Record> fileSource{std::span<const Record>(data)};
-    io::FileSink<Record> fileSink(io::ByteFile::create(
-        ::testing::TempDir() + "bonsai_write_behind_stats.bin"));
+    const std::string outPath =
+        ::testing::TempDir() + "bonsai_write_behind_stats.bin";
+    io::FileSink<Record> fileSink(io::ByteFile::create(outPath));
     io::FileRunStore<Record> front;
     io::FileRunStore<Record> back;
     const StreamStats onFiles =
@@ -453,6 +456,7 @@ TEST(StreamEngine, WriteBehindKicksAreReported)
         EXPECT_EQ(onFiles.ioWriteBackKicks, 0u);
     }
     EXPECT_GE(onFiles.ioWriteBackSeconds, 0.0);
+    std::remove(outPath.c_str());
 
     std::vector<Record> frontMem(data.size());
     std::vector<Record> backMem(data.size());
