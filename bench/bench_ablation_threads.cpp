@@ -23,9 +23,11 @@
 
 #include <cstring>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "common/random.hpp"
+#include "common/record_buffer.hpp"
 #include "common/thread_pool.hpp"
 #include "sorter/behavioral.hpp"
 #include "sorter/merge_path.hpp"
@@ -104,9 +106,14 @@ BM_FullSortScaling(benchmark::State &state)
     const auto input =
         makeRecords(n, Distribution::UniformRandom, 99);
     const sorter::BehavioralSorter<Record> sorter(64, 16, threads);
+    // One pool, scratch and data vector for every iteration, so the
+    // row times the sort, not a pool spawn or a fresh scratch's faults.
+    ThreadPool pool(threads);
+    RecordBuffer<Record> scratch;
+    std::vector<Record> data(n);
     for (auto _ : state) {
-        auto data = input;
-        sorter.sort(data);
+        data = input;
+        sorter.sort(std::span<Record>(data), pool, scratch);
         benchmark::DoNotOptimize(data.data());
     }
     state.SetBytesProcessed(

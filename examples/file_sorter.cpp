@@ -21,7 +21,9 @@
  * with resident memory bounded by --budget-mb (default 64), so it
  * sorts files far larger than the budget — its output is byte-for-byte
  * the file `ssdsort` produces, equal keys included, at every budget
- * and thread count.
+ * and thread count.  Both print the process's peak resident set
+ * (`peak resident: X MiB`, VmHWM; Linux only) once the output is
+ * written.
  *
  * With --checkpoint-dir, extsort runs crash-consistently: spills and
  * a durable job manifest live under the given directory, and a rerun
@@ -65,6 +67,25 @@ readRecords(const char *path)
     std::vector<GensortRecord> recs(source.totalRecords());
     source.read(recs.data(), recs.size());
     return recs;
+}
+
+/** Print the process's peak resident set (VmHWM, Linux only): the
+ *  memory a sort really held, next to the budget it was given. */
+void
+printPeakResident()
+{
+    std::FILE *status = std::fopen("/proc/self/status", "r");
+    if (status == nullptr)
+        return;
+    char line[256];
+    while (std::fgets(line, sizeof line, status) != nullptr) {
+        if (std::strncmp(line, "VmHWM:", 6) == 0) {
+            const double kib = std::strtod(line + 6, nullptr);
+            std::printf("peak resident: %.1f MiB\n", kib / 1024);
+            break;
+        }
+    }
+    std::fclose(status);
 }
 
 /** Write @p recs durably to @p path; a failed write throws. */
@@ -132,6 +153,7 @@ cmdSsdSort(const char *in_path, const char *out_path, unsigned threads)
                     report.stream.phase1Chunks),
                 report.stream.mergePasses, report.hostSeconds * 1e3);
     writeRecords(out_path, recs);
+    printPeakResident();
     std::printf("wrote %s\n", out_path);
     return 0;
 }
@@ -211,6 +233,7 @@ cmdExtSort(const char *in_path, const char *out_path, unsigned threads,
         std::printf("write-behind: %llu kick(s) in %.1f ms\n",
                     static_cast<unsigned long long>(s.ioWriteBackKicks),
                     s.ioWriteBackSeconds * 1e3);
+    printPeakResident();
     if (!checkpoint_dir.empty()) {
         // The output is durable (FileSink::finish synced file and
         // directory); the checkpoint has served its purpose.

@@ -30,8 +30,9 @@
  * as 16-byte KeyEntry items — each record's 10-byte key and 48-bit
  * index — from the presort to the last stage, then each record moves
  * once: one gather by index into the scratch, one sequential copy back
- * into the caller's range.  The presort, the entry build and the
- * gather are pool tasks.  Entries order as their records do, ties
+ * into the caller's range (sortBuffer swaps the two buffers instead).
+ * The presort, the entry build, the gather and the copy are pool
+ * tasks.  Entries order as their records do, ties
  * included, so the bytes are those of a sort that moves the records.
  *
  * Buffers: a sort of records the trees move themselves presorts into
@@ -52,6 +53,7 @@
 #include <cstring>
 #include <new>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/contract.hpp"
@@ -166,6 +168,32 @@ class BehavioralSorter
                           "the last stage writes the caller's range");
             return std::move(merged.stats);
         }
+    }
+
+    /**
+     * Sort the first @p n records of @p data with @p scratch.  A sort
+     * by entries gathers them into @p scratch and then swaps the two
+     * buffers instead of copying them back, so @p data holds the
+     * sorted records either way.  Phase 1 of the streamed sort sorts
+     * each chunk buffer this way and spills it from where the gather
+     * left it.
+     */
+    BehavioralStats
+    sortBuffer(RecordBuffer<RecordT> &data, std::size_t n, ThreadPool &pool,
+               RecordBuffer<RecordT> &scratch) const
+    {
+        BONSAI_REQUIRE(n <= data.size(), "the records lie in the buffer");
+        const std::span<RecordT> records(data.data(), n);
+        if constexpr (EntryKeyed<RecordT>) {
+            if (n > 1) {
+                BehavioralStats stats =
+                    sortByEntries(records, chunkRuns(n, presortRun_),
+                                  scratch.first(n), true, pool);
+                std::swap(data, scratch);
+                return stats;
+            }
+        }
+        return sort(records, pool, scratch);
     }
 
     /** Where mergeRuns left its result, and what it cost. */

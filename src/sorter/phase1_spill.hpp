@@ -15,7 +15,10 @@
  * and A and B swap.  The last chunk is spilled after the loop.  So the
  * spill write-back and the next load overlap the current sort, while
  * resident memory stays at two chunk buffers plus sort scratch (one
- * buffer when a single chunk covers the remaining input).
+ * buffer when a single chunk covers the remaining input).  A sort by
+ * entries gathers chunk k into the scratch, and A's buffer and the
+ * scratch swap (BehavioralSorter::sortBuffer), so the chunk spills from
+ * where the gather left it instead of being copied back into A.
  *
  * Error contract: each task traps its first failure (a short-read
  * contract, a terminal record in the input, a spill-device error) in
@@ -33,7 +36,6 @@
 #include <chrono>
 #include <cstdint>
 #include <exception>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -168,9 +170,8 @@ class Phase1Spiller
                 io.parallelFor(2, [&](std::uint64_t task) {
                     try {
                         if (task == 0) {
-                            const std::span<RecordT> run(a.buf.data(),
-                                                         a.len);
-                            moved += sorter.sort(run, compute, scratch)
+                            moved += sorter.sortBuffer(a.buf, a.len, compute,
+                                                       scratch)
                                          .recordsMoved;
                             return;
                         }
