@@ -199,10 +199,10 @@ cmdExtSort(const char *in_path, const char *out_path, unsigned threads,
     std::printf("phase 1: %llu chunk(s) spilled in %.1f ms\n",
                 static_cast<unsigned long long>(s.phase1Chunks),
                 s.phase1Seconds * 1e3);
-    std::printf("phase 2: %u pass(es) at fan-in %u (batch b = %llu "
-                "records, Eq. 10 F1 batch %llu, pool %llu KiB) in "
-                "%.1f ms\n",
-                s.mergePasses, s.effectiveEll,
+    std::printf("phase 2: %u pass(es) (planned %u) at fan-in %u "
+                "(batch b = %llu records, Eq. 10 F1 batch %llu, pool "
+                "%llu KiB) in %.1f ms\n",
+                s.mergePasses, s.plannedPasses, s.effectiveEll,
                 static_cast<unsigned long long>(s.batchRecords),
                 static_cast<unsigned long long>(s.modelBatchRecords),
                 static_cast<unsigned long long>(s.bufferPoolBytes >> 10),

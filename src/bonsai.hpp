@@ -36,6 +36,7 @@
 #include "model/perf_model.hpp"
 #include "model/resource_model.hpp"
 
+#include "core/host_planner.hpp"
 #include "core/optimizer.hpp"
 #include "core/platforms.hpp"
 #include "core/scalability.hpp"

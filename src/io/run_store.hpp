@@ -21,7 +21,7 @@
  *
  * The in-memory sort (StreamEngine::sortInPlace) uses no store: its
  * passes run BehavioralSorter's stage loop over the caller's vector
- * and one scratch vector.
+ * and one scratch buffer.
  *
  * Byte counters tally actual store traffic (spill bytes), reported
  * through the facades' unified telemetry.

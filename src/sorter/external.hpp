@@ -37,7 +37,7 @@
  * sortInPlace() is the in-memory adapter and uses no run store: its
  * passes run BehavioralSorter::mergeRuns — the stage loop of the
  * Merge Path sliced, thread-parallel kernel — over the caller's
- * vector and one scratch vector.  The streamed sort always merges
+ * vector and one scratch buffer.  The streamed sort always merges
  * through the Phase2Merger, whether it spills to memory or file
  * stores.  Both merge contiguous run groups (sorter/run_groups.hpp)
  * through MergeTree, whose merges are stable, and chunks are whole
@@ -140,7 +140,8 @@ class StreamEngine
      * In-memory adapter: phase 1 sorts chunk ranges of @p data in
      * place, phase 2 merges the chunk runs with
      * BehavioralSorter::mergeRuns, ping-ponging between @p data and
-     * one scratch vector (Merge Path sliced passes, no copies).
+     * one scratch buffer (Merge Path sliced passes), and copies the
+     * result back only when the last pass lands in the scratch.
      * Byte-identical to the streamed path on the same input and
      * options.
      */
@@ -164,7 +165,7 @@ class StreamEngine
         ThreadPool pool(opt_.threads);
 
         const auto t1 = std::chrono::steady_clock::now();
-        const std::uint64_t chunk = chunkLength(data.size());
+        const std::uint64_t chunk = chunkOf(data.size());
         BehavioralSorter<RecordT> phase1(
             opt_.phase1Ell, opt_.presortRun, opt_.threads);
         std::vector<RunSpan> runs;
@@ -188,15 +189,18 @@ class StreamEngine
             return stats; // one chunk is already the sorted output
 
         const auto t2 = std::chrono::steady_clock::now();
-        std::vector<RecordT> scratch(data.size());
+        // Never zero-filled: every pass writes its output before the
+        // next reads it.
+        RecordBuffer<RecordT> scratch;
+        const std::span<RecordT> other = scratch.first(data.size());
         const BehavioralSorter<RecordT> merger(opt_.phase2Ell, 1,
                                                opt_.threads);
         const auto merged =
-            merger.mergeRuns(std::move(runs), data, scratch, pool);
+            merger.mergeRuns(std::move(runs), data, other, pool);
         stats.mergePasses = merged.stats.stages;
         stats.recordsMoved += merged.stats.recordsMoved;
-        if (merged.out.data() == scratch.data())
-            data = std::move(scratch);
+        if (merged.out.data() == other.data())
+            std::copy(other.begin(), other.end(), data.begin());
         stats.phase2Seconds = secondsSince(t2);
         return stats;
     }
@@ -318,7 +322,7 @@ class StreamEngine
                     opt_.phase1Ell, opt_.presortRun, opt_.threads);
                 Phase1Spiller<RecordT>::run(
                     *req.source, front, pool, phase1,
-                    opt_.batchRecords, chunkLength(stats.recordsIn),
+                    opt_.batchRecords, chunkOf(stats.recordsIn),
                     stats, trap, ckpt);
             } else {
                 // Every chunk is journaled: phase 1 is pure replayed
@@ -386,19 +390,12 @@ class StreamEngine
     }
 
   private:
-    /** Records per phase-1 chunk: chunkRecords rounded down to
-     *  whole presort runs, and up to one run when shorter, so every
-     *  chunk's presort blocks are aligned blocks of the input. */
+    /** Records per phase-1 chunk of a @p total-record input
+     *  (merge_plan.hpp chunkLength). */
     std::uint64_t
-    chunkLength(std::uint64_t total) const
+    chunkOf(std::uint64_t total) const
     {
-        if (opt_.chunkRecords == 0)
-            return total;
-        const std::uint64_t run =
-            std::max<std::uint64_t>(opt_.presortRun, 1);
-        const std::uint64_t chunk =
-            std::max(opt_.chunkRecords - opt_.chunkRecords % run, run);
-        return std::min<std::uint64_t>(chunk, total);
+        return chunkLength(opt_.chunkRecords, opt_.presortRun, total);
     }
 
     /** The parameter echo a job manifest carries: everything chunk
@@ -410,7 +407,7 @@ class StreamEngine
         io::ManifestParams p;
         p.recordBytes = sizeof(RecordT);
         p.recordsIn = records_in;
-        p.chunkRecords = chunkLength(records_in);
+        p.chunkRecords = chunkOf(records_in);
         p.batchRecords = opt_.batchRecords;
         p.phase1Ell = opt_.phase1Ell;
         p.phase2Ell = opt_.phase2Ell;

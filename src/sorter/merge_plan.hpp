@@ -1,7 +1,10 @@
 /**
  * @file
- * Phase-2 merge planning: the Equation-10 buffer-budget shape and
- * the per-pass transfer size.
+ * The streamed sort's shape rules: the phase-1 chunk's rounding, the
+ * Equation-10 buffer-budget shape, the per-pass transfer size and the
+ * merge trees' node-block arenas.  The engine runs them, and the host
+ * planner (core/host_planner.hpp) plans with the same functions, so
+ * a plan cannot disagree with the sort it describes.
  *
  * The shape derivation is the engine's resource model: a streamed
  * ell-way merge lane reserves laneBuffers(ell) = 2 ell + 2 slots, so
@@ -24,6 +27,22 @@
 
 namespace bonsai::sorter
 {
+
+/** Records per phase-1 chunk of a @p total-record input asked to
+ *  chunk at @p chunk_records (0 = one chunk): rounded down to whole
+ *  presort runs of @p presort_run, and up to one run when shorter, so
+ *  every chunk's presort blocks are aligned blocks of the input. */
+constexpr std::uint64_t
+chunkLength(std::uint64_t chunk_records, std::uint64_t presort_run,
+            std::uint64_t total)
+{
+    if (chunk_records == 0)
+        return total;
+    const std::uint64_t run = std::max<std::uint64_t>(presort_run, 1);
+    const std::uint64_t chunk =
+        std::max(chunk_records - chunk_records % run, run);
+    return std::min(chunk, total);
+}
 
 /**
  * Pool slots one phase-2 merge lane of fan-in @p ell reserves: 2 per
@@ -99,6 +118,26 @@ transferSlots(std::uint64_t have, std::uint64_t concurrent,
     return std::max<std::uint64_t>(
         1, std::min(have / concurrent / (widest + 1),
                     kTransferBytes / batch_bytes));
+}
+
+/** Items per merge-tree node block: 2 KiB of @p item_bytes items,
+ *  but never fewer than 32. */
+constexpr std::uint64_t
+nodeBlockItems(std::uint64_t item_bytes)
+{
+    return std::max<std::uint64_t>(32, 2048 / item_bytes);
+}
+
+/** Bytes of node blocks one merge tree over @p members inputs of
+ *  @p item_bytes items holds: (ways - 2) blocks, ways being
+ *  @p members rounded up to a power of two (MergeTree's arena). */
+constexpr std::uint64_t
+arenaBytes(std::uint64_t members, std::uint64_t item_bytes)
+{
+    std::uint64_t ways = 2;
+    while (ways < members)
+        ways *= 2;
+    return (ways - 2) * nodeBlockItems(item_bytes) * item_bytes;
 }
 
 } // namespace bonsai::sorter

@@ -80,6 +80,7 @@
 #include "common/cpu.hpp"
 #include "common/record.hpp"
 #include "common/record_buffer.hpp"
+#include "sorter/merge_plan.hpp"
 
 namespace bonsai::sorter
 {
@@ -266,8 +267,7 @@ class MergeTree
 {
   public:
     /** Items per internal-node block: 2 KiB, at least 32. */
-    static constexpr std::size_t kBlockRecords =
-        std::max<std::size_t>(32, 2048 / sizeof(T));
+    static constexpr std::size_t kBlockRecords = nodeBlockItems(sizeof(T));
 
     /** Hands out member i's next batch, empty once it is drained;
      *  a batch stays valid until the member's next refill. */

@@ -13,7 +13,9 @@
  *  - SsdSorter: two-phase terabyte-scale sorting (Section IV-C).
  *    sort(std::vector&) is a thin adapter over the out-of-core
  *    StreamEngine; sortStream() runs the same engine against
- *    RecordSource/RecordSink with bounded resident memory.
+ *    RecordSource/RecordSink with bounded resident memory, in the
+ *    shape the host planner (core/host_planner.hpp) picks for its
+ *    budget.
  *
  * All facades reject the reserved all-zero terminal record at the
  * boundary (Section V-B) and return a zeroed report for empty and
@@ -42,6 +44,7 @@
 
 #include "common/contract.hpp"
 #include "common/thread_pool.hpp"
+#include "core/host_planner.hpp"
 #include "core/optimizer.hpp"
 #include "core/platforms.hpp"
 #include "core/ssd_planner.hpp"
@@ -49,7 +52,6 @@
 #include "io/stream.hpp"
 #include "sorter/behavioral.hpp"
 #include "sorter/external.hpp"
-#include "sorter/merge_plan.hpp"
 #include "sorter/stage_sim.hpp"
 
 namespace bonsai::sorter
@@ -226,7 +228,12 @@ class SsdSorter
     /** Report of a two-phase sort (Table V shape). */
     struct SsdReport
     {
+        /** The F1 model plan.  After sortStream() its chunkRecords,
+         *  phase1.config.ell and phase2.config.ell name the shape the
+         *  engine ran, so a caller can rebuild that engine from them. */
         core::SsdPlan plan;
+        /** The host plan sortStream() ran (zeroed for sort()). */
+        core::HostPlan host;
         double hostSeconds = 0.0;
         /** Streaming telemetry: spill traffic, records moved per
          *  phase, time inside phase-2 reads and writes. */
@@ -236,14 +243,15 @@ class SsdSorter
     /** Tuning knobs for the out-of-core sortStream() path. */
     struct StreamOptions
     {
-        /** Total resident-memory budget: two streaming chunk buffers
-         *  plus sort scratch in phase 1, the batch buffer pool in
-         *  phase 2.  0 = 256 MiB.  The merge trees' node-block arenas
-         *  sit outside the pool: one per merge lane, (ways - 2) 2 KiB
-         *  blocks, ways being the fan-in rounded up to a power of
-         *  two — of 16-byte key entries in phase 1's gensort trees,
-         *  of records (at least 32 a block) in phase 2's streamed
-         *  trees — a few hundred KiB per lane. */
+        /** Total resident-memory budget, 0 = 256 MiB.  The host
+         *  planner (core/host_planner.hpp) books each phase against
+         *  it: phase 1 holds two chunk buffers plus one chunk of sort
+         *  scratch, each chunk a quarter of the budget; phase 2 holds
+         *  the batch pool, a quarter of the budget, plus one node-block
+         *  arena per merge lane, (ways - 2) blocks of 2 KiB (at least
+         *  32 records), ways being the fan-in rounded up to a power of
+         *  two.  Phase 1's gensort trees merge 16-byte key entries in
+         *  arenas of their own, which the plan does not book. */
         std::uint64_t memoryBudgetBytes = 0;
         /** Spill directory for run files ("" = $TMPDIR or /tmp). */
         std::string spillDir;
@@ -302,9 +310,12 @@ class SsdSorter
     /**
      * True out-of-core sort: stream @p source through spill files into
      * @p sink with resident memory bounded by the options' budget,
-     * independent of the dataset size.  The emitted record sequence is
-     * identical to the in-memory path's for the same input, ties
-     * included.
+     * independent of the dataset size.  The host planner picks the
+     * chunk, the phase-2 fan-in, the slot b and the lanes for the
+     * fewest Equation-1 passes within the budget; the F1 plan only
+     * labels the report and lends phase 1 its fan-in.  The emitted
+     * record sequence is identical to the in-memory path's for the
+     * same input, ties included.
      */
     template <typename RecordT>
     SsdReport
@@ -333,35 +344,39 @@ class SsdSorter
 
         const std::uint64_t budget = opts.memoryBudgetBytes != 0
             ? opts.memoryBudgetBytes : (256ULL << 20);
-        // Phase 1 keeps ~3 chunk buffers resident (two streaming
-        // chunks plus the sorter's scratch); phase 2 holds the batch
-        // pool.  A quarter of the budget each bounds both phases.
-        // The modeled DRAM also bounds the chunk (the planner's own
-        // default is cDram/8, Equation 5's pipeline headroom) — a
-        // bigger chunk makes phase 1 infeasible for the optimizer.
-        const std::uint64_t chunk_records =
-            std::min<std::uint64_t>(
-                std::max<std::uint64_t>(
-                    std::min(budget / 4 / sizeof(RecordT),
-                             hw_.cDram / 8 / record_bytes),
-                    2),
-                n);
-        model::ArrayParams array{n, record_bytes};
-        const auto plan = core::planSsdSort(
-            array, hw_, arch_, ssd_, chunk_records * record_bytes);
-        if (!plan)
+        const auto host = core::planHostSort(
+            {.records = n,
+             .recordBytes = sizeof(RecordT),
+             .budgetBytes = budget,
+             .presortRun = arch_.presortRunLength,
+             .threads = threads_});
+        if (!host)
             throw std::runtime_error(
-                "Bonsai: no feasible SSD two-phase plan");
-        report.plan = *plan;
-
+                "Bonsai: a " + std::to_string(budget) +
+                "-byte memory budget is too small for a streamed sort "
+                "of " + std::to_string(sizeof(RecordT)) +
+                "-byte records");
+        report.host = *host;
+        // The F1 plan at the host's chunk is the reproduction's output;
+        // the host runs its phase-1 fan-in when there is one, and the
+        // engine's default when the F1 cannot sort such a chunk.
         typename StreamEngine<RecordT>::Options eng;
-        eng.phase1Ell = plan->phase1.config.ell;
-        eng.phase2Ell = plan->phase2.config.ell;
+        const auto plan = core::planSsdSort(
+            {n, record_bytes}, hw_, arch_, ssd_,
+            host->chunkRecords * record_bytes);
+        if (plan) {
+            report.plan = *plan;
+            eng.phase1Ell = plan->phase1.config.ell;
+        }
+        report.plan.chunkRecords = host->chunkRecords;
+        report.plan.phase1.config.ell = eng.phase1Ell;
+        report.plan.phase2.config.ell = host->ell;
+
+        eng.phase2Ell = host->ell;
         eng.presortRun = arch_.presortRunLength;
-        eng.chunkRecords = chunk_records;
-        eng.bufferBudgetBytes = budget / 4;
-        eng.batchRecords = defaultBatchRecords<RecordT>(
-            *plan, eng.bufferBudgetBytes, threads_);
+        eng.chunkRecords = host->chunkRecords;
+        eng.bufferBudgetBytes = host->poolBytes;
+        eng.batchRecords = host->batchRecords;
         eng.threads = threads_;
 
         SortRequest<RecordT> req{.source = &source, .sink = &sink};
@@ -378,8 +393,11 @@ class SsdSorter
             req.back = &back.emplace(opts.spillDir);
         }
         report.stream = StreamEngine<RecordT>(eng).sortStream(req);
-        report.stream.modelBatchRecords =
-            plan->phase2.batchBytes / record_bytes;
+        if (plan)
+            report.stream.modelBatchRecords =
+                plan->phase2.batchBytes / record_bytes;
+        report.stream.plannedPasses = host->passes;
+        report.stream.plannedPassBytes = host->passBytes;
         report.hostSeconds =
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - start)
@@ -388,33 +406,6 @@ class SsdSorter
     }
 
   private:
-    /** Pool slot b: the largest slot at which the pool holds one
-     *  full merge lane per requested thread — W lanes of fan-in ell
-     *  need laneBuffers(ell) * W slots (and never fewer than 8).  The
-     *  pool then admits the planner's fan-in on W lanes; asking for
-     *  more threads shrinks b instead of silently serializing phase 2.
-     *  b sizes a slot, not a transfer: each merge pass reads and writes
-     *  k * b records, with k sized per pass from the slots its
-     *  concurrent groups leave idle (merge_plan.hpp transferSlots),
-     *  and phase 1 reads the source in kTransferBytes pieces when b
-     *  is smaller.  The planner's Equation-10 batch (phase2.batchBytes,
-     *  the largest b with lambda*b*ell <= C_BRAM) bounds the FPGA's
-     *  on-chip buffers, not the host's, so it only labels the report
-     *  (StreamStats::modelBatchRecords). */
-    template <typename RecordT>
-    static std::uint64_t
-    defaultBatchRecords(const core::SsdPlan &plan,
-                        std::uint64_t pool_budget_bytes,
-                        unsigned threads)
-    {
-        const std::uint64_t lane_buffers =
-            laneBuffers(plan.phase2.config.ell) * threads;
-        const std::uint64_t want_buffers =
-            std::max<std::uint64_t>(8, lane_buffers);
-        return std::max<std::uint64_t>(
-            pool_budget_bytes / (want_buffers * sizeof(RecordT)), 1);
-    }
-
     model::HardwareParams hw_;
     core::SsdParams ssd_;
     model::MergerArchParams arch_;

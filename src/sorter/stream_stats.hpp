@@ -28,6 +28,16 @@ struct StreamStats
     std::uint64_t spillBytesWritten = 0; ///< run-store write traffic
     std::uint64_t spillBytesRead = 0;    ///< run-store read traffic
     unsigned mergePasses = 0;  ///< phase-2 storage round trips
+    /** The host plan's Equation-1 pass count for the whole sort
+     *  (SsdSorter::sortStream only; 0 elsewhere).  A sort that ran
+     *  from its start has mergePasses == plannedPasses; a resumed one
+     *  ran plannedPasses - resumedPasses. */
+    unsigned plannedPasses = 0;
+    /** Bytes the plan has each pass read and write: the input's.
+     *  Phase 1 and every non-final pass each write them to the spill
+     *  stores, so spillBytesWritten == plannedPasses *
+     *  plannedPassBytes for a sort that ran from its start. */
+    std::uint64_t plannedPassBytes = 0;
     unsigned effectiveEll = 0; ///< fan-in after the buffer budget cap
     /** Phase-2 merge lanes the budget admits: groups merged
      *  concurrently in non-final passes (1 = serial fallback). */

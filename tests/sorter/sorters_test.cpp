@@ -18,6 +18,7 @@
 #include "io/stream.hpp"
 #include "oracle_sort.hpp"
 #include "sorter/behavioral.hpp"
+#include "sorter/merge_plan.hpp"
 #include "sorter/sorters.hpp"
 
 namespace bonsai
@@ -381,11 +382,13 @@ class OrderCheckingSink : public io::RecordSink<GensortRecord>
 TEST(SsdSorter, StreamedShapeAndPoolPeakArePinned)
 {
     // The phase-2 shape of a 1-thread gensort extsort at three CLI
-    // budgets.  The admitted fan-in decides the order of equal keys,
-    // so the merge kernel must leave every figure here as it is.  The
-    // pool peak is the widest group's cursors plus one output buffer,
-    // each of that pass's k slots: merge-tree node blocks come from
-    // the lane's own arena, never from the pool.
+    // budgets, as the host planner derives it: 67, 17 and 5 phase-1
+    // runs each merge in one pass at a fan-in of their run count, the
+    // smallest that reaches one pass.  The merge kernel must leave
+    // every figure here as it is.  The pool peak is the group's
+    // cursors plus one output buffer, each of the pass's k slots:
+    // merge-tree node blocks come from the lane's own arena, never
+    // from the pool.
     struct Pinned
     {
         std::uint64_t budgetMib;
@@ -395,12 +398,10 @@ TEST(SsdSorter, StreamedShapeAndPoolPeakArePinned)
         std::uint64_t widestGroup;
         std::uint64_t widestSlots; ///< k of the widest group's pass
     };
-    // 67, 17 and 5 phase-1 runs: at 4 MiB a non-final pass merges
-    // groups of 34 and 33 runs before the final pass.
     constexpr std::uint64_t kRecords = 700'000;
-    constexpr Pinned kPinned[] = {{4, 64, 1, 2, 34, 3},
-                                  {16, 64, 1, 1, 17, 4},
-                                  {64, 64, 1, 1, 5, 1}};
+    constexpr Pinned kPinned[] = {{4, 67, 1, 1, 67, 2},
+                                  {16, 17, 1, 1, 17, 1},
+                                  {64, 5, 1, 1, 5, 1}};
     for (const Pinned &pin : kPinned) {
         GeneratedSource source(kRecords);
         OrderCheckingSink sink;
@@ -414,6 +415,7 @@ TEST(SsdSorter, StreamedShapeAndPoolPeakArePinned)
         EXPECT_EQ(s.effectiveEll, pin.ell);
         EXPECT_EQ(s.concurrentGroups, pin.lanes);
         EXPECT_EQ(s.mergePasses, pin.passes);
+        EXPECT_EQ(s.plannedPasses, pin.passes);
         EXPECT_EQ(s.bufferPoolPeakBytes,
                   (pin.widestGroup + 1) * pin.widestSlots *
                       s.batchRecords * sizeof(GensortRecord));
@@ -426,11 +428,13 @@ TEST(SsdSorter, PassTransfersFollowTheSlotRule)
 {
     // Each pass leases k slots per cursor and writer, k = max(1,
     // min(have / concurrent / (widest + 1), 128 KiB / slot bytes)),
-    // over the same three CLI budgets as the pinned shape above.  At
-    // 4 MiB (b = 80, 131 slots) the pass over groups of 34 gets k = 3
-    // and the final 2-run pass k = 16, the 128 KiB cap; at 16 MiB
-    // (b = 322, 130 slots) the cap, 4, binds; at 64 MiB (b = 1290,
-    // 130 slots) a slot is already past 128 KiB, so k = 1.
+    // over the same three CLI budgets as the pinned shape above.  The
+    // planner's slot is b = min(pool / (laneBuffers(ell) * 100 B),
+    // 128 KiB / 100 B) for the quarter-budget pool.  At 4 MiB (ell 67,
+    // b = 77, 136 slots) the one pass over 67 runs gets k = 2; at
+    // 16 MiB (ell 17, b = 1165, 36 slots) a 116.5 KB slot leaves no
+    // room for a second under 128 KiB, so k = 1; at 64 MiB (ell 5) the
+    // slot stops at 128 KiB, b = 1310 (128 slots), and k = 1.
     struct Pass
     {
         std::uint64_t concurrent;
@@ -445,10 +449,9 @@ TEST(SsdSorter, PassTransfersFollowTheSlotRule)
         std::vector<std::uint64_t> transfers;
     };
     constexpr std::uint64_t kRecords = 700'000;
-    const Budget kBudgets[] = {
-        {4, 80, 131, {{1, 34}, {1, 2}}, {3 * 80, 16 * 80}},
-        {16, 322, 130, {{1, 17}}, {4 * 322}},
-        {64, 1290, 130, {{1, 5}}, {1290}}};
+    const Budget kBudgets[] = {{4, 77, 136, {{1, 67}}, {2 * 77}},
+                               {16, 1165, 36, {{1, 17}}, {1165}},
+                               {64, 1310, 128, {{1, 5}}, {1310}}};
     for (const Budget &budget : kBudgets) {
         SCOPED_TRACE(::testing::Message()
                      << "budget " << budget.budgetMib << " MiB");
@@ -508,11 +511,12 @@ streamGensort(std::uint64_t n, std::uint64_t budget_mib, unsigned threads)
 
 TEST(SsdSorter, DefaultBatchIsTheLargestThePoolHolds)
 {
-    // W lanes of the planner's fan-in need laneBuffers(ell) * W
-    // buffers of b records; the default b is the largest that fits
-    // them in the pool, so the pool admits that fan-in on W lanes.
-    // Next to it the report carries the planner's Equation-10 batch:
-    // the F1's 4 KiB of on-chip buffer per leaf, 40 gensort records.
+    // W lanes of the planned fan-in need laneBuffers(ell) * W buffers
+    // of b records; b is the largest that fits them in the pool, up to
+    // one 128 KiB transfer, so the pool admits that fan-in on W lanes.
+    // Next to it the report carries the F1 planner's Equation-10
+    // batch: the F1's 4 KiB of on-chip buffer per leaf, 40 gensort
+    // records.
     constexpr std::uint64_t kRecords = 20'000;
     for (const std::uint64_t budget_mib : {4, 16, 64, 256}) {
         for (const unsigned threads : {1u, 2u, 4u, 8u}) {
@@ -525,13 +529,141 @@ TEST(SsdSorter, DefaultBatchIsTheLargestThePoolHolds)
             const std::uint64_t lane_bytes =
                 sorter::laneBuffers(sort.plan.phase2.config.ell) *
                 threads * sizeof(GensortRecord);
-            EXPECT_LE(lane_bytes * s.batchRecords, poolBytes(budget_mib));
-            EXPECT_LT(poolBytes(budget_mib),
-                      lane_bytes * (s.batchRecords + 1));
+            EXPECT_EQ(s.batchRecords,
+                      std::min(poolBytes(budget_mib) / lane_bytes,
+                               sorter::kTransferBytes /
+                                   sizeof(GensortRecord)));
             EXPECT_EQ(s.effectiveEll, sort.plan.phase2.config.ell);
             EXPECT_EQ(s.concurrentGroups, threads);
             EXPECT_EQ(s.modelBatchRecords, 40u);
         }
+    }
+}
+
+/** Sort @p input with SsdSorter::sortStream into @p out on memory
+ *  endpoints and file spills. */
+sorter::SsdSorter::SsdReport
+streamInto(const sorter::SsdSorter &sorter,
+           const std::vector<GensortRecord> &input,
+           std::vector<GensortRecord> &out, std::uint64_t budget_bytes)
+{
+    io::MemorySource<GensortRecord> source{
+        std::span<const GensortRecord>(input)};
+    out.clear();
+    out.reserve(input.size());
+    io::MemorySink<GensortRecord> sink(out);
+    sorter::SsdSorter::StreamOptions opts;
+    opts.memoryBudgetBytes = budget_bytes;
+    return sorter.sortStream(source, sink, GensortRecord::kBytes, opts);
+}
+
+TEST(SsdSorter, HostPlanPredictsTheSortItRuns)
+{
+    // 200,000 gensort records with tied keys at budgets that give 77,
+    // 39, 20, 5 and 1 run(s): two passes at 1 MiB (its 256 KiB pool
+    // holds no 77-way lane of 4 KiB slots; at 4 threads only 3 9-way
+    // lanes), one pass above.  The planned pass count is the one the
+    // engine runs, the output is the oracle's, and an engine rebuilt
+    // from the report's three plan fields runs the same sort.
+    const std::vector<GensortRecord> input =
+        makeGensortKeys(200'000, GensortKeys::FewDistinct, 28);
+    const std::uint64_t want =
+        bytesDigest<GensortRecord>(oracleSort(input));
+    std::vector<GensortRecord> out;
+    for (const unsigned threads : {1u, 4u}) {
+        for (const std::uint64_t budget_mib : {1u, 2u, 4u, 16u, 64u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "budget " << budget_mib << " MiB, "
+                         << threads << " thread(s)");
+            sorter::SsdSorter sorter;
+            sorter.setThreads(threads);
+            const auto report =
+                streamInto(sorter, input, out, budget_mib << 20);
+            const sorter::StreamStats &s = report.stream;
+            EXPECT_EQ(s.plannedPasses, report.host.passes);
+            EXPECT_EQ(s.mergePasses, s.plannedPasses);
+            EXPECT_EQ(s.mergePasses, budget_mib == 1 ? 2u : 1u);
+            EXPECT_EQ(s.spillBytesWritten,
+                      s.plannedPasses * s.plannedPassBytes);
+            EXPECT_EQ(s.phase1Chunks, report.host.runs);
+            EXPECT_EQ(s.concurrentGroups, report.host.lanes);
+            EXPECT_EQ(s.batchRecords, report.host.batchRecords);
+            EXPECT_EQ(s.bufferPoolBytes, report.host.poolBytes);
+            EXPECT_EQ(bytesDigest<GensortRecord>(out), want);
+
+            // The report names the engine that ran.
+            EXPECT_EQ(report.plan.chunkRecords, report.host.chunkRecords);
+            EXPECT_EQ(report.plan.phase2.config.ell, s.effectiveEll);
+            sorter::StreamEngine<GensortRecord>::Options eng;
+            eng.phase1Ell = report.plan.phase1.config.ell;
+            eng.phase2Ell = report.plan.phase2.config.ell;
+            eng.chunkRecords = report.plan.chunkRecords;
+            eng.batchRecords = s.batchRecords;
+            eng.bufferBudgetBytes = s.bufferPoolBytes;
+            eng.threads = threads;
+            io::MemorySource<GensortRecord> source{
+                std::span<const GensortRecord>(input)};
+            std::vector<GensortRecord> again;
+            again.reserve(input.size());
+            io::MemorySink<GensortRecord> sink(again);
+            io::FileRunStore<GensortRecord> front;
+            io::FileRunStore<GensortRecord> back;
+            const sorter::StreamStats r =
+                sorter::StreamEngine<GensortRecord>(eng).sortStream(
+                    source, sink, front, back);
+            EXPECT_EQ(r.phase1Chunks, s.phase1Chunks);
+            EXPECT_EQ(r.phase1RecordsMoved, s.phase1RecordsMoved);
+            EXPECT_EQ(r.mergePasses, s.mergePasses);
+            EXPECT_EQ(r.effectiveEll, s.effectiveEll);
+            EXPECT_EQ(r.concurrentGroups, s.concurrentGroups);
+            EXPECT_EQ(r.passTransferRecords, s.passTransferRecords);
+            EXPECT_EQ(bytesDigest<GensortRecord>(again), want);
+        }
+    }
+}
+
+TEST(SsdSorter, HostSortNeedsNoF1Plan)
+{
+    // An F1 whose DRAM is 800 KB cannot sort the host's 1 MiB chunks
+    // (the F1 planner finds no phase-1 pipeline), yet the host sort
+    // runs its own plan at phase 1's default fan-in, and the report
+    // still names the engine that ran.
+    model::HardwareParams hw = core::awsF1();
+    hw.cDram = 800'000;
+    const std::vector<GensortRecord> input =
+        makeGensortKeys(100'000, GensortKeys::Uniform, 3);
+    sorter::SsdSorter sorter(hw);
+    std::vector<GensortRecord> out;
+    const auto report = streamInto(sorter, input, out, 4ULL << 20);
+    ASSERT_FALSE(core::planSsdSort({input.size(), GensortRecord::kBytes},
+                                   hw, model::MergerArchParams{},
+                                   core::SsdParams{},
+                                   report.host.chunkRecords *
+                                       GensortRecord::kBytes)
+                     .has_value());
+    EXPECT_EQ(bytesDigest<GensortRecord>(out),
+              bytesDigest<GensortRecord>(oracleSort(input)));
+    EXPECT_EQ(report.plan.chunkRecords, report.host.chunkRecords);
+    EXPECT_EQ(report.plan.phase1.config.ell,
+              sorter::StreamEngine<GensortRecord>::Options{}.phase1Ell);
+    EXPECT_EQ(report.plan.phase2.config.ell, report.stream.effectiveEll);
+    EXPECT_EQ(report.stream.mergePasses, report.stream.plannedPasses);
+    EXPECT_EQ(report.stream.modelBatchRecords, 0u);
+}
+
+TEST(SsdSorter, BudgetTooSmallForAStreamedSortFailsLoudly)
+{
+    // Three 16-record chunks of 100-byte records do not fit 4 KiB.
+    const std::vector<GensortRecord> input =
+        makeGensortKeys(1'000, GensortKeys::Uniform, 4);
+    std::vector<GensortRecord> out;
+    try {
+        streamInto(sorter::SsdSorter(), input, out, 4 << 10);
+        FAIL() << "a 4 KiB budget planned a streamed sort";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("too small"),
+                  std::string::npos)
+            << e.what();
     }
 }
 
