@@ -3,8 +3,9 @@
  * Live CPU microbenchmarks (google-benchmark): the in-process CPU
  * baselines (std::sort, LSD radix, PARADIS-style parallel radix,
  * sample sort) and the Bonsai behavioral engine on this machine, on
- * 16-byte records and on 100-byte gensort records, and one merge
- * tree on its own: the kernel every stage of the engine runs.
+ * 16-byte records and on 100-byte gensort records, and merge stages
+ * of Record and key-entry trees on their own: the kernel every stage
+ * of the engine runs.
  * These ground the CPU side of the comparisons with measured numbers
  * (the paper-scale CPU figures in Table I come from the publications;
  * see bench_table1).
@@ -14,6 +15,7 @@
 
 #include <algorithm>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "baseline/cpu_sorters.hpp"
@@ -128,28 +130,61 @@ BM_BonsaiBehavioral(benchmark::State &state)
     timeBehavioral(state, workload(state.range(0)));
 }
 
-/** One Record MergeTree over ell presorted runs of n / ell records:
- *  the merge kernel alone, without the presort or the stage plan. */
+/**
+ * One merge stage of the n items of @p input: sorted runs of
+ * range(2) items, merged ell = range(1) runs at a time by one
+ * MergeTree each, all trees borrowing one arena — the kernel every
+ * stage of the engine runs, without the presort or the stage plan.
+ * A run of n / ell items makes the stage one tree.
+ */
+template <typename T>
+void
+timeMergeStage(benchmark::State &state, std::vector<T> input)
+{
+    const auto ell = static_cast<std::size_t>(state.range(1));
+    const auto run = static_cast<std::size_t>(state.range(2));
+    std::vector<std::span<const T>> runs;
+    for (std::size_t lo = 0; lo < input.size(); lo += run) {
+        const std::size_t hi = std::min(input.size(), lo + run);
+        std::sort(input.begin() + lo, input.begin() + hi);
+        runs.emplace_back(input.data() + lo, hi - lo);
+    }
+    std::vector<T> out(input.size());
+    RecordBuffer<T> arena;
+    for (auto _ : state) {
+        T *dst = out.data();
+        for (std::size_t g = 0; g < runs.size(); g += ell) {
+            const std::size_t members = std::min(ell, runs.size() - g);
+            sorter::MergeTree<T> tree(
+                std::span<const std::span<const T>>(runs).subspan(
+                    g, members),
+                {}, {}, &arena);
+            dst = tree.merge(dst);
+        }
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    reportRate(state, input.size(), sizeof(T));
+}
+
+/** {n, ell, run}: a stage of Record trees. */
 void
 BM_MergeTreeRecord(benchmark::State &state)
 {
-    auto input = workload(state.range(0));
-    const auto ell = static_cast<std::size_t>(state.range(1));
-    std::vector<std::span<const Record>> runs;
-    for (std::size_t i = 0; i < ell; ++i) {
-        const auto lo = input.begin() + input.size() * i / ell;
-        const auto hi = input.begin() + input.size() * (i + 1) / ell;
-        std::sort(lo, hi);
-        runs.emplace_back(&*lo, static_cast<std::size_t>(hi - lo));
-    }
-    std::vector<Record> out(input.size());
-    RecordBuffer<Record> arena;
-    for (auto _ : state) {
-        sorter::MergeTree<Record> tree(runs, {}, {}, &arena);
-        tree.merge(out.data());
-        benchmark::DoNotOptimize(out.data());
-    }
-    reportRate(state, input.size());
+    timeMergeStage(state, workload(state.range(0)));
+}
+
+/** {n, ell, run}: a stage of trees of the key entries of n gensort
+ *  records, as the phase-1 sort of a gensort chunk merges them. */
+void
+BM_MergeTreeEntry(benchmark::State &state)
+{
+    const auto records = gensortWorkload(state.range(0));
+    std::vector<KeyEntry> entries;
+    entries.reserve(records.size());
+    for (std::size_t i = 0; i < records.size(); ++i)
+        entries.push_back(keyEntry(records[i], i));
+    timeMergeStage(state, std::move(entries));
 }
 
 void
@@ -184,10 +219,19 @@ BENCHMARK(BM_BonsaiBehavioral)
     ->Args({1 << 22, 256, 1})
     ->Args({1 << 22, 256, 4})
     ->Args({1 << 22, 256, 8});
+// {n, ell, run}: one tree over long runs at ell 2, 16 and 256, then
+// the first stage of inmem-16b (4M records, 256-way over the 16-record
+// presort runs).
 BENCHMARK(BM_MergeTreeRecord)
-    ->Args({1 << 20, 2})
-    ->Args({1 << 20, 16})
-    ->Args({1 << 20, 256});
+    ->Args({1 << 20, 2, 1 << 19})
+    ->Args({1 << 20, 16, 1 << 16})
+    ->Args({1 << 20, 256, 1 << 12})
+    ->Args({1 << 22, 256, 16});
+// The first stage of the phase-1 chunks of extsort-1pass (167,760
+// records, fan-in 32) and extsort-multipass (10,480, 16).
+BENCHMARK(BM_MergeTreeEntry)
+    ->Args({167760, 32, 16})
+    ->Args({10480, 16, 16});
 BENCHMARK(BM_StdSortGensort)->Arg(1 << 20);
 // {chunk, fan-in, threads}: the phase-1 chunks of extsort-1pass
 // (167,760 records, fan-in 32) and extsort-multipass (10,480, 16),

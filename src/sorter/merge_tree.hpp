@@ -37,9 +37,22 @@
  * (word 0, secondary), the secondary being the 4-bit rank (the item's
  * side and position: left 0-7, right 8-15) with an entry's 16-bit
  * key tail packed above it.  Ranks are unique, so every tie resolves
- * by side, then position, as the one-item step resolves it.  The
- * one-item step runs the last n mod 8 steps, other item types and
- * other CPUs.
+ * by side, then position, as the one-item step resolves it.
+ *
+ * Feeding: a node tops up a child that holds fewer items than a step
+ * takes (8, or 1 for the one-item step): an internal child moves its
+ * tail to the front of its block and refills the rest, and a streamed
+ * leaf takes its next batch once it is empty, since the batch
+ * overwrites the last.  So the 8-item step runs while both children
+ * hold 8 and the output has room for 8, to the end of every block.
+ * A block may stop with up to 7 slots free, and counts as drained
+ * only once both its children are.  A drained child short of 8 items
+ * takes the padded 8-item step (its missing items read as pads of the
+ * largest key) while the two children hold 8 between them.  The
+ * one-item step runs where a streamed leaf is short of 8 between
+ * batches, where two drained children hold fewer than 8, before a
+ * padded step would take a pad, at the root's last 0-7 items of a
+ * fill, for other item types and on other CPUs.
  *
  * Entries: BehavioralSorter sorts a gensort range as KeyEntry items
  * (common/record.hpp) — the paper's 10-byte key and 6-byte index, not
@@ -54,7 +67,10 @@
  * unpredictable branches per record.  The one-item step is bound by
  * its latency (load the heads, compare, move a pointer); the 8-item
  * step pays that chain (load, co-rank, popcount) once per 8 items and
- * keeps its merge network off it.  A node block is 2 KiB, but never
+ * keeps its merge network off it.  Fed to the end of every block, a
+ * tree level of 16-byte items costs about what a bare 2-way merge of
+ * long runs does, 1.5-2 ns per item on a 4-core AVX-512F VM, and a
+ * top-up moves at most 7 items.  A node block is 2 KiB, but never
  * fewer than 32 items (128 16-byte Records or entries, 85 Record128,
  * 32 gensort records), and the blocks take (ways - 2) of them, ways
  * being the fan-in rounded up to a power of two: 252 KiB at ell = 128.
@@ -180,19 +196,35 @@ concept RegisterMerged =
     std::is_same_v<T, Record> || std::is_same_v<T, KeyEntry>;
 
 /**
- * n / 8 steps of the 8-item merge step, from the heads at @p lp and
- * @p rp to @p out; each writes the next 8 items the one-item step
- * would, byte for byte.  Requires n <= min(left, right), so the 8
- * items a step reads from each side are in bounds.  Advances @p lp
- * and @p rp past what they gave; returns the end of the output.  Call
+ * The 8-item merge step from the heads at @p lp and @p rp (ending at
+ * @p lend and @p rend) to @p out, for as long as both sides hold 8
+ * items and [out, last) has room for 8; each step writes the next 8
+ * items the one-item step would, byte for byte.  Advances @p lp and
+ * @p rp past what they gave; returns the end of the output.  Call
  * only when haveAvx512f().
+ *
+ * With @p kPadded, a side that nothing follows may hold fewer than 8
+ * items: its minimum (@p lmin or @p rmin) is then 1, and the run goes
+ * on while each side holds its minimum and the two hold 8 between
+ * them.  Masked loads read a short side's missing items as pads of
+ * the largest key.  A right pad loses every tie, so it is never
+ * taken; a left pad would be taken only before a right item of the
+ * largest key, and the run stops there instead.  The masks sit on the
+ * step's latency chain (a side's count sets its mask, the mask gates
+ * its loads), so sides that hold 8 take the unpadded step: a
+ * padded-only kernel ran inmem-16b at 1.68x std::sort, as fast as no
+ * padded form at all, against 1.81x for the two (4-core AVX-512F VM).
  */
-template <RegisterMerged T>
+template <RegisterMerged T, bool kPadded = false>
 __attribute__((target("avx512f"))) inline T *
-mergeSteps8Avx512(const T *&lp, const T *&rp, T *out, std::size_t n)
+mergeSteps8Avx512(const T *&lp, const T *lend, const T *&rp,
+                  const T *rend, T *out, T *last, std::ptrdiff_t lmin = 8,
+                  std::ptrdiff_t rmin = 8)
 {
     static_assert(sizeof(T) == 16 && std::is_standard_layout_v<T>,
                   "an item is an order word then a second word");
+    BONSAI_REQUIRE(kPadded || (lmin >= 8 && rmin >= 8),
+                   "only the padded step reads a side short of 8 items");
     // Word indices into two registers of 4 items each.
     const __m512i firsts = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
     const __m512i firsts_reversed =
@@ -210,11 +242,38 @@ mergeSteps8Avx512(const T *&lp, const T *&rp, T *out, std::size_t n)
 
     const T *l = lp;
     const T *r = rp;
-    for (T *const stop = out + n / 8 * 8; out != stop; out += 8) {
-        const __m512i l0 = _mm512_loadu_si512(l);
-        const __m512i l1 = _mm512_loadu_si512(l + 4);
-        const __m512i r0 = _mm512_loadu_si512(r);
-        const __m512i r1 = _mm512_loadu_si512(r + 4);
+    for (;;) {
+        const std::ptrdiff_t lc = lend - l;
+        const std::ptrdiff_t rc = rend - r;
+        if (lc < lmin || rc < rmin || last - out < 8)
+            break;
+        __m512i l0, l1, r0, r1;
+        if constexpr (kPadded) {
+            if (lc + rc < 8)
+                break;
+            // One mask bit per word, two words an item; the masked-off
+            // words read as the pad and are never loaded.  The second
+            // half's address may lie past the side's end, so it is
+            // formed as an integer.
+            const __m512i pad = _mm512_set1_epi64(-1);
+            const unsigned lm = lc >= 8 ? 0xFFFF : (1u << (2 * lc)) - 1;
+            const unsigned rm = rc >= 8 ? 0xFFFF : (1u << (2 * rc)) - 1;
+            const auto fifth = [](const T *p) {
+                return reinterpret_cast<const void *>(
+                    reinterpret_cast<std::uintptr_t>(p) + 4 * sizeof(T));
+            };
+            l0 = _mm512_mask_loadu_epi64(pad, static_cast<__mmask8>(lm), l);
+            l1 = _mm512_mask_loadu_epi64(pad, static_cast<__mmask8>(lm >> 8),
+                                         fifth(l));
+            r0 = _mm512_mask_loadu_epi64(pad, static_cast<__mmask8>(rm), r);
+            r1 = _mm512_mask_loadu_epi64(pad, static_cast<__mmask8>(rm >> 8),
+                                         fifth(r));
+        } else {
+            l0 = _mm512_loadu_si512(l);
+            l1 = _mm512_loadu_si512(l + 4);
+            r0 = _mm512_loadu_si512(r);
+            r1 = _mm512_loadu_si512(r + 4);
+        }
         const __m512i lk = _mm512_permutex2var_epi64(l0, firsts, l1);
         const __m512i lw = _mm512_permutex2var_epi64(l0, seconds, l1);
         const __m512i rw = _mm512_permutex2var_epi64(r0, seconds, r1);
@@ -238,6 +297,11 @@ mergeSteps8Avx512(const T *&lp, const T *&rp, T *out, std::size_t n)
                                              ls, rs);
         }
         const auto a = static_cast<unsigned>(__builtin_popcount(from_left));
+        if constexpr (kPadded) {
+            const auto taken = static_cast<std::ptrdiff_t>(a);
+            if (taken > lc || 8 - taken > rc)
+                break; // a pad would be taken
+        }
         // Left items 0 .. a-1 ascending, then right items 7-a .. 0
         // descending: a bitonic sequence.
         __m512i k = _mm512_mask_blend_epi64(from_left, rk, lk);
@@ -253,6 +317,7 @@ mergeSteps8Avx512(const T *&lp, const T *&rp, T *out, std::size_t n)
         _mm512_storeu_si512(out + 4, _mm512_permutex2var_epi64(k, high, w));
         l += a;
         r += 8 - a;
+        out += 8;
     }
     lp = l;
     rp = r;
@@ -366,16 +431,17 @@ class MergeTree
     }
 
     /** As above, from node @p k's children @p left and @p right.  A
-     *  child is refilled whenever its stream runs dry, so afterwards
-     *  it is either non-empty or drained. */
+     *  child is topped up whenever it holds fewer than step_ items,
+     *  so the 8-item step runs to the end of every block.  An
+     *  internal node's block may stop with fewer than step_ slots
+     *  free; the root fills to @p last. */
     T *
     fill(std::size_t k, Stream &left, Stream &right, T *out, T *const last)
     {
-        while (out != last) {
-            if (left.pos == left.end && !left.drained)
-                refill(2 * k);
-            if (right.pos == right.end && !right.drained)
-                refill(2 * k + 1);
+        const std::size_t least = k == 1 ? 1 : step_;
+        while (static_cast<std::size_t>(last - out) >= least) {
+            topUp(2 * k, left);
+            topUp(2 * k + 1, right);
             const auto room = static_cast<std::size_t>(last - out);
             if (left.pos == left.end || right.pos == right.end) {
                 Stream &rest = left.pos == left.end ? right : left;
@@ -386,8 +452,7 @@ class MergeTree
                 rest.pos += n;
                 continue;
             }
-            out = mergeRun(left, right, out,
-                           std::min({room, left.size(), right.size()}));
+            out = mergeRun(left, right, out, last);
         }
         return out;
     }
@@ -399,6 +464,10 @@ class MergeTree
     void
     shape(std::size_t inputs, RecordBuffer<T> *arena)
     {
+#if BONSAI_AVX512
+        if constexpr (RegisterMerged<T>)
+            step_ = haveAvx512f() ? 8 : 1;
+#endif
         while (ways_ < inputs)
             ways_ *= 2;
         leaves_.resize(ways_);
@@ -411,42 +480,81 @@ class MergeTree
         }
     }
 
-    /** Refill node @p k's (empty) stream: a streamed leaf from its
-     *  member's next batch, an internal node's block from its
-     *  children. */
+    /**
+     * Top up node @p k's stream @p s when it holds fewer than step_
+     * items and more may follow.  A streamed leaf takes its member's
+     * next batch only once it is empty, since the batch overwrites
+     * the last.  An internal node moves its tail to the front of its
+     * block and fills the rest from its children; it is drained once
+     * both children are.
+     */
     void
-    refill(std::size_t k)
+    topUp(std::size_t k, Stream &s)
     {
+        if (s.drained || s.size() >= step_)
+            return;
         if (k >= ways_) {
+            if (s.pos != s.end)
+                return;
             const std::span<const T> batch = refill_(k - ways_);
-            leaves_[k - ways_] = {batch.data(),
-                                  batch.data() + batch.size(),
-                                  batch.empty()};
+            s = {batch.data(), batch.data() + batch.size(), batch.empty()};
             return;
         }
-        // A block stops short only when both children are drained.
         T *const block = blocks_ + (k - 2) * kBlockRecords;
-        T *const end = fill(k, block, block + kBlockRecords);
-        inner_[k] = {block, end, end != block + kBlockRecords};
+        const std::size_t kept = s.size();
+        if (s.pos != block)
+            std::copy(s.pos, s.end, block);
+        T *const end = fill(k, block + kept, block + kBlockRecords);
+        s = {block, end, exhausted(2 * k) && exhausted(2 * k + 1)};
+        BONSAI_ENSURE(s.size() >= step_ || s.drained,
+                      "a topped-up block holds a step or ends its node");
     }
 
-    /** @p n merge steps from @p left and @p right: 8 items a step
-     *  while 8 remain, when a register holds the items' order and the
-     *  CPU has AVX-512F, then one a step. */
-    static T *
-    mergeRun(Stream &left, Stream &right, T *out, std::size_t n)
+    /** Node @p k (a leaf or an internal node) has nothing left. */
+    bool
+    exhausted(std::size_t k) const
+    {
+        const Stream &s = k >= ways_ ? leaves_[k - ways_] : inner_[k];
+        return s.drained && s.pos == s.end;
+    }
+
+    /** Merge steps from @p left and @p right into [out, last): when
+     *  step_ is 8 and the output has room for 8, the 8-item step
+     *  while both sides hold 8 items, or its padded form when every
+     *  side short of 8 is drained; else one-item steps until a side
+     *  or the output runs out. */
+    T *
+    mergeRun(Stream &left, Stream &right, T *out, T *const last) const
     {
 #if BONSAI_AVX512
         if constexpr (RegisterMerged<T>) {
-            if (n >= 8 && haveAvx512f()) {
-                out = mergeSteps8Avx512(left.pos, right.pos, out, n);
-                n %= 8;
+            const bool lfull = left.size() >= 8;
+            const bool rfull = right.size() >= 8;
+            if (step_ == 8 && last - out >= 8) {
+                if (lfull && rfull)
+                    return mergeSteps8Avx512(left.pos, left.end, right.pos,
+                                             right.end, out, last);
+                // Only a short side that nothing follows is padded.
+                if ((lfull || left.drained) && (rfull || right.drained)) {
+                    T *const start = out;
+                    out = mergeSteps8Avx512<T, true>(
+                        left.pos, left.end, right.pos, right.end, out,
+                        last, left.drained ? 1 : 8, right.drained ? 1 : 8);
+                    if (out != start)
+                        return out;
+                }
             }
         }
 #endif
-        return mergeSteps(left.pos, right.pos, out, n);
+        return mergeSteps(
+            left.pos, right.pos, out,
+            std::min({static_cast<std::size_t>(last - out), left.size(),
+                      right.size()}));
     }
 
+    /** Items a merge step emits: 8 for register-merged items on an
+     *  AVX-512F CPU, else 1. */
+    std::size_t step_ = 1;
     std::size_t ways_ = 2;
     std::vector<Stream> leaves_; ///< leaf i is input i
     /** Heap-indexed internal nodes 2 .. ways_-1; the root (node 1)

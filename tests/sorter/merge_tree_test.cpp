@@ -11,7 +11,10 @@
  * what trees that own them write, and trees whose leaves stream
  * batches from RunCursors over a memory or file store must write what
  * the in-memory merge writes, at every batch size and every transfer
- * of k batches.
+ * of k batches.  Record and key-entry trees, in memory and streamed,
+ * must match the reference at every tail length a node block is
+ * topped up at, and when a block stops with 1-7 slots free while its
+ * children still hold items.
  */
 
 #include <gtest/gtest.h>
@@ -495,6 +498,180 @@ TEST(MergeTreeEntries, EntryTreesMatchRecordTrees)
                            runs),
                     treeMerge(runs, bounds[t], bounds[t + 1]));
             }
+        }
+    }
+}
+
+/** Record @p r of input @p input at position @p pos as a T whose tie
+ *  order shows: a Record's value, an entry's index, names input and
+ *  position.  An entry carries the key's top 48 bits in its key word
+ *  and the low 16 in its key tail, so small keys (FewDistinct) tie in
+ *  the key word and the tail decides. */
+template <typename T>
+T tagged(const Record &r, std::uint64_t input, std::uint64_t pos);
+
+template <>
+Record
+tagged<Record>(const Record &r, std::uint64_t input, std::uint64_t pos)
+{
+    return Record{r.key, input << 32 | pos};
+}
+
+template <>
+KeyEntry
+tagged<KeyEntry>(const Record &r, std::uint64_t input, std::uint64_t pos)
+{
+    return KeyEntry{r.key >> 16,
+                    (r.key & 0xFFFF) << KeyEntry::kIndexBits |
+                        input << 24 | pos};
+}
+
+/** @p ways sorted, tagged members, member i holding length(i) items
+ *  with keys from @p dist. */
+template <typename T, typename Length>
+Runs<T>
+taggedRuns(std::size_t ways, Distribution dist, std::uint64_t seed,
+           Length &&length)
+{
+    Runs<T> runs;
+    for (std::size_t i = 0; i < ways; ++i) {
+        auto keys = makeRecords(length(i), dist, seed + i);
+        std::sort(keys.begin(), keys.end());
+        runs.emplace_back();
+        for (std::size_t p = 0; p < keys.size(); ++p)
+            runs.back().push_back(tagged<T>(keys[p], i, p));
+    }
+    return runs;
+}
+
+/**
+ * Merge @p runs through a streamed tree whose refill copies member i's
+ * next @p batch items into member i's one buffer, overwriting the last
+ * batch as a RunCursor does, and whose output is taken @p chunk items
+ * at a time.  Every fill but the last must fill its chunk.
+ */
+template <typename T>
+std::vector<T>
+batchedMerge(const Runs<T> &runs, std::size_t batch, std::size_t chunk)
+{
+    std::vector<std::vector<T>> buffers(runs.size(),
+                                        std::vector<T>(batch));
+    std::vector<std::size_t> next(runs.size(), 0);
+    std::vector<bool> drained(runs.size(), false);
+    sorter::MergeTree<T> tree(
+        runs.size(), [&](std::size_t i) -> std::span<const T> {
+            EXPECT_FALSE(drained[i]) << "member " << i << " refilled "
+                                     << "after it was drained";
+            const std::size_t n =
+                std::min(batch, runs[i].size() - next[i]);
+            std::copy_n(runs[i].begin() + next[i], n, buffers[i].begin());
+            next[i] += n;
+            drained[i] = n == 0;
+            return {buffers[i].data(), n};
+        });
+    std::vector<T> out;
+    std::vector<T> buf(chunk);
+    for (;;) {
+        T *const last = tree.fill(buf.data(), buf.data() + chunk);
+        out.insert(out.end(), buf.data(), last);
+        if (last != buf.data() + chunk)
+            break;
+    }
+    return out;
+}
+
+constexpr Distribution kTopUpKeys[] = {Distribution::UniformRandom,
+                                       Distribution::FewDistinct,
+                                       Distribution::AllEqual};
+constexpr std::size_t kTopUpFanIns[] = {2,  3,  4,  5,  7,  8,
+                                        9,  16, 17, 31, 32, 33};
+
+template <typename T>
+class MergeTreeTopUp : public ::testing::Test
+{
+};
+
+using TopUpTypes = ::testing::Types<Record, KeyEntry>;
+TYPED_TEST_SUITE(MergeTreeTopUp, TopUpTypes);
+
+TYPED_TEST(MergeTreeTopUp, InMemoryTreesMatchTheTournamentAtEveryTail)
+{
+    // Members of 0 to 40 items at fan-ins 2 to 33: node blocks are
+    // consumed down to every tail length 0-7 before they are topped
+    // up, and members end short of 8 items on both sides.
+    for (const Distribution dist : kTopUpKeys) {
+        for (const std::size_t ways : kTopUpFanIns) {
+            for (std::size_t offset = 0; offset <= 40; ++offset) {
+                const auto runs = taggedRuns<TypeParam>(
+                    ways, dist, 31 * offset + ways, [&](std::size_t i) {
+                        return (offset + 11 * i) % 41;
+                    });
+                SCOPED_TRACE(::testing::Message()
+                             << "dist=" << static_cast<int>(dist)
+                             << " ways=" << ways << " offset=" << offset);
+                expectSameBytes(treeMerge(runs), tournamentMerge(runs));
+                if (::testing::Test::HasFailure())
+                    return;
+            }
+        }
+    }
+}
+
+TYPED_TEST(MergeTreeTopUp, StreamedTreesMatchTheTournamentAtEveryBatch)
+{
+    // Batches of 1 to 17 items leave streamed leaves short of 8 items
+    // between refills; output chunks of batch + 5 items end the root's
+    // fills at every length mod 8.
+    for (const Distribution dist : kTopUpKeys) {
+        for (const std::size_t ways : kTopUpFanIns) {
+            for (std::size_t offset = 0; offset <= 40; offset += 8) {
+                const auto runs = taggedRuns<TypeParam>(
+                    ways, dist, 37 * offset + ways, [&](std::size_t i) {
+                        return (offset + 13 * i) % 41;
+                    });
+                const auto want = tournamentMerge(runs);
+                for (std::size_t batch = 1; batch <= 17; ++batch) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << "dist=" << static_cast<int>(dist)
+                                 << " ways=" << ways << " offset="
+                                 << offset << " batch=" << batch);
+                    expectSameBytes(batchedMerge(runs, batch, batch + 5),
+                                    want);
+                    if (::testing::Test::HasFailure())
+                        return;
+                }
+            }
+        }
+    }
+}
+
+TYPED_TEST(MergeTreeTopUp, BlockStoppingShortOfFullIsNotDrained)
+{
+    // Fan-in 4: a short member (1-7 items, keys placed anywhere among
+    // its sibling's) beside a long one fills the node's block by
+    // steps that do not end on a multiple of 8 slots, so the block
+    // can stop with 1-7 slots free while both children still hold
+    // items.  The node is not drained then, and the tree must emit
+    // every item.
+    for (std::size_t shorter = 1; shorter <= 7; ++shorter) {
+        for (const std::uint64_t at : {0u, 40u, 127u, 130u, 301u, 1000u}) {
+            Runs<TypeParam> runs(4);
+            for (std::size_t i = 0; i < 4; ++i) {
+                const bool is_short = i % 2 == 0;
+                const std::size_t n = is_short ? shorter : 400 + 3 * i;
+                for (std::size_t p = 0; p < n; ++p) {
+                    const std::uint64_t key =
+                        is_short ? 2 * at + 1 : 2 * p + 2;
+                    runs[i].push_back(
+                        tagged<TypeParam>(Record{key, 0}, i, p));
+                }
+            }
+            SCOPED_TRACE(::testing::Message()
+                         << "short=" << shorter << " at=" << at);
+            const auto want = tournamentMerge(runs);
+            expectSameBytes(treeMerge(runs), want);
+            for (const std::size_t batch : {3u, 8u, 17u})
+                expectSameBytes(batchedMerge(runs, batch, 64), want);
         }
     }
 }
