@@ -43,6 +43,39 @@ gensortWorkload(std::size_t n)
     return GensortGenerator(1234).generate(0, n);
 }
 
+/** Key sets of tiedGensortWorkload. */
+enum GensortKeys : std::int64_t
+{
+    kUniformKeys,     ///< gensortWorkload's keys
+    kPrefixTieKeys,   ///< bytes 0-7 equal, bytes 8-9 of 4096 values
+    kFewDistinctKeys, ///< 16 keys, four to each 8-byte prefix
+};
+
+/** gensortWorkload(@p n) with the keys of @p keys: on PrefixTie and
+ *  FewDistinct keys every 16-record presort run ties on its entries'
+ *  key words. */
+std::vector<GensortRecord>
+tiedGensortWorkload(std::size_t n, std::int64_t keys)
+{
+    std::vector<GensortRecord> recs = gensortWorkload(n);
+    SplitMix64 rng(99);
+    for (GensortRecord &r : recs) {
+        std::uint8_t *const b = r.bytes.data();
+        if (keys == kPrefixTieKeys) {
+            std::fill_n(b, 8, std::uint8_t{0xA5});
+            const std::uint64_t tail = rng.nextBounded(4096);
+            b[8] = static_cast<std::uint8_t>(tail >> 8);
+            b[9] = static_cast<std::uint8_t>(tail);
+        } else if (keys == kFewDistinctKeys) {
+            const std::uint64_t k = rng.nextBounded(16);
+            std::fill_n(b, GensortRecord::kKeyBytes, std::uint8_t{0});
+            b[0] = static_cast<std::uint8_t>(1 + k / 4);
+            b[9] = static_cast<std::uint8_t>(k % 4);
+        }
+    }
+    return recs;
+}
+
 void
 reportRate(benchmark::State &state, std::size_t n,
            std::size_t record_bytes = sizeof(Record))
@@ -199,10 +232,12 @@ BM_StdSortGensort(benchmark::State &state)
     reportRate(state, input.size(), sizeof(GensortRecord));
 }
 
+/** {n, ell, threads, keys}: keys as tiedGensortWorkload takes them. */
 void
 BM_BonsaiBehavioralGensort(benchmark::State &state)
 {
-    timeBehavioral(state, gensortWorkload(state.range(0)));
+    timeBehavioral(state, tiedGensortWorkload(state.range(0),
+                                              state.range(3)));
 }
 
 BENCHMARK(BM_StdSort)->Arg(1 << 16)->Arg(1 << 20)->Arg(1 << 22);
@@ -228,20 +263,23 @@ BENCHMARK(BM_MergeTreeRecord)
     ->Args({1 << 20, 256, 1 << 12})
     ->Args({1 << 22, 256, 16});
 // The first stage of the phase-1 chunks of extsort-1pass (167,760
-// records, fan-in 32) and extsort-multipass (10,480, 16).
+// records, fan-in 32) and extsort-multipass (10,485, 16).
 BENCHMARK(BM_MergeTreeEntry)
     ->Args({167760, 32, 16})
-    ->Args({10480, 16, 16});
+    ->Args({10485, 16, 16});
 BENCHMARK(BM_StdSortGensort)->Arg(1 << 20);
-// {chunk, fan-in, threads}: the phase-1 chunks of extsort-1pass
-// (167,760 records, fan-in 32) and extsort-multipass (10,480, 16),
-// then 1M records on 1 and 4 threads.
+// {chunk, fan-in, threads, keys}: the phase-1 chunks of extsort-1pass
+// (167,760 records, fan-in 32) on uniform, PrefixTie and FewDistinct
+// keys and of extsort-multipass (10,485, 16), then 1M records on 1 and
+// 4 threads.
 BENCHMARK(BM_BonsaiBehavioralGensort)
-    ->Args({167760, 32, 1})
-    ->Args({10480, 16, 1})
-    ->Args({1 << 20, 32, 1})
-    ->Args({1 << 20, 32, 4})
-    ->Args({1 << 20, 64, 1});
+    ->Args({167760, 32, 1, kUniformKeys})
+    ->Args({167760, 32, 1, kPrefixTieKeys})
+    ->Args({167760, 32, 1, kFewDistinctKeys})
+    ->Args({10485, 16, 1, kUniformKeys})
+    ->Args({1 << 20, 32, 1, kUniformKeys})
+    ->Args({1 << 20, 32, 4, kUniformKeys})
+    ->Args({1 << 20, 64, 1, kUniformKeys});
 
 } // namespace
 

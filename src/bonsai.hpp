@@ -49,7 +49,6 @@
 #include "sorter/sim_sorter.hpp"
 #include "sorter/sorters.hpp"
 #include "sorter/stage_sim.hpp"
-#include "sorter/throughput_sorter.hpp"
 
 #include "baseline/cpu_sorters.hpp"
 #include "baseline/published.hpp"

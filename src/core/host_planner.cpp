@@ -49,8 +49,7 @@ planHostSort(const HostSortInputs &in)
 
     HostPlan plan;
     plan.chunkRecords = sorter::chunkLength(
-        std::max<std::uint64_t>(in.budgetBytes / kChunkShare / s, 1),
-        in.presortRun, n);
+        std::max<std::uint64_t>(in.budgetBytes / kChunkShare / s, 1), n);
     plan.runs = (n + plan.chunkRecords - 1) / plan.chunkRecords;
     plan.passBytes = n * s;
     plan.phase1Bytes = 3 * plan.chunkRecords * s;

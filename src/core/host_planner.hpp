@@ -35,8 +35,8 @@
  *
  * The chunk and the pool are fixed shares of the budget, not
  * enumerated.  The plan uses the engine's own rules
- * (sorter/merge_plan.hpp) for the chunk rounding, the lane shape and
- * the arenas, so the shape it names is the one the engine runs.
+ * (sorter/merge_plan.hpp) for the chunk, the lane shape and the
+ * arenas, so the shape it names is the one the engine runs.
  */
 
 #ifndef BONSAI_CORE_HOST_PLANNER_HPP
@@ -70,14 +70,13 @@ struct HostSortInputs
     std::uint64_t records = 0;     ///< records in the input
     std::uint64_t recordBytes = 0; ///< bytes per record on the host
     std::uint64_t budgetBytes = 0; ///< resident-memory budget
-    std::uint64_t presortRun = 16; ///< records per presort block
     unsigned threads = 1;          ///< compute threads (lane cap)
 };
 
 /** The host's streamed-sort shape and what it books. */
 struct HostPlan
 {
-    std::uint64_t chunkRecords = 0; ///< phase-1 chunk, whole presort runs
+    std::uint64_t chunkRecords = 0; ///< phase-1 chunk, in records
     std::uint64_t runs = 0;         ///< runs phase 1 leaves, R
     unsigned ell = 0;               ///< phase-2 fan-in
     unsigned lanes = 0;             ///< concurrent merge lanes
@@ -93,8 +92,8 @@ struct HostPlan
 
 /**
  * Plan the streamed sort of @p in.  std::nullopt when no shape fits
- * the budget: phase 1's three chunks of one presort run each, or a
- * 2-way lane of one-record slots in the pool, do not fit.
+ * the budget: phase 1's three chunks of one record each, or a 2-way
+ * lane of one-record slots in the pool, do not fit.
  */
 std::optional<HostPlan> planHostSort(const HostSortInputs &in);
 

@@ -15,12 +15,9 @@
  * can validate them with the 0-1 principle, and the resource estimator
  * can count CAS units from the same stage structure.
  *
- * bitonicSortNetwork is also the software presorter's reference and
- * fallback: sorter/presort.hpp runs the same 16-record sequence in
- * AVX-512 registers where it can, and this function everywhere else.
- * The network is not stable, so the swap rule below (swap only on
- * strict less, in either direction) fixes the order of equal keys;
- * both must keep it.
+ * bitonicSortNetwork is the cycle simulator's presorter.  The network
+ * is not stable; the swap rule below (swap only on strict less, in
+ * either direction) fixes the order it leaves equal keys in.
  */
 
 #ifndef BONSAI_HW_BITONIC_HPP

@@ -136,11 +136,12 @@ struct ManifestLoadResult {
     JobManifest manifest; ///< valid only when status == Ok
 };
 
-/** Version 2 jobs merge contiguous run groups.  A version-1 job
- *  merged strided groups, so its journaled passes would resume into
- *  another order of equal keys: it fails the version check and the
+/** Version 3 jobs presort stably, so their runs hold equal keys in
+ *  input order.  Older jobs hold another order of equal keys (version
+ *  2 runs went through the unstable presort network, version 1 passes
+ *  merged strided groups), so they fail the version check and the
  *  sort starts fresh. */
-inline constexpr std::uint32_t kManifestVersion = 2;
+inline constexpr std::uint32_t kManifestVersion = 3;
 inline constexpr char kManifestMagic[8] = {'B', 'O', 'N', 'S',
                                            'A', 'I', 'J', 'M'};
 

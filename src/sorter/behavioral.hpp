@@ -1,11 +1,10 @@
 /**
  * @file
  * Behavioral sorter: the AMT's multistage merge in software — presort
- * into 16-record runs with the bitonic network, then
- * ceil(log_ell(N/16)) stages of ell-way merges over contiguous run
- * groups (sorter/run_groups.hpp).  The merges keep equal keys in the
- * order the presort left them, so the output is each aligned
- * 16-record block through the network, then the whole stable-sorted.
+ * into 16-record runs, then ceil(log_ell(N/16)) stages of ell-way
+ * merges over contiguous run groups (sorter/run_groups.hpp).  The
+ * presort is stable, and the merges keep equal keys in the order the
+ * presort left them, so the output is std::stable_sort of the input.
  * The cycle simulator merges the paper's strided leaf groups instead:
  * the two agree on keys, not on the order of equal keys.  Used for
  * GB-scale validation, the large experiment sweeps, and live CPU
@@ -14,12 +13,12 @@
  * Threading model (docs/ARCHITECTURE.md "Software threading model"):
  * one persistent work-stealing ThreadPool lives for the whole sort.
  * The presort runs as pool tasks over blocks of runs (sorter/presort.hpp:
- * the network in AVX-512 registers for 16-byte records, else
- * hw::bitonicSortNetwork).  Every merge stage is flattened into a
- * list of (group, slice) merge tasks: small groups are one task each,
- * large groups are cut into disjoint Merge Path slices, so both the
- * many-small-group early stages and the single-group final stage
- * saturate all cores.  The tasks run on min(width, tasks) lanes that
+ * the bitonic network in AVX-512 registers for 16-byte items whose
+ * keys do not tie, else std::stable_sort).  Every merge stage is
+ * flattened into a list of (group, slice) merge tasks: small groups
+ * are one task each, large groups are cut into disjoint Merge Path
+ * slices, so both the many-small-group early stages and the
+ * single-group final stage saturate all cores.  The tasks run on min(width, tasks) lanes that
  * take them from a shared counter; each task merges with its own
  * MergeTree (stable branch-free 2-way mergers) whose node blocks live
  * in its lane's arena.  Output is byte-identical for every thread
@@ -89,7 +88,7 @@ class BehavioralSorter
 
     /**
      * @param ell Merge fan-in per stage.
-     * @param presort_run Bitonic presorter run length (1 disables).
+     * @param presort_run Presort run length (1 disables).
      * @param threads Worker threads shared by the group-level and
      *        intra-group (Merge Path) merge tasks; 1 = serial.
      */

@@ -40,11 +40,10 @@
  * vector and one scratch buffer.  The streamed sort always merges
  * through the Phase2Merger, whether it spills to memory or file
  * stores.  Both merge contiguous run groups (sorter/run_groups.hpp)
- * through MergeTree, whose merges are stable, and chunks are whole
- * presort runs, so every sort emits one record sequence: each aligned
- * presortRun block of the input through the presort network, then
- * the whole stable-sorted.  The budget, chunk size, fan-in, batch,
- * thread count, store and resume change the work, never the bytes.
+ * through MergeTree, whose merges are stable, after a stable presort
+ * (sorter/presort.hpp), so every sort emits std::stable_sort of its
+ * input.  The budget, chunk size, fan-in, batch, thread count, store
+ * and resume change the work, never the bytes.
  *
  * The streamed sort has one entry point, sortStream(const
  * SortRequest&), and a request varies it along two axes:
@@ -122,8 +121,7 @@ class StreamEngine
         unsigned phase1Ell = 16;  ///< chunk-sort merge fan-in
         unsigned phase2Ell = 16;  ///< run-merge fan-in (pre-budget)
         std::uint64_t presortRun = 16;
-        /** Records per phase-1 chunk, 0 = one chunk; rounded down
-         *  to whole presort runs, and up to one run when shorter. */
+        /** Records per phase-1 chunk, 0 = one chunk. */
         std::uint64_t chunkRecords = 0;
         std::uint64_t batchRecords = 1 << 14;   ///< b, in records
         std::uint64_t bufferBudgetBytes = 64ULL << 20;
@@ -395,7 +393,7 @@ class StreamEngine
     std::uint64_t
     chunkOf(std::uint64_t total) const
     {
-        return chunkLength(opt_.chunkRecords, opt_.presortRun, total);
+        return chunkLength(opt_.chunkRecords, total);
     }
 
     /** The parameter echo a job manifest carries: everything chunk

@@ -1,10 +1,10 @@
 /**
  * @file
- * The streamed sort's shape rules: the phase-1 chunk's rounding, the
- * Equation-10 buffer-budget shape, the per-pass transfer size and the
- * merge trees' node-block arenas.  The engine runs them, and the host
- * planner (core/host_planner.hpp) plans with the same functions, so
- * a plan cannot disagree with the sort it describes.
+ * The streamed sort's shape rules: the phase-1 chunk, the Equation-10
+ * buffer-budget shape, the per-pass transfer size and the merge trees'
+ * node-block arenas.  The engine runs them, and the host planner
+ * (core/host_planner.hpp) plans with the same functions, so a plan
+ * cannot disagree with the sort it describes.
  *
  * The shape derivation is the engine's resource model: a streamed
  * ell-way merge lane reserves laneBuffers(ell) = 2 ell + 2 slots, so
@@ -29,19 +29,11 @@ namespace bonsai::sorter
 {
 
 /** Records per phase-1 chunk of a @p total-record input asked to
- *  chunk at @p chunk_records (0 = one chunk): rounded down to whole
- *  presort runs of @p presort_run, and up to one run when shorter, so
- *  every chunk's presort blocks are aligned blocks of the input. */
+ *  chunk at @p chunk_records (0 = one chunk). */
 constexpr std::uint64_t
-chunkLength(std::uint64_t chunk_records, std::uint64_t presort_run,
-            std::uint64_t total)
+chunkLength(std::uint64_t chunk_records, std::uint64_t total)
 {
-    if (chunk_records == 0)
-        return total;
-    const std::uint64_t run = std::max<std::uint64_t>(presort_run, 1);
-    const std::uint64_t chunk =
-        std::max(chunk_records - chunk_records % run, run);
-    return std::min(chunk, total);
+    return chunk_records == 0 ? total : std::min(chunk_records, total);
 }
 
 /**

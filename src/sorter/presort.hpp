@@ -1,30 +1,26 @@
 /**
  * @file
- * Phase 1's presorter: forms the initial sorted runs with the paper's
- * bitonic sorting network (Section VI-C1), block by block, as
- * ThreadPool tasks.
+ * Phase 1's presorter: forms the initial sorted runs, block by block,
+ * as ThreadPool tasks.  Every run is stable: equal items keep their
+ * input order, so with the stable merges after it every host sort
+ * emits std::stable_sort of its input.
  *
- * hw::bitonicSortNetwork is the reference: it runs the network's
- * compare-exchange sequence one pair at a time, and it is the
- * presorter for every item type, run length and CPU but two.  For
- * 16-item runs of 16-byte Records on a CPU with AVX-512F, the same
- * sequence runs in registers instead: the 16 keys in two zmm, the 16
- * values in two zmm, and each of the network's ten stages is a
- * constant permute to the partner lane, an unsigned strict-less
- * compare and a blend.  A lane takes its partner only when the
- * network would swap the pair, which is only on strict less, so ties
- * never swap.  The network is not stable; running the same sequence
- * with the same swap rule is what reproduces the reference's order
- * of equal keys, byte for byte.
+ * A 16-item run of Records or KeyEntry items on a CPU with AVX-512F
+ * goes through the paper's bitonic sorting network (Section VI-C1) in
+ * registers: the 16 first words in two zmm, the 16 second words in two
+ * zmm, and each of the network's ten stages a constant permute to the
+ * partner lane, an unsigned strict-less compare and a blend.  The
+ * network orders on the first word alone (a Record's key, a KeyEntry's
+ * key bytes 0-7) and is not stable, so before it stores anything it
+ * checks the sorted first words for two equal neighbours.  With none,
+ * the run has one order, the network's, and it is stored; with one,
+ * nothing is stored and the run takes std::stable_sort, which orders
+ * on the whole key.  Every other run (other item types, other lengths,
+ * CPUs without AVX-512F) takes std::stable_sort.
  *
  * A range of EntryKeyed records (gensort records) presorts as
- * KeyEntry items: each run of entries is built from its records and
- * sorted, and the records are not touched.  A 16-entry run whose 16
- * key words all differ takes the same register network, on the key
- * word alone: with no tie on it, every compare decides as on the whole
- * key.  A run with a tie there takes hw::bitonicSortNetwork on the
- * entries, which compare on the whole key and so swap exactly the
- * pairs the record network swaps.
+ * KeyEntry items: each run of entries is built from its records, in
+ * input order, and sorted; the records are not touched.
  *
  * The presorter reads from one buffer and may write into another, so
  * a sorter can place the presorted runs wherever its merge stages
@@ -44,7 +40,6 @@
 #include "common/cpu.hpp"
 #include "common/record.hpp"
 #include "common/thread_pool.hpp"
-#include "hw/bitonic.hpp"
 
 namespace bonsai::sorter
 {
@@ -121,14 +116,15 @@ stage(__m512i (&k)[2], __m512i (&v)[2])
 } // namespace presort_detail
 
 /**
- * hw::bitonicSortNetwork over the 16 items at @p in, written to
- * @p out (which may be @p in), in AVX-512F registers, ordered on
- * their first word alone: a Record's key, or a KeyEntry's key word
- * when no two of the 16 tie on it.  Call only when haveAvx512f().
+ * The bitonic network over the 16 items at @p in, ordered on their
+ * first word, in AVX-512F registers.  When no two of the 16 tie on that
+ * word, the sorted run is written to @p out (which may be @p in) and
+ * the result is true; otherwise nothing is written and the result is
+ * false.  Call only when haveAvx512f().
  */
 template <typename T>
     requires std::is_same_v<T, Record> || std::is_same_v<T, KeyEntry>
-__attribute__((target("avx512f"))) inline void
+__attribute__((target("avx512f"))) inline bool
 bitonicSort16Avx512(const T *in, T *out)
 {
     static_assert(sizeof(T) == 16 && std::is_standard_layout_v<T>,
@@ -157,6 +153,17 @@ bitonicSort16Avx512(const T *in, T *out)
     stage<16, 2>(k, v);
     stage<16, 1>(k, v);
 
+    // Sorted, equal words sit side by side: lane j against lane j + 1
+    // (valignq by one lane), lane 15 against nothing.  The zero-masked
+    // valignq: GCC 12's unmasked one trips -Wuninitialized inside its
+    // own header.
+    const __m512i next0 = _mm512_maskz_alignr_epi64(0xFF, k[1], k[0], 1);
+    const __m512i next1 = _mm512_maskz_alignr_epi64(0xFF, k[1], k[1], 1);
+    const __mmask8 ties = _mm512_cmpeq_epu64_mask(k[0], next0) |
+        _mm512_mask_cmpeq_epu64_mask(0x7F, k[1], next1);
+    if (ties != 0)
+        return false;
+
     const __m512i low = _mm512_setr_epi64(0, 8, 1, 9, 2, 10, 3, 11);
     const __m512i high = _mm512_setr_epi64(4, 12, 5, 13, 6, 14, 7, 15);
     _mm512_storeu_si512(out, _mm512_permutex2var_epi64(k[0], low, v[0]));
@@ -164,54 +171,36 @@ bitonicSort16Avx512(const T *in, T *out)
     _mm512_storeu_si512(out + 8, _mm512_permutex2var_epi64(k[1], low, v[1]));
     _mm512_storeu_si512(out + 12,
                         _mm512_permutex2var_epi64(k[1], high, v[1]));
+    return true;
 }
 #endif // BONSAI_AVX512
 
 /**
- * Sort the @p n items at @p run in place as hw::bitonicSortNetwork
- * does: the network on a power-of-two run, std::sort on a shorter
- * tail.
+ * Sort the @p n items at @p in stably into @p out (which may be
+ * @p in).  A 16-item run of Records or KeyEntry items whose first
+ * words all differ takes the register network when the CPU has it.
+ * Every other run, and a run with a tie there, is copied from @p in,
+ * which the network left untouched, and std::stable_sort sorts the
+ * copy.
  */
 template <typename T>
 void
-networkSort(T *run, std::size_t n)
-{
-    const std::span<T> items(run, n);
-    if (hw::isPow2(n))
-        hw::bitonicSortNetwork(items);
-    else
-        std::sort(items.begin(), items.end());
-}
-
-/**
- * Presort the @p n records at @p in into @p out (which may be @p in):
- * the bitonic network on a power-of-two run, std::sort on a shorter
- * tail.  A 16-record run of Records takes the register network when
- * the CPU has it; every other run copies and calls
- * hw::bitonicSortNetwork.
- */
-template <typename RecordT>
-void
-presortBlock(const RecordT *in, RecordT *out, std::size_t n)
+presortBlock(const T *in, T *out, std::size_t n)
 {
 #if BONSAI_AVX512
-    if constexpr (std::is_same_v<RecordT, Record>) {
-        if (n == 16 && haveAvx512f()) {
-            bitonicSort16Avx512(in, out);
+    if constexpr (std::is_same_v<T, Record> || std::is_same_v<T, KeyEntry>) {
+        if (n == 16 && haveAvx512f() && bitonicSort16Avx512(in, out))
             return;
-        }
     }
 #endif
     if (in != out)
         std::copy(in, in + n, out);
-    networkSort(out, n);
+    std::stable_sort(out, out + n);
 }
 
 /**
  * The entries of the @p n records at @p in, the first named by index
- * @p first, written to @p out and sorted as hw::bitonicSortNetwork
- * sorts them.  A 16-entry run whose key words all differ takes the
- * register network; the result is the same either way.
+ * @p first, written to @p out and sorted by presortBlock.
  */
 template <EntryKeyed RecordT>
 void
@@ -220,20 +209,7 @@ presortEntryBlock(const RecordT *in, std::uint64_t first, KeyEntry *out,
 {
     for (std::size_t i = 0; i < n; ++i)
         out[i] = keyEntry(in[i], first + i);
-#if BONSAI_AVX512
-    if (n == 16 && haveAvx512f()) {
-        bitonicSort16Avx512(out, out);
-        // Sorted, the key words hold a tie only between neighbours.
-        bool tie = false;
-        for (std::size_t i = 1; i < 16; ++i)
-            tie |= out[i].key == out[i - 1].key;
-        if (!tie)
-            return;
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = keyEntry(in[i], first + i);
-    }
-#endif
-    networkSort(out, n);
+    presortBlock(out, out, n);
 }
 
 /**

@@ -10,9 +10,10 @@
  * ceil(R / G) runs each.  Its output run covers exactly its members'
  * record range, so the output runs stay in input order.  Every merge
  * is stable in member order (MergeTree: ties go to the lower member),
- * so equal keys keep their run order through every stage, and the
- * sort's output is its presorted input stable-sorted, whatever the
- * fan-in, the chunk size or the number of passes.
+ * so equal keys keep their run order through every stage, and, the
+ * presort being stable too, the sort's output is std::stable_sort of
+ * its input, whatever the fan-in, the chunk size or the number of
+ * passes.
  *
  * The cycle simulator keeps the paper's leaf layout instead
  * (sorter/stage_plan.hpp).

@@ -21,14 +21,10 @@
  * boundary (Section V-B) and return a zeroed report for empty and
  * single-record inputs instead of invoking the optimizer.
  *
- * Tie order: like the hardware's compare-and-exchange units, the
- * presort network (16-record blocks unless the configuration drops
- * the presorter) compares keys only and is NOT stable, so it may swap
- * equal keys within its block.  Every merge after it is stable.  The
- * output is therefore a function of the input alone: each aligned
- * presort block through the network, then the whole stable-sorted —
- * for every budget, chunk size, fan-in and thread count, in memory
- * and streamed alike.
+ * Tie order: the host presort and every merge after it are stable,
+ * so the output is std::stable_sort of the input — equal keys in
+ * input order — for every budget, chunk size, fan-in and thread
+ * count, in memory and streamed alike.
  */
 
 #ifndef BONSAI_SORTER_SORTERS_HPP
@@ -348,7 +344,6 @@ class SsdSorter
             {.records = n,
              .recordBytes = sizeof(RecordT),
              .budgetBytes = budget,
-             .presortRun = arch_.presortRunLength,
              .threads = threads_});
         if (!host)
             throw std::runtime_error(

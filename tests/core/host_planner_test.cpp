@@ -29,11 +29,11 @@ planGensort(std::uint64_t records, std::uint64_t budget_mib,
 
 TEST(HostPlanner, NinetySixRunsMergeInOnePass)
 {
-    // The 4 MiB sort of 1M gensort records: 96 chunks of 10,480.  Its
+    // The 4 MiB sort of 1M gensort records: 96 chunks of 10,485.  Its
     // 1 MiB pool holds one 96-way lane of 54-record slots (194 slots),
     // so the sort takes one pass, not the two of the F1's ell = 64.
     const core::HostPlan plan = planGensort(1'000'000, 4);
-    EXPECT_EQ(plan.chunkRecords, 10'480u);
+    EXPECT_EQ(plan.chunkRecords, 10'485u);
     EXPECT_EQ(plan.runs, 96u);
     EXPECT_EQ(plan.passes, 1u);
     EXPECT_EQ(plan.ell, 96u);
@@ -43,7 +43,7 @@ TEST(HostPlanner, NinetySixRunsMergeInOnePass)
     EXPECT_EQ(plan.passBytes, 1'000'000u * kGensortBytes);
     // Three chunks in phase 1; the pool and one 128-way tree's 126
     // node blocks of 32 records in phase 2.
-    EXPECT_EQ(plan.phase1Bytes, 3u * 10'480 * kGensortBytes);
+    EXPECT_EQ(plan.phase1Bytes, 3u * 10'485 * kGensortBytes);
     EXPECT_EQ(plan.phase2Bytes,
               plan.poolBytes + 126u * 32 * kGensortBytes);
 }
@@ -163,7 +163,7 @@ TEST(HostPlanner, SmallPoolsDropTheFloorAndTinyBudgetsHaveNoPlan)
 {
     // A 64 KiB budget's 16 KiB pool cannot hold a 2-way lane of 4 KiB
     // slots, so the floor gives way and the fewest passes decide: the
-    // 7 runs of 160 records merge in one pass from 10-record slots.
+    // 7 runs of 163 records merge in one pass from 10-record slots.
     const auto small = core::planHostSort({.records = 1'000,
                                            .recordBytes = kGensortBytes,
                                            .budgetBytes = 64 << 10});
@@ -172,10 +172,11 @@ TEST(HostPlanner, SmallPoolsDropTheFloorAndTinyBudgetsHaveNoPlan)
     EXPECT_EQ(small->passes, 1u);
     EXPECT_EQ(small->ell, 7u);
     EXPECT_EQ(small->batchRecords, (16u << 10) / (16 * kGensortBytes));
-    // Three 16-record chunks do not fit 4 KiB.
+    // A 2 KiB budget's 512-byte pool holds no 2-way lane of even
+    // one-record slots (six slots, 600 bytes).
     EXPECT_FALSE(core::planHostSort({.records = 1'000,
                                      .recordBytes = kGensortBytes,
-                                     .budgetBytes = 4 << 10})
+                                     .budgetBytes = 2 << 10})
                      .has_value());
 }
 

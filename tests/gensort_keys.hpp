@@ -29,6 +29,25 @@ enum class GensortKeys
     TailOnly,    ///< bytes 0-7 equal; bytes 8-9 take all 65536 values
 };
 
+/** The name of key set @p keys, for test names and traces. */
+inline const char *
+keyName(GensortKeys keys)
+{
+    switch (keys) {
+      case GensortKeys::Uniform:
+        return "Uniform";
+      case GensortKeys::PrefixTie:
+        return "PrefixTie";
+      case GensortKeys::FewDistinct:
+        return "FewDistinct";
+      case GensortKeys::AllEqual:
+        return "AllEqual";
+      case GensortKeys::TailOnly:
+        return "TailOnly";
+    }
+    return "?";
+}
+
 /** @p n records of key set @p keys. */
 inline std::vector<GensortRecord>
 makeGensortKeys(std::size_t n, GensortKeys keys, std::uint64_t seed)

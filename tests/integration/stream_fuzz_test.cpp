@@ -9,7 +9,7 @@
  * Records carry their input index as payload, so equal keys stay
  * distinguishable and the emitted order of ties is part of the
  * compared bytes.  Every case must emit the oracle's bytes
- * (oracle_sort.hpp: the presorted input, stable-sorted), keep the
+ * (oracle_sort.hpp: std::stable_sort of the input), keep the
  * buffer pool's peak within the budget, and return every pool buffer.
  *
  * The gensort slice sorts 100-byte records, which the in-memory sort
@@ -397,8 +397,8 @@ constexpr std::uint64_t kLongSweepSeeds = 16;
  * The long seeded sweep, outside tier-1: for every seed, the
  * multi-pass grid on that seed's keys, thread counts and stores; then
  * the gensort slice on every key set, TailOnly included, with the
- * last chunk ending in every presort tail 0-15, on 1 and 4 threads
- * and seeded fan-ins, batches and stores.
+ * input's length taking every remainder mod 16, on 1 and 4 threads
+ * and seeded chunks of any length, fan-ins, batches and stores.
  */
 TEST(StreamEngineFuzz, DISABLED_LongSeededSweep)
 {
@@ -424,7 +424,7 @@ TEST(StreamEngineFuzz, DISABLED_LongSeededSweep)
                     StreamEngine<GensortRecord>::Options opt;
                     opt.phase1Ell = kPhase1Ells[rng.nextBounded(3)];
                     opt.phase2Ell = kElls[rng.nextBounded(3)];
-                    opt.chunkRecords = 16 * (1 + rng.nextBounded(n / 64 + 1));
+                    opt.chunkRecords = 1 + rng.nextBounded(n / 4 + 16);
                     opt.batchRecords = kBatches[rng.nextBounded(3)];
                     opt.threads = threads;
                     opt.bufferBudgetBytes = laneBuffers(opt.phase2Ell) *

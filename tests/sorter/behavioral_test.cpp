@@ -229,7 +229,7 @@ TEST(Behavioral, PresortRunLengthsMatchTheReferenceSort)
             for (const Distribution dist :
                  {Distribution::FewDistinct, Distribution::UniformRandom}) {
                 const auto input = makeRecords(n, dist, run + n);
-                const auto want = oracleSort(input, run);
+                const auto want = oracleSort(input);
                 for (const unsigned threads : {1u, 4u}) {
                     auto got = input;
                     sorter::BehavioralSorter<Record>(16, run, threads)

@@ -41,10 +41,9 @@ namespace bonsai::sorter
 namespace
 {
 
-/** Same geometry as the fault tests: 1000-record chunks (992 once
- *  rounded down to whole presort runs), so 25 chunks of a 24'000-
- *  record input, and 4-way merges — two non-final passes
- *  (25 -> 7 -> 2) plus the final 2-way splitter pass, so every
+/** Same geometry as the fault tests: 1000-record chunks, so 24
+ *  chunks of a 24'000-record input, and 4-way merges — two non-final
+ *  passes (24 -> 6 -> 2) plus the final 2-way splitter pass, so every
  *  journaled phase has crash points. */
 StreamEngine<Record>::Options
 crashOptions(unsigned threads)
@@ -182,7 +181,7 @@ TEST(StreamEngineCrash, UninterruptedDurableRunMatchesClassicSort)
         // journaled.
         ASSERT_GE(stats.mergePasses, 2u);
         EXPECT_EQ(stats.manifestCommits,
-                  25u + (stats.mergePasses - 1));
+                  24u + (stats.mergePasses - 1));
         EXPECT_EQ(stats.resumedChunks, 0u);
         EXPECT_EQ(stats.resumedPasses, 0u);
         EXPECT_EQ(stats.resumeFallback, "");
@@ -205,10 +204,10 @@ TEST(StreamEngineCrash, ResumingACompletedJobSkipsAllJournaledWork)
     const auto out = durableSort(data, 4, job.str(),
                                  ResumePolicy::ResumeStrict, &stats);
     EXPECT_EQ(out, reference);
-    EXPECT_EQ(stats.resumedChunks, 25u);
+    EXPECT_EQ(stats.resumedChunks, 24u);
     EXPECT_GT(stats.resumedPasses, 0u);
     EXPECT_EQ(stats.manifestCommits, 0u);
-    EXPECT_EQ(stats.phase1Chunks, 25u);
+    EXPECT_EQ(stats.phase1Chunks, 24u);
 }
 
 TEST(StreamEngineCrash, CrashSweepResumesByteIdentically)

@@ -25,9 +25,8 @@ namespace bonsai::sorter
 namespace
 {
 
-/** Small engine: 1000-record chunks (992 once rounded down to whole
- *  16-record presort runs), 4-way merges, 128-record batches with a
- *  budget comfortably above laneBuffers(ell) buffers. */
+/** Small engine: 1000-record chunks, 4-way merges, 128-record
+ *  batches with a budget comfortably above laneBuffers(ell) buffers. */
 StreamEngine<Record>::Options
 smallOptions()
 {
@@ -72,7 +71,7 @@ TEST(StreamEngine, SortInPlaceMatchesStdSort)
     const StreamStats stats = engine.sortInPlace(data);
     EXPECT_EQ(data, expected);
     EXPECT_EQ(stats.recordsIn, 20'000u);
-    EXPECT_EQ(stats.phase1Chunks, 21u); // ceil(20000 / 992)
+    EXPECT_EQ(stats.phase1Chunks, 20u); // 20000 / 1000
     EXPECT_GT(stats.mergePasses, 0u);
     EXPECT_GT(stats.phase1RecordsMoved, 0u);
     EXPECT_GT(stats.recordsMoved, stats.phase1RecordsMoved);
@@ -195,8 +194,7 @@ TEST_P(StreamEngineInPlaceGolden, FewDistinctDigestIsPinned)
         opt.phase1Ell = 16;
         opt.phase2Ell = ell;
         opt.presortRun = 16;
-        // Whole presort runs, so the engine does not round the chunk.
-        opt.chunkRecords = ((n + pin.chunks - 1) / pin.chunks + 15) / 16 * 16;
+        opt.chunkRecords = (n + pin.chunks - 1) / pin.chunks;
         opt.batchRecords = 64;
         opt.bufferBudgetBytes = 64 * 64 * sizeof(Record);
         opt.threads = threads;
@@ -297,7 +295,7 @@ TEST(StreamEngine, SingletonGroupIsBatchCopiedNotMerged)
     opt.phase2Ell = 2;
     const StreamEngine<Record> engine(opt);
 
-    const auto data = makeRecords(3 * 992, Distribution::UniformRandom);
+    const auto data = makeRecords(3 * 1000, Distribution::UniformRandom);
     auto in_place = data;
     const StreamStats mem = engine.sortInPlace(in_place);
 
@@ -516,7 +514,7 @@ TEST(StreamEngine, SingleRunStreamsStraightToTheSink)
 
 TEST(StreamEngine, RunCountExactlyEllMergesInOnePass)
 {
-    const auto data = makeRecords(4 * 992, Distribution::UniformRandom);
+    const auto data = makeRecords(4 * 1000, Distribution::UniformRandom);
     const StreamEngine<Record> engine(smallOptions());
     StreamStats stats;
     const auto out = streamSort(engine, data, &stats);

@@ -6,10 +6,10 @@
  * reused across sizes, StreamEngine::sortInPlace, whose phase 2 merges
  * the sorted chunks, and DramSorter::sort.  The key sets tie in bytes
  * 0-7 (PrefixTie, TailOnly), in the whole key (FewDistinct, AllEqual)
- * or rarely (Uniform); the counts cover 0-40 records, every presort
- * tail 0-15 past a multi-stage count, and the chunk of each
+ * or rarely (Uniform); the counts cover 0-40 records, every
+ * remainder mod 16 past a multi-stage count, and the chunk of each
  * extsort workload; the fan-ins give odd and even stage counts, and
- * presort runs of 1-32 records meet the oracle at the same run.
+ * presort runs of 1-32 records all meet the one oracle.
  * Records carry their input index in their value, so a tie resolved
  * the other way changes the bytes.
  */
@@ -64,24 +64,6 @@ sameBytes(const std::vector<GensortRecord> &a,
          std::memcmp(a.data(), b.data(), a.size() * sizeof a[0]) == 0);
 }
 
-const char *
-keyName(GensortKeys keys)
-{
-    switch (keys) {
-      case GensortKeys::Uniform:
-        return "Uniform";
-      case GensortKeys::PrefixTie:
-        return "PrefixTie";
-      case GensortKeys::FewDistinct:
-        return "FewDistinct";
-      case GensortKeys::AllEqual:
-        return "AllEqual";
-      case GensortKeys::TailOnly:
-        return "TailOnly";
-    }
-    return "?";
-}
-
 class GensortSorterOracle
     : public ::testing::TestWithParam<std::tuple<GensortKeys, unsigned>>
 {
@@ -115,12 +97,11 @@ TEST_P(GensortSorterOracle, EverySortGivesTheOracle)
             sorter.sort(std::span<GensortRecord>(got), pool, scratch);
             ASSERT_TRUE(sameBytes(got, want)) << "sort(span, scratch)";
 
-            // About five chunks of whole presort runs, so phase 2
-            // merges several runs.
+            // About five chunks, so phase 2 merges several runs.
             sorter::StreamEngine<GensortRecord>::Options opt;
             opt.phase1Ell = ell;
             opt.phase2Ell = ell;
-            opt.chunkRecords = 16 * (n / 80 + 1);
+            opt.chunkRecords = n / 5 + 1;
             opt.threads = threads;
             got = input;
             sorter::StreamEngine<GensortRecord>(opt).sortInPlace(got);
@@ -131,15 +112,15 @@ TEST_P(GensortSorterOracle, EverySortGivesTheOracle)
 
 TEST(GensortSorterRuns, EveryPresortRunLengthGivesTheOracle)
 {
-    // Runs of one entry (no presort), of a network shorter or longer
-    // than the register network's 16, on keys that tie.
+    // Runs of one entry (no presort), and runs shorter or longer than
+    // the register network's 16, on keys that tie.
     for (const std::uint64_t run : {1u, 2u, 8u, 32u}) {
         for (const std::size_t n : {1003u, 16u * 300 + 5}) {
             for (const GensortKeys keys :
                  {GensortKeys::PrefixTie, GensortKeys::FewDistinct,
                   GensortKeys::TailOnly}) {
                 const auto input = makeGensortKeys(n, keys, run + n);
-                const auto want = oracleSort(input, run);
+                const auto want = oracleSort(input);
                 for (const unsigned threads : {1u, 4u}) {
                     auto got = input;
                     sorter::BehavioralSorter<GensortRecord>(16, run, threads)
@@ -155,11 +136,13 @@ TEST(GensortSorterRuns, EveryPresortRunLengthGivesTheOracle)
 
 TEST(GensortShortChunks, ChunksShorterThanOneRunGiveTheOracle)
 {
-    // A chunk of fewer records than one presort run would cut the
-    // presort's aligned blocks; the engine rounds it up to one run.
-    // Counted failures, not ASSERTs, so a regression reports its size.
+    // Chunks of every length 1-40, shorter than one presort run, not
+    // a multiple of one, or longer than the input: each chunk's
+    // presort runs start at the chunk, and the output is still the
+    // oracle.  Counted failures, not ASSERTs, so a regression reports
+    // its size.
     unsigned failures = 0;
-    for (std::uint64_t chunk = 1; chunk < 16; ++chunk) {
+    for (std::uint64_t chunk = 1; chunk <= 40; ++chunk) {
         for (const GensortKeys keys :
              {GensortKeys::FewDistinct, GensortKeys::AllEqual}) {
             for (const std::size_t n : {4u, 16u, 40u}) {
@@ -192,7 +175,7 @@ TEST(GensortShortChunks, ChunksShorterThanOneRunGiveTheOracle)
             }
         }
     }
-    EXPECT_EQ(failures, 0u) << "of 3600 sorts";
+    EXPECT_EQ(failures, 0u) << "of 9600 sorts";
 }
 
 INSTANTIATE_TEST_SUITE_P(

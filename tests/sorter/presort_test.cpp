@@ -2,17 +2,18 @@
  * @file
  * Differential tests for the presorter: every path through
  * sorter::presortBlock and sorter::presortRuns must write, byte for
- * byte, what hw::bitonicSortNetwork writes on the same run — the
- * register network included, since the network is not stable and only
- * the same compare-exchange sequence gives the same order of ties.
- * The entry presort of gensort records must write the entries
- * hw::bitonicSortNetwork writes, whose records, gathered, are the
- * record network's runs.
+ * byte, what std::stable_sort writes on the same run.  The register
+ * network stores a run only when no two of its first words tie, and
+ * otherwise writes nothing, so the fallback reads untouched input in
+ * place and out of place.  The entry presort of gensort records must
+ * write the entries std::stable_sort writes, whose records, gathered,
+ * are each block of records stable-sorted.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
 #include <initializer_list>
 #include <random>
@@ -44,63 +45,99 @@ expectSameBytes(std::span<const RecordT> got, std::span<const RecordT> want)
     }
 }
 
-/** The reference: hw::bitonicSortNetwork on a copy of @p block. */
+/** The reference: std::stable_sort on a copy of @p block. */
 template <typename RecordT>
 std::vector<RecordT>
-networkSorted(std::span<const RecordT> block)
+stableSorted(std::span<const RecordT> block)
 {
     std::vector<RecordT> out(block.begin(), block.end());
-    hw::bitonicSortNetwork(std::span<RecordT>(out));
+    std::stable_sort(out.begin(), out.end());
     return out;
 }
 
-/** Every path that sorts a 16-record Record block: the dispatching
- *  presortBlock in place and out of place, and the register network
- *  directly when this CPU runs it. */
+/** @p items, each run of @p run (the last may be shorter) sorted by
+ *  std::stable_sort. */
+template <typename RecordT>
+std::vector<RecordT>
+blockStableSorted(std::vector<RecordT> items, std::uint64_t run)
+{
+    for (std::size_t lo = 0; lo < items.size(); lo += run) {
+        const auto hi = items.begin() +
+            static_cast<std::ptrdiff_t>(
+                std::min<std::uint64_t>(lo + run, items.size()));
+        std::stable_sort(items.begin() + static_cast<std::ptrdiff_t>(lo),
+                         hi);
+    }
+    return items;
+}
+
+/** Every path that sorts a 16-item run: the dispatching presortBlock
+ *  in place and out of place, and, when this CPU runs it, the register
+ *  network directly, which stores the sorted run when no two first
+ *  words tie and otherwise writes nothing. */
+template <typename T>
 void
-expectAllPathsMatchNetwork(std::span<const Record> block)
+expectAllPathsStable(std::span<const T> block)
 {
     ASSERT_EQ(block.size(), 16u);
-    const std::vector<Record> want = networkSorted(block);
+    const std::vector<T> want = stableSorted(block);
 
-    std::vector<Record> out(16);
+    std::vector<T> out(16);
     sorter::presortBlock(block.data(), out.data(), 16);
-    expectSameBytes<Record>(out, want);
+    expectSameBytes<T>(out, want);
 
-    std::vector<Record> in_place(block.begin(), block.end());
+    std::vector<T> in_place(block.begin(), block.end());
     sorter::presortBlock(in_place.data(), in_place.data(), 16);
-    expectSameBytes<Record>(in_place, want);
+    expectSameBytes<T>(in_place, want);
 
 #if BONSAI_AVX512
     if (haveAvx512f()) {
-        std::vector<Record> simd(16);
-        sorter::bitonicSort16Avx512(block.data(), simd.data());
-        expectSameBytes<Record>(simd, want);
+        bool tie = false;
+        for (std::size_t i = 1; i < 16; ++i)
+            tie |= want[i].key == want[i - 1].key;
+        T untouched{};
+        untouched.key = 0xEEEE'EEEE'EEEE'EEEE;
+        std::vector<T> simd(16, untouched);
+        EXPECT_EQ(sorter::bitonicSort16Avx512(block.data(), simd.data()),
+                  !tie);
+        if (tie)
+            expectSameBytes<T>(simd, std::vector<T>(16, untouched));
+        else
+            expectSameBytes<T>(simd, want);
     }
 #endif
 }
 
 /** Every whole 16-record block of @p recs, checked on every path. */
 void
-expectBlocksMatchNetwork(const std::vector<Record> &recs)
+expectBlocksStable(const std::vector<Record> &recs)
 {
     for (std::size_t lo = 0; lo + 16 <= recs.size(); lo += 16) {
         SCOPED_TRACE(::testing::Message() << "block at " << lo);
-        expectAllPathsMatchNetwork(
-            std::span<const Record>(recs.data() + lo, 16));
+        expectAllPathsStable(std::span<const Record>(recs.data() + lo, 16));
     }
 }
 
 TEST(Presort, ZeroOneKeysExhaustive)
 {
-    // Every 0-1 key pattern, with distinct values so the order the
-    // network leaves equal keys in is visible.
+    // Every 0-1 key pattern, with distinct values so the order equal
+    // keys leave in is visible: every run ties, so the register
+    // network writes nothing and the run is sorted stably.  Then the
+    // same patterns on the top bit above a distinct low word: no key
+    // ties, so the register network stores its own order, and since a
+    // comparator network commutes with the monotone map to the top
+    // bit, sorting these proves by the 0-1 principle that it sorts
+    // every input.
     std::vector<Record> block(16);
     for (unsigned bits = 0; bits < (1u << 16); ++bits) {
+        SCOPED_TRACE(::testing::Message() << "bits=" << bits);
         for (unsigned i = 0; i < 16; ++i)
             block[i] = Record{(bits >> i) & 1u, 100 + i};
-        SCOPED_TRACE(::testing::Message() << "bits=" << bits);
-        expectAllPathsMatchNetwork(block);
+        expectAllPathsStable<Record>(block);
+        for (unsigned i = 0; i < 16; ++i)
+            block[i] = Record{std::uint64_t{(bits >> i) & 1u} << 63 | i,
+                              100 + i};
+        expectAllPathsStable<Record>(block);
         if (::testing::Test::HasFailure())
             return;
     }
@@ -113,7 +150,7 @@ TEST(Presort, RandomFewDistinctAndAllEqualKeys)
           Distribution::AllEqual, Distribution::Reverse}) {
         SCOPED_TRACE(::testing::Message()
                      << "dist=" << static_cast<int>(dist));
-        expectBlocksMatchNetwork(makeRecords(16 * 512, dist, 5));
+        expectBlocksStable(makeRecords(16 * 512, dist, 5));
     }
 }
 
@@ -129,34 +166,81 @@ TEST(Presort, KeysAtAndAbove2To63CompareUnsigned)
     }
     for (std::size_t i = 0; i < 16; ++i)
         recs[i].key = i % 2 ? ~std::uint64_t{0} : 0;
-    expectBlocksMatchNetwork(recs);
+    expectBlocksStable(recs);
     std::vector<Record> shuffled(recs.size());
     for (std::size_t i = 0; i < recs.size(); ++i)
         shuffled[i] = Record{rng.next(), ~i};
-    expectBlocksMatchNetwork(shuffled);
+    expectBlocksStable(shuffled);
+    // Distinct keys straddling 2^63, which the register network
+    // stores itself.
+    for (std::size_t i = 0; i < recs.size(); ++i)
+        recs[i] = Record{(std::uint64_t{1} << 63) - 8 + i % 16 +
+                             (rng.nextBounded(2) << 62),
+                         i};
+    for (std::size_t lo = 0; lo < recs.size(); lo += 16)
+        std::shuffle(recs.begin() + static_cast<std::ptrdiff_t>(lo),
+                     recs.begin() + static_cast<std::ptrdiff_t>(lo + 16),
+                     std::mt19937_64(lo));
+    expectBlocksStable(recs);
 }
 
 TEST(Presort, TiedKeysKeepTheNetworksValueOrder)
 {
-    // Two keys and distinct values: the network leaves ties in an
-    // order a stable sort does not, so only the same network passes.
+    // Two keys and distinct values: a stable presort leaves ties in
+    // input order, where the bitonic network (hw::bitonicSortNetwork,
+    // the simulator's presorter) leaves them in another, so a presort
+    // that stored the network's order on a tie fails here.
     SplitMix64 rng(7);
     std::vector<Record> recs(16 * 256);
     for (std::size_t i = 0; i < recs.size(); ++i)
         recs[i] = Record{rng.nextBounded(2), rng.next()};
-    expectBlocksMatchNetwork(recs);
+    expectBlocksStable(recs);
 
-    std::vector<Record> stable(recs.begin(), recs.begin() + 16);
-    std::stable_sort(stable.begin(), stable.end());
-    const auto network =
-        networkSorted(std::span<const Record>(recs.data(), 16));
+    const auto stable =
+        stableSorted(std::span<const Record>(recs.data(), 16));
+    std::vector<Record> network(recs.begin(), recs.begin() + 16);
+    hw::bitonicSortNetwork(std::span<Record>(network));
     EXPECT_NE(std::memcmp(stable.data(), network.data(), 16 * 16), 0);
 }
 
-/** Runs of @p lengths records that are not 16-record Record blocks
- *  write what hw::bitonicSortNetwork writes (std::sort on a run that
- *  is not a power of two): the fallback copies and calls it, and a
- *  16-record gensort run runs its sequence on key tags. */
+/** A tied 16-item run of @p T sorted in place and out of place: the
+ *  register network finds the tie only after its stages, so the
+ *  fallback must read input it left untouched. */
+template <typename T>
+void
+expectTiedRunFallsBack(const std::vector<T> &run)
+{
+    const std::vector<T> want = stableSorted(std::span<const T>(run));
+    std::vector<T> in_place = run;
+    sorter::presortBlock(in_place.data(), in_place.data(), 16);
+    expectSameBytes<T>(in_place, want);
+
+    T stale{};
+    stale.key = 0x5A5A'5A5A'5A5A'5A5A;
+    std::vector<T> out(16, stale);
+    sorter::presortBlock(run.data(), out.data(), 16);
+    expectSameBytes<T>(out, want);
+}
+
+TEST(Presort, TiedRunsFallBackOnUntouchedInput)
+{
+    // One tie among otherwise distinct descending keys, so the network
+    // moves every item before the tie check.
+    std::vector<Record> recs(16);
+    for (std::size_t i = 0; i < 16; ++i)
+        recs[i] = Record{1000 - i, i};
+    recs[15].key = recs[0].key;
+    expectTiedRunFallsBack(recs);
+
+    std::vector<KeyEntry> entries(16);
+    for (std::size_t i = 0; i < 16; ++i)
+        entries[i] = KeyEntry{1000 - i, (15 - i) << KeyEntry::kIndexBits | i};
+    entries[9].key = entries[3].key; // tails 12 and 6 decide
+    expectTiedRunFallsBack(entries);
+}
+
+/** Runs of @p lengths records that are not 16-item runs of Records or
+ *  entries (and a short tail) take std::stable_sort. */
 template <typename RecordT>
 void
 expectFallbackMatches(const std::vector<RecordT> &input,
@@ -167,11 +251,11 @@ expectFallbackMatches(const std::vector<RecordT> &input,
         const std::span<const RecordT> block(input.data(), n);
         std::vector<RecordT> out(n);
         sorter::presortBlock(block.data(), out.data(), n);
-        expectSameBytes<RecordT>(out, networkSorted(block));
+        expectSameBytes<RecordT>(out, stableSorted(block));
     }
     std::vector<RecordT> tail(input.begin(), input.begin() + 11);
-    std::vector<RecordT> want = tail;
-    std::sort(want.begin(), want.end());
+    const std::vector<RecordT> want =
+        stableSorted(std::span<const RecordT>(tail));
     sorter::presortBlock(tail.data(), tail.data(), tail.size());
     expectSameBytes<RecordT>(tail, want);
 }
@@ -206,8 +290,8 @@ TEST(Presort, GensortRunsOfSixteenSortTheirTags)
 {
     // Keys that tie in bytes 0-7 (the entries' key words tie, so the
     // tails decide), in all ten bytes, and in none: the entry runs,
-    // gathered, must be the record network's runs, for every thread
-    // count and for the tails of a range that is not whole runs.
+    // gathered, must be each 16-record block stable-sorted, for every
+    // thread count and for the tail of a range that is not whole runs.
     SplitMix64 rng(17);
     std::vector<GensortRecord> recs =
         GensortGenerator(6).generate(0, 16 * 96 + 8);
@@ -220,15 +304,8 @@ TEST(Presort, GensortRunsOfSixteenSortTheirTags)
     }
     for (const std::size_t n : {recs.size() - 1, recs.size()}) {
         const std::span<const GensortRecord> input(recs.data(), n);
-        std::vector<GensortRecord> want(input.begin(), input.end());
-        for (std::size_t lo = 0; lo < n; lo += 16) {
-            const std::span<GensortRecord> block(
-                want.data() + lo, std::min<std::size_t>(16, n - lo));
-            if (hw::isPow2(block.size()))
-                hw::bitonicSortNetwork(block);
-            else
-                std::sort(block.begin(), block.end());
-        }
+        const std::vector<GensortRecord> want = blockStableSorted(
+            std::vector<GensortRecord>(input.begin(), input.end()), 16);
         for (const unsigned threads : {1u, 4u}) {
             SCOPED_TRACE(::testing::Message()
                          << "n=" << n << " threads=" << threads);
@@ -242,7 +319,7 @@ TEST(Presort, GensortRunsOfSixteenSortTheirTags)
 }
 
 /** Sixteen entries: key word i % @p words (so ties when words < 16),
- *  a tail of i % @p tails, index i. */
+ *  a tail of i % @p tails, and, after a shuffle, index i. */
 std::vector<KeyEntry>
 entryRun(std::size_t words, std::size_t tails, SplitMix64 &rng)
 {
@@ -262,10 +339,10 @@ TEST(Presort, EntryRunsMatchTheEntryNetworkWhateverTheirTies)
 {
     // Runs of 16 entries whose key words all differ (the register
     // network's case), tie in pairs or in fours, or all tie, with
-    // tails that differ, tie or are all equal: the presort must write
-    // what hw::bitonicSortNetwork writes on the entries, indexes
-    // included, and the register network alone must match it where
-    // the key words all differ.
+    // tails that differ, tie or are all equal: the entry presort must
+    // write the run stable-sorted, indexes included, and the register
+    // network must store that run exactly when the key words all
+    // differ, and write nothing otherwise.
     SplitMix64 rng(23);
     for (const std::size_t words : {16u, 15u, 8u, 4u, 1u}) {
         for (const std::size_t tails : {16u, 3u, 1u}) {
@@ -274,8 +351,8 @@ TEST(Presort, EntryRunsMatchTheEntryNetworkWhateverTheirTies)
                                                   << " tails=" << tails
                                                   << " rep=" << rep);
                 const std::vector<KeyEntry> run = entryRun(words, tails, rng);
-                std::vector<KeyEntry> want = run;
-                hw::bitonicSortNetwork(std::span<KeyEntry>(want));
+                const std::vector<KeyEntry> want =
+                    stableSorted(std::span<const KeyEntry>(run));
                 // Records whose entries are exactly the run's.
                 std::vector<GensortRecord> recs(16);
                 for (std::size_t i = 0; i < 16; ++i) {
@@ -290,13 +367,7 @@ TEST(Presort, EntryRunsMatchTheEntryNetworkWhateverTheirTies)
                 std::vector<KeyEntry> got(16);
                 sorter::presortEntryBlock(recs.data(), 0, got.data(), 16);
                 expectSameBytes<KeyEntry>(got, want);
-#if BONSAI_AVX512
-                if (words == 16 && haveAvx512f()) {
-                    std::vector<KeyEntry> reg(16);
-                    sorter::bitonicSort16Avx512(run.data(), reg.data());
-                    expectSameBytes<KeyEntry>(reg, want);
-                }
-#endif
+                expectAllPathsStable<KeyEntry>(run);
                 if (::testing::Test::HasFailure())
                     return;
             }
@@ -306,19 +377,12 @@ TEST(Presort, EntryRunsMatchTheEntryNetworkWhateverTheirTies)
 
 TEST(Presort, RunsMatchPerBlockNetworkAtAnyWidthAndPlacement)
 {
+    // Each run of 1, 8, 16 and 32 records, and the 11-record tail,
+    // stable-sorted, in place and into another buffer.
     const auto input =
         makeRecords(16 * 5000 + 11, Distribution::FewDistinct, 9);
     for (const std::uint64_t run : {1u, 8u, 16u, 32u}) {
-        std::vector<Record> want = input;
-        for (std::size_t lo = 0; lo < want.size(); lo += run) {
-            const std::span<Record> block(
-                want.data() + lo,
-                std::min<std::uint64_t>(run, want.size() - lo));
-            if (hw::isPow2(block.size()))
-                hw::bitonicSortNetwork(block);
-            else
-                std::sort(block.begin(), block.end());
-        }
+        const std::vector<Record> want = blockStableSorted(input, run);
         for (const unsigned threads : {1u, 4u}) {
             SCOPED_TRACE(::testing::Message()
                          << "run=" << run << " threads=" << threads);

@@ -196,10 +196,7 @@ TEST(SsdSorter, Phase1MovesMatchInPlaceChunkSorts)
     auto reference = data;
     const auto report = sorter.sort(data, 4);
     ASSERT_GT(report.plan.chunkRecords, 0u);
-    // The engine rounds the plan's chunk down to whole 16-record
-    // presort runs.
-    const std::uint64_t chunk =
-        report.plan.chunkRecords - report.plan.chunkRecords % 16;
+    const std::uint64_t chunk = report.plan.chunkRecords;
     ASSERT_EQ(report.stream.phase1Chunks,
               (reference.size() + chunk - 1) / chunk);
     ASSERT_GT(report.stream.phase1Chunks, 1u);
@@ -309,8 +306,8 @@ expectOracleAtEveryBudget(const std::vector<RecordT> &input)
 TEST(SsdSorter, TiedKeysGiveTheOracleAtEveryBudget)
 {
     // The budget sets the chunk, the batch and the fan-in, yet the
-    // order of equal keys must not move: every path gives the
-    // presorted input stable-sorted.  Payloads carry the input index,
+    // order of equal keys must not move: every path gives
+    // std::stable_sort of the input.  Payloads carry the input index,
     // so ties stay distinguishable.  600'000 Records make 10, 3 and 1
     // chunk(s) at 4, 16 and 64 MiB; 200'000 gensort records 20, 5
     // and 2.
@@ -653,13 +650,14 @@ TEST(SsdSorter, HostSortNeedsNoF1Plan)
 
 TEST(SsdSorter, BudgetTooSmallForAStreamedSortFailsLoudly)
 {
-    // Three 16-record chunks of 100-byte records do not fit 4 KiB.
+    // A 2 KiB budget's 512-byte pool holds no 2-way lane of even
+    // one-record slots of 100-byte records (six slots, 600 bytes).
     const std::vector<GensortRecord> input =
         makeGensortKeys(1'000, GensortKeys::Uniform, 4);
     std::vector<GensortRecord> out;
     try {
-        streamInto(sorter::SsdSorter(), input, out, 4 << 10);
-        FAIL() << "a 4 KiB budget planned a streamed sort";
+        streamInto(sorter::SsdSorter(), input, out, 2 << 10);
+        FAIL() << "a 2 KiB budget planned a streamed sort";
     } catch (const std::runtime_error &e) {
         EXPECT_NE(std::string(e.what()).find("too small"),
                   std::string::npos)
