@@ -13,6 +13,23 @@
 #include <unistd.h>
 #endif
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
+namespace bonsai
+{
+
+void
+releaseFreedHeap()
+{
+#if defined(__GLIBC__)
+    ::malloc_trim(0);
+#endif
+}
+
+} // namespace bonsai
+
 namespace bonsai::detail
 {
 

@@ -58,6 +58,15 @@ inline constexpr bool kHugePageBuffers = true;
 inline constexpr bool kHugePageBuffers = false;
 #endif
 
+/**
+ * Hand the pages of freed heap blocks back to the system (glibc's
+ * malloc_trim(0); nothing elsewhere).  glibc keeps a freed block's
+ * pages resident while any live block lies above it, so buffers under
+ * kHugePageBytes that one phase frees would otherwise stay resident
+ * beside what the next phase allocates.
+ */
+void releaseFreedHeap();
+
 namespace detail
 {
 

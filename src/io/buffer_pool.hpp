@@ -11,6 +11,8 @@
  * as one contiguous buffer of k * b records: a phase-2 pass that
  * merges fewer runs than the reservation covers hands its cursors and
  * writers k-slot buffers and so moves k batches per read or write.
+ * waits() counts the acquires that found too few free slots; a sort
+ * whose shape fits its pool never waits.
  *
  * Slots are counted, not buffers: outstanding() and peakOutstanding()
  * are in slots, acquire(k) blocks while outstanding + k > buffers(),
@@ -36,11 +38,8 @@
 #include <string>
 #include <vector>
 
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
-
 #include "common/contract.hpp"
+#include "common/record_buffer.hpp"
 #include "common/sync.hpp"
 
 namespace bonsai::io
@@ -90,9 +89,7 @@ class BufferPool
     {
         free_.clear();
         free_.shrink_to_fit();
-#if defined(__GLIBC__)
-        malloc_trim(0);
-#endif
+        releaseFreedHeap();
     }
 
     BufferPool(const BufferPool &) = delete;
@@ -135,6 +132,7 @@ class BufferPool
         // lock is released (declared before it).
         std::vector<std::vector<RecordT>> dropped;
         ScopedLock lock(mutex_);
+        waits_ += outstanding_ + slots > count_;
         while (outstanding_ + slots > count_)
             available_.wait(mutex_);
         outstanding_ += slots;
@@ -205,6 +203,14 @@ class BufferPool
         return peak_;
     }
 
+    /** Acquires that found too few free slots and had to wait. */
+    std::uint64_t
+    waits() const BONSAI_EXCLUDES(mutex_)
+    {
+        ScopedLock lock(mutex_);
+        return waits_;
+    }
+
   private:
     std::uint64_t batch_;
     std::uint64_t count_ = 0;
@@ -216,6 +222,7 @@ class BufferPool
     std::uint64_t allocated_ BONSAI_GUARDED_BY(mutex_) = 0;
     std::uint64_t outstanding_ BONSAI_GUARDED_BY(mutex_) = 0;
     std::uint64_t peak_ BONSAI_GUARDED_BY(mutex_) = 0;
+    std::uint64_t waits_ BONSAI_GUARDED_BY(mutex_) = 0;
 };
 
 } // namespace bonsai::io

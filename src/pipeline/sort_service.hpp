@@ -10,8 +10,9 @@
  * sharing falls out of the Equation-10 shape derivation: each job
  * plans its phase-2 shape against an equal allowance of
  * floor(buffers / jobs) pool buffers, and a job's concurrent holdings
- * never exceed its shape's lanes * laneBuffers(ell) <= allowance
- * buffers — so the per-job maxima sum to at most the pool supply and
+ * never exceed that allowance (sorter/merge_plan.hpp: the shape's
+ * lanes * laneSlots(ell) fit it, and each pass's concurrent groups
+ * share it) — so the per-job maxima sum to at most the pool supply and
  * blocking acquires cannot deadlock across jobs, while every job
  * always owns enough budget to make progress.  Too many jobs for the
  * budget (allowance < 6 buffers) fails loudly up front instead of

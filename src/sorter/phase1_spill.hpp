@@ -153,6 +153,9 @@ class Phase1Spiller
         };
 
         std::uint64_t moved = 0;
+        // Pages of blocks freed before the sort began go back first, or
+        // they would stay resident beside the chunks.
+        releaseFreedHeap();
         {
             // The chunk buffers, the sort scratch and the I/O thread
             // go before the flush, so their teardown is timed as
@@ -189,6 +192,11 @@ class Phase1Spiller
                 spill(b);
         }
 
+        // So do the chunks' pages before phase 2 allocates, so its
+        // pool and arenas do not add to them (a long-lived process
+        // peaked 1.1 MB higher in phase 2 than in phase 1 at a 4 MiB
+        // budget without this).
+        releaseFreedHeap();
         stats.phase1RecordsMoved += moved;
         stats.recordsMoved += moved;
         stats.writeStallSeconds += spill_seconds;

@@ -243,11 +243,11 @@ class SsdSorter
          *  planner (core/host_planner.hpp) books each phase against
          *  it: phase 1 holds two chunk buffers plus one chunk of sort
          *  scratch, each chunk a quarter of the budget; phase 2 holds
-         *  the batch pool, a quarter of the budget, plus one node-block
-         *  arena per merge lane, (ways - 2) blocks of 2 KiB (at least
-         *  32 records), ways being the fan-in rounded up to a power of
-         *  two.  Phase 1's gensort trees merge 16-byte key entries in
-         *  arenas of their own, which the plan does not book. */
+         *  the batch pool plus one arena per merge lane (its trees'
+         *  node blocks and, for gensort records, entry batches), and
+         *  books at most what phase 1 does.  Phase 1's gensort trees
+         *  merge 16-byte key entries in arenas of their own, which the
+         *  plan does not book. */
         std::uint64_t memoryBudgetBytes = 0;
         /** Spill directory for run files ("" = $TMPDIR or /tmp). */
         std::string spillDir;
@@ -344,7 +344,8 @@ class SsdSorter
             {.records = n,
              .recordBytes = sizeof(RecordT),
              .budgetBytes = budget,
-             .threads = threads_});
+             .threads = threads_,
+             .entries = EntryKeyed<RecordT>});
         if (!host)
             throw std::runtime_error(
                 "Bonsai: a " + std::to_string(budget) +
