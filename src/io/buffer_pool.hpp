@@ -5,24 +5,23 @@
  * The pool's unit is a slot of b records (the paper's batch, mirroring
  * the hardware data loader's batched reads), and it bounds the total
  * slot bytes — the software analogue of the paper's Equation 10
- * on-chip budget b * ell.  The engine derives its effective merge
- * fan-in from the slot count, so memory use never exceeds the budget
- * no matter how many runs phase 1 produced.  A lease may take k slots
- * as one contiguous buffer of k * b records: a phase-2 pass that
- * merges fewer runs than the reservation covers hands its cursors and
- * writers k-slot buffers and so moves k batches per read or write.
- * waits() counts the acquires that found too few free slots; a sort
- * whose shape fits its pool never waits.
+ * on-chip budget b * ell, a static allocation with nothing to wait
+ * on.  The engine plans its merge fan-in, its concurrent lanes and
+ * each pass's leases against the slot count, so memory use never
+ * exceeds the budget no matter how many runs phase 1 produced.  A
+ * lease may take k slots as one contiguous buffer of k * b records: a
+ * phase-2 pass that merges fewer runs than the reservation covers
+ * hands its cursors and writers k-slot buffers and so moves k batches
+ * per read or write.
  *
  * Slots are counted, not buffers: outstanding() and peakOutstanding()
- * are in slots, acquire(k) blocks while outstanding + k > buffers(),
- * and the memory the pool keeps (leased plus free buffers) never
- * exceeds buffers() slots — a free buffer of another size is dropped
- * when a new one needs its slots.
+ * are in slots, and the memory the pool keeps (leased plus free
+ * buffers) never exceeds buffers() slots — a free buffer of another
+ * size is dropped when a new one needs its slots.
  *
- * A pool whose budget cannot hold even one slot would make the first
- * acquire() block forever, and so would a request for more slots than
- * the pool has; both fail loudly instead (in every build type).
+ * A lease beyond the free slots breaks the caller's plan: acquire()
+ * fails loudly (in every build type) instead of waiting, and so does
+ * the constructor of a pool whose budget cannot hold even one slot.
  *
  * The pool is a leaf lock in the common/sync.hpp capability scheme:
  * every entry point is BONSAI_EXCLUDES its own mutex and no critical
@@ -74,7 +73,7 @@ class BufferPool
                 "BufferPool budget (" + std::to_string(budget_bytes) +
                     " bytes) is smaller than one batch buffer (" +
                     std::to_string(batch_bytes) +
-                    " bytes); acquire() would deadlock");
+                    " bytes); no acquire() could be met");
     }
 
     /**
@@ -109,32 +108,28 @@ class BufferPool
     }
 
     /**
-     * Take a buffer of @p slots * batchRecords() records, blocking
-     * while fewer than @p slots slots are free.  Callers must bound
-     * their concurrent holdings by buffers() slots (the stream engine
-     * derives its fan-in, its phase-2 group concurrency and its
-     * per-pass transfer from it), or acquire() deadlocks; a single
-     * request for more than buffers() slots can never be met and
-     * fails loudly instead.
+     * Take a buffer of @p slots * batchRecords() records.  Callers
+     * plan their concurrent holdings to fit buffers() slots (the
+     * stream engine derives its fan-in, its phase-2 group concurrency
+     * and its per-pass transfer from it); a request for more slots
+     * than are free is outside that plan and fails loudly.
      */
     std::vector<RecordT>
     acquire(std::uint64_t slots = 1) BONSAI_EXCLUDES(mutex_)
     {
-        if (slots == 0 || slots > count_)
-            contracts::fail(
-                "precondition", "0 < slots <= buffers()", __FILE__,
-                __LINE__,
-                "BufferPool request for " + std::to_string(slots) +
-                    " slot(s) of a " + std::to_string(count_) +
-                    "-slot pool; acquire() would deadlock");
         const std::uint64_t records = slots * batch_;
         // Free buffers dropped to make room, destroyed after the
         // lock is released (declared before it).
         std::vector<std::vector<RecordT>> dropped;
         ScopedLock lock(mutex_);
-        waits_ += outstanding_ + slots > count_;
-        while (outstanding_ + slots > count_)
-            available_.wait(mutex_);
+        if (slots == 0 || slots > count_ - outstanding_)
+            contracts::fail(
+                "precondition", "0 < slots <= buffers() - outstanding()",
+                __FILE__, __LINE__,
+                "BufferPool request for " + std::to_string(slots) +
+                    " slot(s) with " + std::to_string(outstanding_) +
+                    " of " + std::to_string(count_) +
+                    " held; the lease exceeds the pool's plan");
         outstanding_ += slots;
         peak_ = std::max(peak_, outstanding_);
         const auto fit = std::find_if(
@@ -167,18 +162,12 @@ class BufferPool
     release(std::vector<RecordT> buf) BONSAI_EXCLUDES(mutex_)
     {
         const std::uint64_t slots = buf.size() / batch_;
-        {
-            ScopedLock lock(mutex_);
-            BONSAI_REQUIRE(slots > 0 && buf.size() % batch_ == 0 &&
-                               slots <= outstanding_,
-                           "release without a matching acquire");
-            outstanding_ -= slots;
-            free_.push_back(std::move(buf));
-        }
-        // Waiters want different slot counts: wake them all, or a
-        // one-slot waiter could sleep behind a wider one that cannot
-        // proceed yet.
-        available_.notifyAll();
+        ScopedLock lock(mutex_);
+        BONSAI_REQUIRE(slots > 0 && buf.size() % batch_ == 0 &&
+                           slots <= outstanding_,
+                       "release without a matching acquire");
+        outstanding_ -= slots;
+        free_.push_back(std::move(buf));
     }
 
     /** Slots currently held by callers. */
@@ -203,26 +192,16 @@ class BufferPool
         return peak_;
     }
 
-    /** Acquires that found too few free slots and had to wait. */
-    std::uint64_t
-    waits() const BONSAI_EXCLUDES(mutex_)
-    {
-        ScopedLock lock(mutex_);
-        return waits_;
-    }
-
   private:
     std::uint64_t batch_;
     std::uint64_t count_ = 0;
 
     mutable Mutex mutex_;
-    CondVar available_;
     std::vector<std::vector<RecordT>> free_ BONSAI_GUARDED_BY(mutex_);
     /** Slots of every live buffer, leased or free. */
     std::uint64_t allocated_ BONSAI_GUARDED_BY(mutex_) = 0;
     std::uint64_t outstanding_ BONSAI_GUARDED_BY(mutex_) = 0;
     std::uint64_t peak_ BONSAI_GUARDED_BY(mutex_) = 0;
-    std::uint64_t waits_ BONSAI_GUARDED_BY(mutex_) = 0;
 };
 
 } // namespace bonsai::io

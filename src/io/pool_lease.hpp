@@ -35,8 +35,8 @@ class PoolLease
     /** An empty lease (no buffer, no pool). */
     PoolLease() = default;
 
-    /** Acquire a buffer of @p slots slots from @p pool, blocking
-     *  while the pool has fewer free; released when the lease dies. */
+    /** Acquire a buffer of @p slots slots from @p pool (throws when
+     *  the pool has fewer free); released when the lease dies. */
     explicit PoolLease(BufferPool<RecordT> &pool, std::uint64_t slots = 1)
         : pool_(&pool), buf_(pool.acquire(slots))
     {

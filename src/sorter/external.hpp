@@ -48,15 +48,12 @@
  * and resume change the work, never the bytes.
  *
  * The streamed sort has one entry point, sortStream(const
- * SortRequest&), and a request varies it along two axes:
- *  - spill target: the caller's front/back run stores, or, when
- *    durable.dir is set, named files under a checkpointed job
- *    directory (sorter/checkpoint.hpp);
- *  - pool: a private BufferPool sized from bufferBudgetBytes, or a
- *    caller-owned one under a buffer allowance, which is how
- *    pipeline::SortService packs several concurrent jobs into one
- *    global budget.
- * Neither axis changes the emitted bytes.
+ * SortRequest&).  A request picks the spill target: the caller's
+ * front/back run stores, or, when durable.dir is set, named files
+ * under a checkpointed job directory (sorter/checkpoint.hpp); the
+ * choice never changes the emitted bytes.  Every sort owns one
+ * BufferPool sized from bufferBudgetBytes and plans its phase-2 shape
+ * against the pool's slots, so every lease it takes fits.
  */
 
 #ifndef BONSAI_SORTER_EXTERNAL_HPP
@@ -67,8 +64,6 @@
 #include <chrono>
 #include <cstdint>
 #include <exception>
-#include <limits>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -92,9 +87,8 @@ namespace bonsai::sorter
 {
 
 /**
- * One streamed sort: its endpoints, where it spills and which pool
- * its batch buffers come from.  Every referenced object must outlive
- * the sort.
+ * One streamed sort: its endpoints and where it spills.  Every
+ * referenced object must outlive the sort.
  */
 template <typename RecordT>
 struct SortRequest
@@ -106,11 +100,6 @@ struct SortRequest
     io::RunStore<RecordT> *back = nullptr;
     /** Checkpointing; an empty durable.dir spills to front/back. */
     DurableOptions durable = {};
-    /** Shared buffer pool; nullptr = a private pool sized from
-     *  StreamEngine::Options::bufferBudgetBytes. */
-    io::BufferPool<RecordT> *pool = nullptr;
-    /** Most pool buffers the phase-2 shape may plan against. */
-    std::uint64_t allowance = std::numeric_limits<std::uint64_t>::max();
 };
 
 /** The streaming two-phase sort engine. */
@@ -212,13 +201,12 @@ class StreamEngine
      * size.  An empty source finishes the sink and returns before any
      * pool, store or job directory is touched.
      *
-     * Pool: with req.pool set the sort draws from that caller-owned
-     * pool and plans its phase-2 shape against at most req.allowance
-     * of its buffers.  A sort's concurrent holdings never exceed that
-     * allowance (each concurrent group holds at most its share of it,
-     * sorter/merge_plan.hpp passTransfer), so sorts
-     * whose allowances sum to the pool supply cannot deadlock each
-     * other's blocking acquires.
+     * Pool: the sort draws its batch buffers from a pool of its own,
+     * sized from Options::bufferBudgetBytes, and plans its phase-2
+     * shape against that pool's slots.  Its concurrent holdings never
+     * exceed them (each concurrent group holds at most its share,
+     * sorter/merge_plan.hpp passTransfer); a lease beyond them is a
+     * planning fault and fails loudly.
      *
      * Durable: with req.durable.dir set, spills live in named files
      * under that directory next to a versioned, checksummed job
@@ -257,12 +245,8 @@ class StreamEngine
             req.sink->finish();
             return stats;
         }
-        std::optional<io::BufferPool<RecordT>> private_pool;
-        if (req.pool == nullptr)
-            private_pool.emplace(opt_.batchRecords,
-                                 opt_.bufferBudgetBytes);
-        io::BufferPool<RecordT> &bufs =
-            req.pool != nullptr ? *req.pool : *private_pool;
+        io::BufferPool<RecordT> bufs(opt_.batchRecords,
+                                     opt_.bufferBudgetBytes);
         if (req.durable.dir.empty()) {
             BONSAI_REQUIRE(req.front != nullptr && req.back != nullptr,
                            "a sort without a checkpoint directory "
@@ -278,8 +262,7 @@ class StreamEngine
                               &ckpt);
     }
 
-    /** Plain streamed sort: spills to @p front / @p back under a
-     *  private pool. */
+    /** Plain streamed sort: spills to @p front / @p back. */
     StreamStats
     sortStream(io::RecordSource<RecordT> &source,
                io::RecordSink<RecordT> &sink,
@@ -306,11 +289,9 @@ class StreamEngine
         stats.batchRecords = opt_.batchRecords;
         ThreadPool pool(opt_.threads);
         stats.bufferPoolBytes = bufs.budgetBytes();
-        const std::uint64_t have =
-            std::min<std::uint64_t>(bufs.buffers(), req.allowance);
         const std::uint64_t chunk = chunkOf(stats.recordsIn);
         const Phase2Shape shape = phase2Shape(
-            have, bufs.budgetBytes(), opt_.phase2Ell, opt_.threads,
+            bufs.buffers(), bufs.budgetBytes(), opt_.phase2Ell, opt_.threads,
             (stats.recordsIn + chunk - 1) / chunk,
             laneItemsOf<RecordT>(bufs.batchRecords()));
         stats.effectiveEll = shape.ell;
@@ -334,7 +315,7 @@ class StreamEngine
                 // journal's current store.
                 stats.phase1Chunks = ckpt->chunksDone();
             }
-            Phase2Merger<RecordT> merger(bufs, shape, pool, trap, have);
+            Phase2Merger<RecordT> merger(bufs, shape, pool, trap);
             merger.run(front, back, *req.sink, stats, ckpt);
         } catch (...) {
             trap.store(std::current_exception());
@@ -346,7 +327,6 @@ class StreamEngine
         stats.spillBytesRead = front.bytesRead() + back.bytesRead();
         stats.bufferPoolPeakBytes = bufs.peakOutstanding() *
             bufs.batchRecords() * sizeof(RecordT);
-        stats.bufferPoolWaits = bufs.waits();
         io::IoRetryStats retries = front.retryStats();
         retries += back.retryStats();
         stats.ioTransientRetries = retries.transientRetries;
@@ -368,11 +348,9 @@ class StreamEngine
         lastPoolOutstanding_.store(bufs.outstanding(),
                                    std::memory_order_relaxed);
         trap.rethrowIfSet();
-        // Only the pool's sole user may assert every buffer is back.
-        if (req.pool == nullptr)
-            BONSAI_ENSURE(bufs.outstanding() == 0,
-                          "buffer pool has outstanding buffers after "
-                          "a clean streamed sort");
+        BONSAI_ENSURE(bufs.outstanding() == 0,
+                      "buffer pool has outstanding buffers after "
+                      "a clean streamed sort");
         return stats;
     }
 

@@ -188,9 +188,9 @@ struct Phase2Shape
  * records themselves, which pin no records in their node blocks,
  * reach a fan-in that takes fewer passes over the runs.  Fails
  * loudly (all build types) when even one 2-way lane does not fit —
- * blocking acquire()s would otherwise deadlock mid-sort; both trees
- * need the same 6 slots there.  @p budget_bytes only labels the
- * failure message.
+ * every lease of the sort must fit the pool, and no smaller plan
+ * exists; both trees need the same 6 slots there.  @p budget_bytes
+ * only labels the failure message.
  */
 inline Phase2Shape
 phase2Shape(std::uint64_t have, std::uint64_t budget_bytes,
@@ -242,14 +242,14 @@ struct PassTransfer
 /**
  * The leases of each group of a pass that merges @p concurrent groups
  * or final-pass slices at once, the widest of @p widest members, from
- * @p have slots (the shape's: the pool's, capped by the sort's
- * allowance), each group taking an equal share.  A record tree's
- * cursors and writer each take k slots, as many as the share holds
- * for widest + 1 leases (at least 1: the shape fits one slot per
- * lease).  An entry tree's share first covers its least lane (one
- * slot per lease, its pinned slots), then grows its writer towards
- * one whole transfer, then its reads.  No lease grows past
- * kTransferBytes.
+ * @p have slots (the pool's, which the shape was planned against),
+ * each group taking an equal share, so the pass's leases together
+ * fit the pool.  A record tree's cursors and writer each take k
+ * slots, as many as the share holds for widest + 1 leases (at least
+ * 1: the shape fits one slot per lease).  An entry tree's share
+ * first covers its least lane (one slot per lease, its pinned
+ * slots), then grows its writer towards one whole transfer, then its
+ * reads.  No lease grows past kTransferBytes.
  */
 inline PassTransfer
 passTransfer(std::uint64_t have, std::uint64_t concurrent,

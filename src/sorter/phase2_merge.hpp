@@ -207,19 +207,19 @@ class Phase2Merger
 {
   public:
     /**
-     * @param bufs  The sort's bounded buffer pool.
+     * @param bufs  The sort's bounded buffer pool; the shape was
+     *        planned against its slots, and every pass's leases fit
+     *        in them.
      * @param shape The budget-capped fan-in, the merge lanes the
      *        budget admits (they bound both group concurrency and
      *        final-pass slices) and the trees they merge.
      * @param pool  Compute pool the merge tasks are scheduled on.
      * @param trap  Sort-wide first-error latch.
-     * @param have  Pool slots the shape was planned against; every
-     *        pass's leases fit in them.
      */
     Phase2Merger(io::BufferPool<RecordT> &bufs, const Phase2Shape &shape,
-                 ThreadPool &pool, ErrorTrap &trap, std::uint64_t have)
+                 ThreadPool &pool, ErrorTrap &trap)
         : bufs_(&bufs), lanes_(shape.lanes), pool_(&pool), trap_(&trap),
-          ell_(shape.ell), entries_(shape.entries), have_(have)
+          ell_(shape.ell), entries_(shape.entries)
     {
         BONSAI_REQUIRE(!entries_ || EntryKeyed<RecordT>,
                        "only EntryKeyed records merge as key entries");
@@ -290,7 +290,7 @@ class Phase2Merger
                StreamStats &stats) const
     {
         const PassTransfer t = passTransfer(
-            have_, concurrent, widest,
+            bufs_->buffers(), concurrent, widest,
             {bufs_->batchRecords(), sizeof(RecordT), entries_});
         stats.passTransferRecords.push_back(t.readSlots *
                                             bufs_->batchRecords());
@@ -429,7 +429,6 @@ class Phase2Merger
     ErrorTrap *trap_;
     unsigned ell_;
     bool entries_;
-    std::uint64_t have_;
 };
 
 } // namespace bonsai::sorter

@@ -19,8 +19,9 @@
  * cursor's records in the order they were read, and take() releases
  * the oldest lease once its last record is copied.  The leases a
  * cursor holds are counted against a booking its tree shares with
- * the other cursors: a lease beyond it fails loudly, because a
- * merging thread that waited on its own leases would hang.
+ * the other cursors, the tree's share of the pass's plan: a lease
+ * beyond it fails loudly here, naming the tree, before the pool's
+ * own bound would.
  *
  * The read is a plain RunStore::readAt — a buffered pread on a
  * FileRunStore, which the kernel's readahead already overlaps with

@@ -65,10 +65,6 @@ struct StreamStats
     /** High-water pool usage (streamed path only; 0 for the
      *  zero-copy in-memory adapter, which holds no pool buffers). */
     std::uint64_t bufferPoolPeakBytes = 0;
-    /** Pool acquires that had to wait for another holder's release
-     *  (streamed path only).  A sort whose shape fits its pool, or
-     *  service jobs whose allowances fit theirs, never wait. */
-    std::uint64_t bufferPoolWaits = 0;
     double phase1Seconds = 0.0;
     double phase2Seconds = 0.0;
     /** Stall seconds are summed across all phase-2 merge tasks (per-

@@ -3,7 +3,7 @@
  * The host sorts' output contract, asserted directly: every entry
  * point — DramSorter::sort, SsdSorter::sort and sortStream,
  * StreamEngine::sortInPlace and sortStream on memory and file stores,
- * SortService jobs and a resumed checkpointed sort — emits exactly
+ * and a resumed checkpointed sort — emits exactly
  * std::stable_sort of its input, ties included, whatever the chunk
  * (every length 1-40, and lengths that are not multiples of 16), the
  * budget and the thread count.
@@ -34,7 +34,6 @@
 #include "io/manifest.hpp"
 #include "io/run_store.hpp"
 #include "io/stream.hpp"
-#include "pipeline/sort_service.hpp"
 #include "sorter/external.hpp"
 #include "sorter/sorters.hpp"
 
@@ -235,7 +234,7 @@ TEST(StableSort, SsdSorterSortStreamOnFiles)
     expectSortStreamStable<GensortRecord>({65'536, 49'152});
 }
 
-/** Engine options for the service and resume cases: 1000-record
+/** Engine options for the file-store and resume cases: 1000-record
  *  chunks (not a multiple of 16) and 4-way merges. */
 sorter::StreamEngine<Record>::Options
 smallShape(unsigned threads)
@@ -250,25 +249,22 @@ smallShape(unsigned threads)
     return opt;
 }
 
-TEST(StableSort, SortServiceJobs)
+TEST(StableSort, StreamEngineOnFileStores)
 {
     const auto few = tiedInput<Record>(12'000, GensortKeys::FewDistinct, 61);
     const auto prefix = tiedInput<Record>(9'000, GensortKeys::PrefixTie, 62);
     for (const unsigned threads : {1u, 4u}) {
-        SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-        io::MemorySource<Record> source_a{std::span<const Record>(few)};
-        io::MemorySource<Record> source_b{std::span<const Record>(prefix)};
-        std::vector<Record> out_a, out_b;
-        io::MemorySink<Record> sink_a(out_a);
-        io::MemorySink<Record> sink_b(out_b);
-        io::FileRunStore<Record> front_a, back_a, front_b, back_b;
-        pipeline::SortService<Record>(smallShape(threads))
-            .run({{.source = &source_a, .sink = &sink_a, .front = &front_a,
-                   .back = &back_a},
-                  {.source = &source_b, .sink = &sink_b, .front = &front_b,
-                   .back = &back_b}});
-        EXPECT_TRUE(sameBytes(out_a, stableSorted(few)));
-        EXPECT_TRUE(sameBytes(out_b, stableSorted(prefix)));
+        const sorter::StreamEngine<Record> engine(smallShape(threads));
+        for (const auto *input : {&few, &prefix}) {
+            SCOPED_TRACE(::testing::Message() << "threads=" << threads
+                                              << " n=" << input->size());
+            io::MemorySource<Record> source{std::span<const Record>(*input)};
+            std::vector<Record> out;
+            io::MemorySink<Record> sink(out);
+            io::FileRunStore<Record> front, back;
+            engine.sortStream(source, sink, front, back);
+            EXPECT_TRUE(sameBytes(out, stableSorted(*input)));
+        }
     }
 }
 

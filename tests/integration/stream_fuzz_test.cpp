@@ -3,8 +3,7 @@
  * configuration space: record count, key distribution, chunk size,
  * batch size, buffer budget, phase-2 fan-in, thread count, store
  * kind, and caller (a plain or a durable SortRequest to
- * StreamEngine::sortStream, or a SortService job with or without a
- * checkpoint directory).
+ * StreamEngine::sortStream).
  *
  * Records carry their input index as payload, so equal keys stay
  * distinguishable and the emitted order of ties is part of the
@@ -48,7 +47,6 @@
 #include "io/run_store.hpp"
 #include "io/stream.hpp"
 #include "oracle_sort.hpp"
-#include "pipeline/sort_service.hpp"
 #include "sorter/external.hpp"
 #include "sorter/merge_plan.hpp"
 
@@ -66,9 +64,7 @@ enum class Store
 enum class Path
 {
     Plain,
-    Durable,
-    Service,
-    ServiceDurable
+    Durable
 };
 
 /** Thread counts the cases draw from. */
@@ -193,54 +189,25 @@ runCase(const Case &o, const std::vector<Record> &input,
     out.reserve(input.size());
     io::MemorySink<Record> sink(out);
     StreamStats stats;
-    std::uint64_t budget = budgetBytes(o);
 
     if (o.path == Path::Plain) {
         StorePair<> pair(o.store, input.size());
         stats = engine.sortStream(source, sink, *pair.front, *pair.back);
-        EXPECT_EQ(engine.lastPoolOutstanding(), 0u) << what;
-    } else if (o.path == Path::Durable) {
+    } else {
         SortRequest<Record> req{.source = &source, .sink = &sink};
         req.durable.dir = makeJobDir(case_id);
         stats = engine.sortStream(req);
         removeJobDir(req.durable.dir);
-        EXPECT_EQ(engine.lastPoolOutstanding(), 0u) << what;
-    } else {
-        // Two identical jobs over a pool twice the budget: each job's
-        // allowance is exactly the case's budget, so its shape matches
-        // the single-sort cases.  On the durable service path the
-        // first job checkpoints.
-        StreamEngine<Record>::Options opt = engineOptions(o);
-        budget = 2 * budgetBytes(o);
-        opt.bufferBudgetBytes = budget;
-        io::MemorySource<Record> source2{std::span<const Record>(input)};
-        std::vector<Record> out2;
-        io::MemorySink<Record> sink2(out2);
-        StorePair<> p1(o.store, input.size());
-        StorePair<> p2(o.store, input.size());
-        SortRequest<Record> j1{.source = &source, .sink = &sink,
-                               .front = p1.front.get(),
-                               .back = p1.back.get()};
-        if (o.path == Path::ServiceDurable)
-            j1.durable.dir = makeJobDir(case_id);
-        const SortRequest<Record> j2{.source = &source2, .sink = &sink2,
-                                     .front = p2.front.get(),
-                                     .back = p2.back.get()};
-        const std::vector<StreamStats> all =
-            pipeline::SortService<Record>(opt).run({j1, j2});
-        stats = all[0];
-        EXPECT_EQ(out2, out) << what << " (second service job)";
-        if (o.path == Path::ServiceDurable)
-            removeJobDir(j1.durable.dir);
     }
 
-    EXPECT_LE(stats.bufferPoolPeakBytes, budget) << what;
+    EXPECT_EQ(engine.lastPoolOutstanding(), 0u) << what;
+    EXPECT_LE(stats.bufferPoolPeakBytes, budgetBytes(o)) << what;
     EXPECT_TRUE(out == expected) << what << ": not the oracle's bytes";
 }
 
 /** @p o as given (one thread, memory stores, plain sortStream), then
- *  on every path with a seeded thread count and store; the input's
- *  keys come from @p data_seed. */
+ *  twice on each path with a seeded thread count and store; the
+ *  input's keys come from @p data_seed. */
 void
 sweep(const Case &o, SplitMix64 &rng, std::uint64_t &case_id,
       std::uint64_t data_seed = 7)
@@ -248,8 +215,8 @@ sweep(const Case &o, SplitMix64 &rng, std::uint64_t &case_id,
     const std::vector<Record> input = makeRecords(o.n, o.dist, data_seed);
     const std::vector<Record> expected = oracleSort(input);
     runCase(o, input, expected, case_id++);
-    for (const Path path : {Path::Plain, Path::Durable, Path::Service,
-                            Path::ServiceDurable}) {
+    for (const Path path :
+         {Path::Plain, Path::Durable, Path::Plain, Path::Durable}) {
         Case c = o;
         c.threads = kThreads[rng.nextBounded(3)];
         c.store = rng.nextBounded(2) ? Store::File : Store::Memory;
@@ -466,23 +433,19 @@ struct FaultRun
 {
     std::vector<Record> out;
     bool threw = false;
-    /** The plain path's leftover pool buffers (SortService keeps its
-     *  pool to itself, so the service path leaves this 0). */
+    /** The sort's leftover pool buffers. */
     std::uint64_t poolOutstanding = 0;
 };
 
 /**
  * Sort @p input on file stores whose front (or back) store carries
- * @p injector, through a plain sortStream or as the first of two
- * SortService jobs.  Any exception other than one std::runtime_error
- * fails the test.  On the service path the healthy sibling job must
- * finish with @p expected whatever happens to the first.
+ * @p injector, through a plain sortStream.  Any exception other than
+ * one std::runtime_error fails the test.
  */
 FaultRun
 runOnFaultyStore(const Case &o, bool back,
                  std::shared_ptr<io::FaultInjector> injector,
-                 const std::vector<Record> &input,
-                 const std::vector<Record> &expected)
+                 const std::vector<Record> &input)
 {
     io::RetryPolicy fast;
     fast.backoffBaseMicros = 1;
@@ -494,35 +457,13 @@ runOnFaultyStore(const Case &o, bool back,
     io::MemorySource<Record> source{std::span<const Record>(input)};
     FaultRun run;
     io::MemorySink<Record> sink(run.out);
-    if (o.path == Path::Plain) {
-        const StreamEngine<Record> engine(engineOptions(o));
-        try {
-            engine.sortStream(source, sink, front, rear);
-        } catch (const std::runtime_error &) {
-            run.threw = true;
-        }
-        run.poolOutstanding = engine.lastPoolOutstanding();
-        return run;
-    }
-    // As in runCase: each job's allowance is the case's budget, so
-    // the faulty job has the single sort's shape.
-    StreamEngine<Record>::Options opt = engineOptions(o);
-    opt.bufferBudgetBytes = 2 * budgetBytes(o);
-    io::MemorySource<Record> source2{std::span<const Record>(input)};
-    std::vector<Record> out2;
-    io::MemorySink<Record> sink2(out2);
-    io::FileRunStore<Record> front2;
-    io::FileRunStore<Record> back2;
-    const SortRequest<Record> j1{.source = &source, .sink = &sink,
-                                 .front = &front, .back = &rear};
-    const SortRequest<Record> j2{.source = &source2, .sink = &sink2,
-                                 .front = &front2, .back = &back2};
+    const StreamEngine<Record> engine(engineOptions(o));
     try {
-        pipeline::SortService<Record>(opt).run({j1, j2});
+        engine.sortStream(source, sink, front, rear);
     } catch (const std::runtime_error &) {
         run.threw = true;
     }
-    EXPECT_TRUE(out2 == expected) << "the sibling of the faulty job";
+    run.poolOutstanding = engine.lastPoolOutstanding();
     return run;
 }
 
@@ -532,8 +473,8 @@ TEST(StreamEngineFuzz, SeededHardFaultsFailOnceOrMatchTheReference)
     // fails everything from a chosen attempt on (up to a quarter past
     // the last, so some seeds never fire).  The sort must throw one
     // std::runtime_error exactly when the attempt exists, and emit
-    // the oracle's bytes otherwise; a plain sort returns every pool
-    // buffer either way.
+    // the oracle's bytes otherwise, and return every pool buffer
+    // either way.
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
         SCOPED_TRACE(::testing::Message() << "fault seed " << seed);
         SplitMix64 rng(0xFA017 + seed);
@@ -546,43 +487,40 @@ TEST(StreamEngineFuzz, SeededHardFaultsFailOnceOrMatchTheReference)
         const std::vector<Record> input = makeRecords(o.n, o.dist, 7);
         const std::vector<Record> expected = oracleSort(input);
         for (const unsigned threads : {1u, 2u, 4u}) {
-            for (const Path path : {Path::Plain, Path::Service}) {
-                o.threads = threads;
-                o.path = path;
-                const std::string what = describe(o) +
-                    (fault.back ? " back" : " front") +
-                    (fault.onRead ? " read" : " write") +
-                    " at=" + std::to_string(fault.at);
-                auto counter =
-                    std::make_shared<io::FaultInjector>(io::FaultPlan{});
-                const FaultRun clean =
-                    runOnFaultyStore(o, fault.back, counter, input, expected);
-                ASSERT_FALSE(clean.threw) << what;
-                ASSERT_TRUE(clean.out == expected) << what;
-                const std::uint64_t attempts = fault.onRead
-                                                   ? counter->readAttempts()
-                                                   : counter->writeAttempts();
-                const auto at = static_cast<unsigned>(
-                    1 + fault.at * static_cast<double>(attempts));
+            o.threads = threads;
+            const std::string what = describe(o) +
+                (fault.back ? " back" : " front") +
+                (fault.onRead ? " read" : " write") +
+                " at=" + std::to_string(fault.at);
+            auto counter =
+                std::make_shared<io::FaultInjector>(io::FaultPlan{});
+            const FaultRun clean =
+                runOnFaultyStore(o, fault.back, counter, input);
+            ASSERT_FALSE(clean.threw) << what;
+            ASSERT_TRUE(clean.out == expected) << what;
+            const std::uint64_t attempts = fault.onRead
+                                               ? counter->readAttempts()
+                                               : counter->writeAttempts();
+            const auto at = static_cast<unsigned>(
+                1 + fault.at * static_cast<double>(attempts));
 
-                io::FaultPlan plan;
-                (fault.onRead ? plan.eioOnReadAttempt
-                              : plan.eioOnWriteAttempt) = at;
-                plan.eioFailures = 1'000'000; // never heals
-                auto injector = std::make_shared<io::FaultInjector>(plan);
-                const FaultRun run =
-                    runOnFaultyStore(o, fault.back, injector, input, expected);
-                if (at <= attempts) {
-                    EXPECT_TRUE(run.threw)
-                        << what << ": attempt " << at << " of " << attempts;
-                    EXPECT_GT(injector->injectedEio(), 0u) << what;
-                } else {
-                    EXPECT_FALSE(run.threw) << what;
-                    EXPECT_EQ(injector->injectedEio(), 0u) << what;
-                    EXPECT_TRUE(run.out == expected) << what;
-                }
-                EXPECT_EQ(run.poolOutstanding, 0u) << what;
+            io::FaultPlan plan;
+            (fault.onRead ? plan.eioOnReadAttempt
+                          : plan.eioOnWriteAttempt) = at;
+            plan.eioFailures = 1'000'000; // never heals
+            auto injector = std::make_shared<io::FaultInjector>(plan);
+            const FaultRun run =
+                runOnFaultyStore(o, fault.back, injector, input);
+            if (at <= attempts) {
+                EXPECT_TRUE(run.threw)
+                    << what << ": attempt " << at << " of " << attempts;
+                EXPECT_GT(injector->injectedEio(), 0u) << what;
+            } else {
+                EXPECT_FALSE(run.threw) << what;
+                EXPECT_EQ(injector->injectedEio(), 0u) << what;
+                EXPECT_TRUE(run.out == expected) << what;
             }
+            EXPECT_EQ(run.poolOutstanding, 0u) << what;
         }
     }
 }

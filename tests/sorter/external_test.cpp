@@ -14,7 +14,6 @@
 #include "common/random.hpp"
 #include "common/record.hpp"
 #include "gensort_keys.hpp"
-#include "io/buffer_pool.hpp"
 #include "io/run_store.hpp"
 #include "io/stream.hpp"
 #include "oracle_sort.hpp"
@@ -368,30 +367,24 @@ TEST(StreamEngine, SerialMultiGroupPassHoldsOneBufferPerRunPlusOne)
 
 TEST(StreamEngine, TransfersStayWithinTheAllowanceAtEveryLaneCount)
 {
-    // A caller-owned pool four times the allowance: every pass's
-    // k-slot leases, final-pass slices included, must fit in the
-    // allowance the shape was planned against, not in the pool.
+    // A private pool of exactly kAllowance slots: every pass's k-slot
+    // leases, final-pass slices included, must fit in the slots the
+    // shape was planned against, and the sort's output must be the
+    // in-memory adapter's.
     const auto data = makeRecords(30'000, Distribution::UniformRandom);
     for (const unsigned threads : {1u, 4u}) {
         SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+        constexpr std::uint64_t kAllowance = 64;
         auto opt = smallOptions();
         opt.threads = threads;
+        opt.bufferBudgetBytes =
+            kAllowance * opt.batchRecords * sizeof(Record);
         const StreamEngine<Record> engine(opt);
-        std::vector<Record> want = streamSort(engine, data);
+        std::vector<Record> want = data;
+        engine.sortInPlace(want);
 
-        constexpr std::uint64_t kAllowance = 64;
-        io::BufferPool<Record> pool(opt.batchRecords,
-                                    4 * kAllowance * opt.batchRecords *
-                                        sizeof(Record));
-        io::MemorySource<Record> source{std::span<const Record>(data)};
-        std::vector<Record> out;
-        io::MemorySink<Record> sink(out);
-        io::FileRunStore<Record> front;
-        io::FileRunStore<Record> back;
-        const StreamStats stats = engine.sortStream(SortRequest<Record>{
-            .source = &source, .sink = &sink, .front = &front,
-            .back = &back, .pool = &pool, .allowance = kAllowance});
-        EXPECT_EQ(out, want);
+        StreamStats stats;
+        EXPECT_EQ(streamSort(engine, data, &stats), want);
         EXPECT_EQ(stats.concurrentGroups, threads == 1 ? 1u : 4u);
         if (threads > 1) {
             EXPECT_GT(stats.finalSlices, 1u);
@@ -399,9 +392,10 @@ TEST(StreamEngine, TransfersStayWithinTheAllowanceAtEveryLaneCount)
         ASSERT_EQ(stats.passTransferRecords.size(), stats.mergePasses);
         for (const std::uint64_t t : stats.passTransferRecords)
             EXPECT_GT(t, opt.batchRecords) << "a pass left k at 1";
-        EXPECT_GT(pool.peakOutstanding(), 0u);
-        EXPECT_LE(pool.peakOutstanding(), kAllowance);
-        EXPECT_EQ(pool.outstanding(), 0u);
+        EXPECT_GT(stats.bufferPoolPeakBytes, 0u);
+        EXPECT_LE(stats.bufferPoolPeakBytes,
+                  kAllowance * opt.batchRecords * sizeof(Record));
+        EXPECT_EQ(engine.lastPoolOutstanding(), 0u);
     }
 }
 
@@ -560,7 +554,7 @@ TEST(StreamEngine, BudgetBelowTwoWayMergeFailsLoudly)
 {
     auto opt = smallOptions();
     // Five buffers fit — one short of the 2-cursor + write-back
-    // minimum.  Must throw up front, not deadlock in acquire().
+    // minimum.  Must throw up front, before any lease is taken.
     opt.bufferBudgetBytes = 5 * opt.batchRecords * sizeof(Record);
     const StreamEngine<Record> engine(opt);
     const auto data = makeRecords(100, Distribution::UniformRandom);

@@ -71,7 +71,7 @@ storeRuns(io::RunStore<GensortRecord> &store, std::size_t ways,
 
 /** The records of @p members merged by @p merge under the leases a
  *  pass of one group leaves in a pool of @p have slots of @p batch
- *  records; the pool must never make a lease wait. */
+ *  records; a lease beyond the pool's slots would throw. */
 template <typename Merge>
 Records
 mergeWith(Merge merge, const io::RunStore<GensortRecord> &store,
@@ -88,7 +88,6 @@ mergeWith(Merge merge, const io::RunStore<GensortRecord> &store,
     LaneArena<GensortRecord> arena;
     const MergeTally tally = merge(store, members, sink, pool, t, arena);
     EXPECT_EQ(tally.moved, out.size());
-    EXPECT_EQ(pool.waits(), 0u);
     EXPECT_LE(pool.peakOutstanding(), have);
     EXPECT_EQ(pool.outstanding(), 0u);
     return out;
