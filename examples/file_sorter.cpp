@@ -13,9 +13,10 @@
  *   file_sorter validate <file>                valsort-style check
  *
  * Records on disk use the Jim Gray sort-benchmark layout (10-byte key,
- * 90-byte value).  `sort` packs them to 16-byte AMT records (10-byte
- * key + 6-byte hashed index, Section VI-A), sorts with the DRAM
- * sorter, and rewrites the full 100-byte records in key order.
+ * 90-byte value).  `sort` sorts them with the DRAM sorter, which
+ * merges 16-byte entries (10-byte key + 48-bit record index, Section
+ * VI-A; modeled width r = 16) and then moves each 100-byte record once
+ * into key order.
  * `ssdsort` and `extsort` sort the 100-byte records directly with the
  * two-phase SSD sorter; `extsort` streams them through spill files
  * with resident memory bounded by --budget-mb (default 64), so it
@@ -115,25 +116,16 @@ cmdSort(const char *in_path, const char *out_path, unsigned threads)
     std::printf("read %zu records (%u host thread%s)\n", recs.size(),
                 threads, threads == 1 ? "" : "s");
 
-    // Pack to 16-byte AMT records; remember each packed record's
-    // position so the 100-byte payloads can be emitted in key order.
-    auto packed = packGensort(recs);
-    for (std::size_t i = 0; i < packed.size(); ++i)
-        packed[i].value = i; // carry the source index instead
-
+    // r = 16: the AMT merges the 16-byte key entries, not the
+    // 100-byte records.
     sorter::DramSorter sorter;
     sorter.setThreads(threads);
-    const auto report = sorter.sort(packed, 16);
+    const auto report = sorter.sort(recs, 16);
     std::printf("sorted with AMT(%u, %u), %u stages; modeled FPGA "
                 "time %.2f ms (+%.2f ms host I/O)\n",
                 report.config.p, report.config.ell, report.stages,
                 toMs(report.modeledSeconds), toMs(report.ioSeconds));
-
-    std::vector<GensortRecord> sorted;
-    sorted.reserve(recs.size());
-    for (const Record128 &rec : packed)
-        sorted.push_back(recs[rec.value]);
-    writeRecords(out_path, sorted);
+    writeRecords(out_path, recs);
     std::printf("wrote %s\n", out_path);
     return 0;
 }

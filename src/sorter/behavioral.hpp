@@ -109,26 +109,12 @@ class BehavioralSorter
         if (data.size() <= 1)
             return {};
         ThreadPool pool(threads_); // persists across all stages
-        return sort(data, pool);
-    }
-
-    /**
-     * Sort @p data in place on a caller-provided pool.  Lets callers
-     * that sort many buffers (the SSD sorter's phase-1 chunk loop)
-     * keep one pool alive across all of them instead of paying a
-     * worker spawn/join per call; @p pool's width overrides the
-     * constructor's thread count.
-     */
-    BehavioralStats
-    sort(std::vector<RecordT> &data, ThreadPool &pool) const
-    {
         return sort(std::span<RecordT>(data), pool);
     }
 
     /**
-     * Sort a caller-owned range in place — the out-of-core engine's
-     * phase 1 sorts each streamed chunk this way, with no per-chunk
-     * copy round trip.
+     * Sort a caller-owned range in place on @p pool, whose width
+     * overrides the constructor's thread count.
      */
     BehavioralStats
     sort(std::span<RecordT> data, ThreadPool &pool) const

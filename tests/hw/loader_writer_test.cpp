@@ -43,12 +43,27 @@ TEST(DataLoader, DeliversRunsWithTerminals)
         "dl", std::span<const Record>(source), std::move(feeds), memory,
         /*batch_records=*/64, /*presort_chunk=*/0, 0, 4);
 
+    // At r = 4 a 512-bit bus word holds 16 records, and a leaf
+    // receives at most one word per cycle.
+    constexpr std::uint64_t kWord =
+        hw::DataLoader<Record>::kBusBytesPerCycle / 4;
+    static_assert(kWord == 16);
+    std::size_t seen0 = 0, seen1 = 0;
+    std::size_t most = 0;
     sim::SimEngine engine;
     engine.add(&memory);
     engine.add(&loader);
-    const auto result =
-        engine.run([&] { return loader.finished(); }, 100000);
+    const auto result = engine.run(
+        [&] {
+            most = std::max({most, leaf0.size() - seen0,
+                             leaf1.size() - seen1});
+            seen0 = leaf0.size();
+            seen1 = leaf1.size();
+            return loader.finished();
+        },
+        100000);
     ASSERT_TRUE(result.finished);
+    EXPECT_EQ(most, kWord);
 
     // Leaf 0: 30 records, terminal, 20 records, terminal.
     ASSERT_EQ(leaf0.size(), 52u);
@@ -69,30 +84,40 @@ TEST(DataLoader, DeliversRunsWithTerminals)
 
 TEST(DataLoader, PresortsChunksDuringFirstStage)
 {
-    auto source = makeRecords(64, Distribution::Reverse);
-    mem::MemoryTiming memory("m", fastMem());
-    sim::Fifo<Record> leaf(600);
-    std::vector<hw::DataLoader<Record>::LeafFeed> feeds(1);
-    feeds[0].buffer = &leaf;
-    feeds[0].runs = chunkRuns(64, 16);
+    // 64 records are four whole chunks for the bitonic network; 70
+    // add a 6-record tail, which is not a power of two and is sorted
+    // by std::sort.
+    for (const std::uint64_t n : {64u, 70u}) {
+        SCOPED_TRACE(n);
+        auto source = makeRecords(n, Distribution::Reverse);
+        mem::MemoryTiming memory("m", fastMem());
+        sim::Fifo<Record> leaf(600);
+        std::vector<hw::DataLoader<Record>::LeafFeed> feeds(1);
+        feeds[0].buffer = &leaf;
+        feeds[0].runs = chunkRuns(n, 16);
+        const std::vector<RunSpan> runs = feeds[0].runs;
 
-    hw::DataLoader<Record> loader(
-        "dl", std::span<const Record>(source), std::move(feeds), memory,
-        64, /*presort_chunk=*/16, 0, 4);
+        hw::DataLoader<Record> loader(
+            "dl", std::span<const Record>(source), std::move(feeds),
+            memory, 64, /*presort_chunk=*/16, 0, 4);
 
-    sim::SimEngine engine;
-    engine.add(&memory);
-    engine.add(&loader);
-    ASSERT_TRUE(engine.run([&] { return loader.finished(); }, 100000)
-                    .finished);
+        sim::SimEngine engine;
+        engine.add(&memory);
+        engine.add(&loader);
+        ASSERT_TRUE(
+            engine.run([&] { return loader.finished(); }, 100000)
+                .finished);
 
-    ASSERT_EQ(leaf.size(), 64u + 4u);
-    for (int run = 0; run < 4; ++run) {
-        std::vector<Record> chunk;
-        for (int i = 0; i < 16; ++i)
-            chunk.push_back(leaf.pop());
-        EXPECT_TRUE(std::is_sorted(chunk.begin(), chunk.end()));
-        EXPECT_TRUE(leaf.pop().isTerminal());
+        ASSERT_EQ(leaf.size(), n + runs.size());
+        for (const RunSpan &run : runs) {
+            std::vector<Record> expect(
+                source.begin() + run.offset,
+                source.begin() + run.offset + run.length);
+            std::sort(expect.begin(), expect.end());
+            for (const Record &r : expect)
+                EXPECT_EQ(leaf.pop(), r);
+            EXPECT_TRUE(leaf.pop().isTerminal());
+        }
     }
 }
 
